@@ -34,7 +34,6 @@ from .cohomengine import (
     GateParams,
     Verdict,
     conjugacy_classes,
-    component_ring,
     decompose_function_field,
     decompose_number_field,
     detection_verdict,
@@ -52,7 +51,6 @@ from .curve import (
     P1Minus,
     PicardData,
     SingularCurveError,
-    component_classes,
     count_and_structure_elliptic,
     pic_p1_minus,
 )

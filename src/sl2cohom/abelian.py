@@ -518,10 +518,23 @@ def mod_ell_dimension(g: FinGenAbGroup, ell: int) -> int:
     return g.free_rank + sum(1 for d in g.invariant_factors if d % ell == 0)
 
 
+def two_torsion_order(g: FinGenAbGroup) -> int:
+    """Order of the 2-torsion subgroup g[2], read off the invariant factors."""
+    return 2 ** sum(1 for d in g.invariant_factors if d % 2 == 0)
+
+
+def fixed_subgroup(s: Involution) -> FinGenAbGroup:
+    """The subgroup ker(s - 1) of points an involution fixes."""
+    rows = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(s.hom.matrix)]
+    return kernel(GroupHom(s.group, s.group, rows))[0]
+
+
 def involution_orbits(g: FinGenAbGroup, s: Involution,
                       bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Orbit, ...]:
     """Orbits of an involution on a finite group, fixed orbits flagged.
 
+    This enumerates the group; it is the oracle for the orbit counts that
+    ``fixed_subgroup`` and ``two_torsion_order`` give by Burnside's lemma.
     Orbits are listed by their lexicographically smallest element, so the
     output order is deterministic.
     """

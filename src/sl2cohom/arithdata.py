@@ -13,7 +13,7 @@ from a validated text file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -278,6 +278,8 @@ class ArithmeticDatum:
     and the base; ``sigma`` is the order-two symmetry of that extension
     acting on ker(nm0); ``coker_nm1`` is the (finite) cokernel of the norm
     map on units and ``ker_nm1_rank`` the free rank of its kernel.
+    ``ker_nm0`` is computed from ``nm0`` on construction unless the caller
+    passes the kernel it has already computed.
     """
 
     ell: int
@@ -292,6 +294,7 @@ class ArithmeticDatum:
     coker_nm1: FinGenAbGroup
     sigma: Involution
     provenance: tuple[tuple[str, str], ...] = ()
+    ker_nm0: FinGenAbGroup | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ell == 2 or not is_prime(self.ell):
@@ -311,7 +314,9 @@ class ArithmeticDatum:
         except ValueError as exc:
             raise DatumConsistencyError("steinitz_in_cl_K", str(exc)) from exc
         object.__setattr__(self, "steinitz", tuple(int(c) for c in self.steinitz))
-        ker_group, _ = kernel(self.nm0)
+        if self.ker_nm0 is None:
+            object.__setattr__(self, "ker_nm0", kernel(self.nm0)[0])
+        ker_group = self.ker_nm0
         if self.sigma.group != ker_group:
             raise DatumConsistencyError(
                 "sigma_on_ker_nm0",
@@ -369,7 +374,8 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     The quadratic extension splits into two copies of the base ring, so the
     class group doubles, the norm map on classes is the sum map, the
     Steinitz class vanishes, the unit-norm cokernel is trivial, and the
-    symmetry swaps the two copies, which is negation on ker(nm0).
+    symmetry swaps the two copies, which is negation on ker(nm0), a copy
+    of cl_K.
     """
     if not cl_K.is_finite:
         raise ValueError("cl_K must be finite")
@@ -383,8 +389,7 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
         matrix[i][2 * i] = 1
         matrix[i][2 * i + 1] = 1
     nm0 = GroupHom(cl_A, cl_K, matrix)
-    ker_group, _ = kernel(nm0)
-    sigma = Involution(GroupHom.negation(ker_group))
+    sigma = Involution(GroupHom.negation(cl_K))
     return ArithmeticDatum(
         ell=ell,
         trace_in_K=True,
@@ -560,6 +565,7 @@ def load_datum(source) -> ArithmeticDatum:
         unit_rank_K=unit_rank, ker_nm1_rank=ker_rank,
         coker_nm1=coker, sigma=sigma,
         provenance=tuple((name, "ingested") for name in _PROVENANCE_FIELDS),
+        ker_nm0=ker_group,
     )
 
 

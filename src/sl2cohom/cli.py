@@ -18,10 +18,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .abelian import EnumerationBoundExceeded, FinGenAbGroup
+from .abelian import FinGenAbGroup
 from .arithdata import ArithmeticDatum, DatumError, build_split_datum, load_datum
 from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
+    ComponentBoundExceeded,
     GateParams,
     detection_verdict,
     decompose_number_field,
@@ -52,7 +53,7 @@ CURVE_PRESETS = {
     "p1_minus_01_infty": (1, 1, 1),
 }
 
-_INPUT_ERRORS = (DatumError, SingularCurveError, EnumerationBoundExceeded, ValueError)
+_INPUT_ERRORS = (DatumError, SingularCurveError, ComponentBoundExceeded, ValueError)
 
 
 def _emit(lines, mode: str, title: str) -> None:
@@ -90,9 +91,10 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
 
 def _cmd_analyze_nf(args) -> int:
     datum = _load_or_build_datum(args)
-    lines = machine_lines_number_field(datum, args.degree_bound)
+    decomposition = decompose_number_field(datum)
+    lines = machine_lines_number_field(datum, args.degree_bound, decomposition)
     if args.gate_n is not None:
-        detection = detection_verdict(datum, decompose_number_field(datum), args.degree_bound)
+        detection = detection_verdict(datum, decomposition, args.degree_bound)
         hypothesis = "fails" if detection.outcome == "fails" else "unknown"
         verdict = refined_gate(GateParams(
             ell=datum.ell, n=args.gate_n, zeta_in_K=datum.split,

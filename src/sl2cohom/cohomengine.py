@@ -7,7 +7,9 @@ indexed by those subgroup classes, extracts graded dimensions, certifies
 freeness over the degree-4 periodic subring hit by the second Chern
 class, and runs the rank-comparison detection test.  The function-field
 analogue decomposes along inversion classes of the Picard group of a
-punctured curve.
+punctured curve.  Classes are counted in closed form, never listed: a
+decomposition is a count per component shape, and all shape-dependent
+work is done once per shape.
 
 Component-ring shapes (all over the field with ell elements):
 
@@ -24,32 +26,36 @@ Component-ring shapes (all over the field with ell elements):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .abelian import (
-    DEFAULT_ENUMERATION_BOUND,
     FinGenAbGroup,
-    GroupHom,
     contains_in_image,
+    fixed_subgroup,
     is_prime,
-    kernel,
+    two_torsion_order,
 )
 from .arithdata import ArithmeticDatum
 from .curve import (
     CurveSpec,
     FiniteFieldSpec,
     P1Minus,
-    PicardData,
-    component_classes,
     picard_of_curve,
 )
 
 DEFAULT_DEGREE_BOUND = 12
+# the most components a report may list; larger reports are refused up front
+COMPONENT_BOUND = 10**6
 
 FARRELL_TATE_SHAPES = ("NonInvariant", "Invariant")
 FUNCTION_FIELD_SHAPES = ("UnitsFF", "MonomialFF")
 ALL_SHAPES = FARRELL_TATE_SHAPES + FUNCTION_FIELD_SHAPES
+
+
+class ComponentBoundExceeded(Exception):
+    """A report would list more components than ``COMPONENT_BOUND``."""
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +66,6 @@ ALL_SHAPES = FARRELL_TATE_SHAPES + FUNCTION_FIELD_SHAPES
 class ComponentRing:
     kind: str
     rank: int
-    origin: str = ""
 
     def __post_init__(self):
         if self.kind not in ALL_SHAPES:
@@ -138,31 +143,6 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NumberFieldContext:
-    datum: ArithmeticDatum
-
-
-@dataclass(frozen=True)
-class FunctionFieldContext:
-    curve: CurveSpec
-    field: FiniteFieldSpec
-    ell: int
-    picard: PicardData
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple[ComponentRing, ...]
-    context: object
-    nonvanishing: bool
-    advisories: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.nonvanishing and self.components:
-            raise ValueError("a vanishing decomposition must have no components")
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: str  # Nonvanishing | Detection | QuillenFreeness | RefinedGate
     outcome: str  # holds | fails | inconclusive
@@ -183,33 +163,54 @@ class ConjugacyClassSet:
     """The set of conjugacy classes of elements of order ell.
 
     It is an extension of ker(nm0) by coker(Nm1); only the cardinality
-    and the orbit structure of the order-two symmetry are used, so the
-    set is materialized as the product of the two groups and the
-    extension class is recorded as unresolved.
+    and the orbit counts of the order-two symmetry are used, so the set is
+    modeled as the product of the two groups, counted but never listed,
+    and the extension class is recorded as unresolved.
     """
 
     order: int
     coker: FinGenAbGroup
     ker: FinGenAbGroup
-    elements: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None
 
     @property
     def description(self) -> str:
         return (f"extension of ker(nm0) = {self.ker} by coker(Nm1) = {self.coker}, "
-                f"materialized as their product set (extension class unresolved)")
+                f"modeled as their product set (extension class unresolved)")
 
 
 @dataclass(frozen=True)
-class SubgroupClass:
-    index: int
-    representative: tuple[tuple[int, ...], tuple[int, ...]]
-    orbit: tuple
-    invariant: bool
+class Decomposition:
+    """The direct-sum decomposition, stored as a count per component shape.
+
+    ``shapes`` pairs each distinct component ring with its multiplicity,
+    the fixed-class shape (``Invariant``/``MonomialFF``) first; component
+    indices run consecutively through the shapes in that order.  For a
+    number field ``classes`` is the conjugacy-class set the components
+    are counted on.
+    """
+
+    shapes: tuple[tuple[ComponentRing, int], ...]
+    nonvanishing: bool
+    advisories: tuple[str, ...] = ()
+    classes: ConjugacyClassSet | None = None
+
+    def __post_init__(self):
+        if not self.nonvanishing and self.shapes:
+            raise ValueError("a vanishing decomposition must have no components")
+        if any(count < 1 for _, count in self.shapes):
+            raise ValueError("shape multiplicities must be positive")
+        if len({shape for shape, _ in self.shapes}) != len(self.shapes):
+            raise ValueError("each shape is listed once, with its multiplicity")
+
+    @property
+    def count(self) -> int:
+        """Number of components (subgroup or Picard inversion classes)."""
+        return sum(count for _, count in self.shapes)
 
 
 @dataclass(frozen=True)
-class ComponentFreeness:
-    component: int
+class ShapeFreeness:
+    shape: ComponentRing
     base: str  # laurent | polynomial
     basis_degrees: tuple[int, ...]
 
@@ -218,15 +219,15 @@ class ComponentFreeness:
 class FreenessCertificate:
     """Degreewise witness that each component is free over the periodic base.
 
-    For every scanned degree n the component dimension equals the number
-    of basis degrees congruent to n mod 4 (for a polynomial base, also at
-    most n).  The certificate records in addition that the second Chern
-    class restricts to the sum of the squared degree-2 generators of the
-    components, which acts as a non-zero-divisor whenever the
-    decomposition is non-empty.
+    It is kept once per component shape.  For every scanned degree n the
+    dimension of the shape equals the number of basis degrees congruent to
+    n mod 4 (for a polynomial base, also at most n).  The certificate
+    records in addition that the second Chern class restricts to the sum
+    of the squared degree-2 generators of the components, which acts as a
+    non-zero-divisor whenever the decomposition is non-empty.
     """
 
-    components: tuple[ComponentFreeness, ...]
+    shapes: tuple[ShapeFreeness, ...]
     verified_up_to: int
     chern_restriction: str
     chern_non_zero_divisor: bool
@@ -254,74 +255,54 @@ def nonvanishing(datum: ArithmeticDatum) -> Verdict:
 
 
 def conjugacy_classes(datum: ArithmeticDatum,
-                      bound: int = DEFAULT_ENUMERATION_BOUND) -> ConjugacyClassSet:
+                      verdict: Verdict | None = None) -> ConjugacyClassSet:
     """Conjugacy classes of order-ell elements, counted exactly.
 
-    Requires non-vanishing.  The count is |coker(Nm1)| * |ker(nm0)|; the
-    element set is materialized when both factors fit the bound.
+    Requires non-vanishing; ``verdict`` is the datum's non-vanishing
+    verdict when the caller already has it.  The count is
+    |coker(Nm1)| * |ker(nm0)|.
     """
-    if nonvanishing(datum).outcome != "holds":
+    if (verdict or nonvanishing(datum)).outcome != "holds":
         raise ValueError("conjugacy classes require non-vanishing cohomology")
-    ker_group, _ = kernel(datum.nm0)
-    order = datum.coker_nm1.order * ker_group.order
-    elements = None
-    if order <= bound:
-        elements = tuple(
-            (u, k)
-            for u in datum.coker_nm1.elements(bound)
-            for k in ker_group.elements(bound))
-    return ConjugacyClassSet(order=order, coker=datum.coker_nm1,
-                             ker=ker_group, elements=elements)
+    return ConjugacyClassSet(order=datum.coker_nm1.order * datum.ker_nm0.order,
+                             coker=datum.coker_nm1, ker=datum.ker_nm0)
+
+
+def _orbit_shapes(fixed_kind: str, paired_kind: str, rank: int,
+                  order: int, fixed: int) -> tuple[tuple[ComponentRing, int], ...]:
+    """Orbits of an involution with ``fixed`` fixed points on ``order``
+    elements, by Burnside's lemma: the fixed singletons, then the pairs."""
+    counts = ((fixed_kind, fixed), (paired_kind, (order - fixed) // 2))
+    return tuple((ComponentRing(kind, rank), n) for kind, n in counts if n)
 
 
 def subgroup_classes(datum: ArithmeticDatum,
-                     bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[SubgroupClass, ...]:
-    """Orbits of the order-two symmetry on the conjugacy-class set.
+                     classes: ConjugacyClassSet) -> tuple[tuple[ComponentRing, int], ...]:
+    """Orbits of the order-two symmetry on the conjugacy-class set, counted.
 
-    The symmetry acts componentwise on the product model: by the datum's
-    sigma on ker(nm0) and by negation on coker(Nm1).  Fixed orbits are the
-    invariant subgroup classes.
+    The symmetry acts componentwise on the product model: by negation on
+    coker(Nm1) and by the datum's sigma on ker(nm0).  Its fixed set is
+    coker[2] x ker(sigma - 1), which gives the invariant subgroup classes;
+    the other classes pair up into non-invariant ones.
     """
-    classes = conjugacy_classes(datum, bound)
-    if classes.elements is None:
-        raise ValueError("conjugacy-class set exceeds the enumeration bound")
-    neg = GroupHom.negation(datum.coker_nm1)
-    seen: set = set()
-    out: list[SubgroupClass] = []
-    for pair in classes.elements:
-        if pair in seen:
-            continue
-        u, k = pair
-        image = (neg.apply(u), datum.sigma.apply(k))
-        orbit = (pair,) if image == pair else (pair, image)
-        seen.update(orbit)
-        out.append(SubgroupClass(index=len(out), representative=pair,
-                                 orbit=orbit, invariant=len(orbit) == 1))
-    return tuple(out)
+    fixed = two_torsion_order(classes.coker) * fixed_subgroup(datum.sigma).order
+    return _orbit_shapes("Invariant", "NonInvariant", datum.ker_nm1_rank,
+                         classes.order, fixed)
 
 
-def component_ring(cls: SubgroupClass, datum: ArithmeticDatum) -> ComponentRing:
-    """Component of the decomposition attached to one subgroup class."""
-    kind = "Invariant" if cls.invariant else "NonInvariant"
-    origin = f"subgroup class {cls.index}, representative {cls.representative}"
-    return ComponentRing(kind=kind, rank=datum.ker_nm1_rank, origin=origin)
-
-
-def decompose_number_field(datum: ArithmeticDatum,
-                           bound: int = DEFAULT_ENUMERATION_BOUND) -> Decomposition:
+def decompose_number_field(datum: ArithmeticDatum) -> Decomposition:
     """Direct-sum decomposition indexed by subgroup classes (empty if zero)."""
-    context = NumberFieldContext(datum)
     verdict = nonvanishing(datum)
     if verdict.outcome != "holds":
-        return Decomposition(components=(), context=context, nonvanishing=False)
+        return Decomposition(shapes=(), nonvanishing=False)
     advisories = []
     if not datum.coker_nm1.is_trivial:
         advisories.append(
             "extension_model=product coker_nm1_nontrivial=true "
             "orbit_counts_may_shift_under_unresolved_fiber_action")
-    components = tuple(component_ring(cls, datum) for cls in subgroup_classes(datum, bound))
-    return Decomposition(components=components, context=context,
-                         nonvanishing=True, advisories=tuple(advisories))
+    classes = conjugacy_classes(datum, verdict)
+    return Decomposition(shapes=subgroup_classes(datum, classes), nonvanishing=True,
+                         advisories=tuple(advisories), classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +326,8 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     """One component per inversion orbit of the Picard group.
 
     Requires ell odd and ell | q - 1.  Self-inverse classes give the
-    monomial-matrix shape, the others the unit-group shape.
+    monomial-matrix shape, the others the unit-group shape.  Inversion is
+    negation, so the self-inverse classes are the 2-torsion Pic[2].
     """
     if not is_prime(ell) or ell == 2:
         raise ValueError("ell must be an odd prime")
@@ -353,26 +335,21 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
         raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     pic = picard_of_curve(curve, field_spec)
     rank = unit_rank_of_coordinate_ring(curve)
-    components = []
-    for i, orbit in enumerate(component_classes(pic)):
-        kind = "MonomialFF" if orbit.fixed else "UnitsFF"
-        origin = f"Picard class {i}, representative {orbit.elements[0]}"
-        components.append(ComponentRing(kind=kind, rank=rank, origin=origin))
+    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, pic.group.order,
+                           two_torsion_order(pic.group))
     advisories = []
     if isinstance(curve, P1Minus) and curve.punctures >= 4:
         advisories.append(
             f"punctures={curve.punctures} threshold=4 "
             "nondetectable_classes_possible=true decomposition_covers_parabolic_part_only")
-    context = FunctionFieldContext(curve=curve, field=field_spec, ell=ell, picard=pic)
-    return Decomposition(components=tuple(components), context=context,
-                         nonvanishing=True, advisories=tuple(advisories))
+    return Decomposition(shapes=shapes, nonvanishing=True, advisories=tuple(advisories))
 
 
 # ---------------------------------------------------------------------------
 # freeness, detection, hypothesis gate
 # ---------------------------------------------------------------------------
 
-def _basis_count(entry: ComponentFreeness, n: int) -> int:
+def _basis_count(entry: ShapeFreeness, n: int) -> int:
     if entry.base == "laurent":
         return sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0)
     return sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0 and d <= n)
@@ -380,26 +357,27 @@ def _basis_count(entry: ComponentFreeness, n: int) -> int:
 
 def freeness_certificate(decomposition: Decomposition,
                          up_to: int = DEFAULT_DEGREE_BOUND) -> FreenessCertificate:
-    """Basis-degree certificate, checked degreewise on [-up_to, up_to]."""
+    """Basis-degree certificate, checked degreewise on [-up_to, up_to]
+    once per component shape."""
     entries = []
-    for i, comp in enumerate(decomposition.components):
-        entry = ComponentFreeness(
-            component=i,
-            base="laurent" if comp.is_laurent else "polynomial",
-            basis_degrees=freeness_basis_degrees(comp))
+    for shape, _ in decomposition.shapes:
+        entry = ShapeFreeness(
+            shape=shape,
+            base="laurent" if shape.is_laurent else "polynomial",
+            basis_degrees=freeness_basis_degrees(shape))
         for n in range(-up_to, up_to + 1):
-            expected = graded_dimension(comp, n)
+            expected = graded_dimension(shape, n)
             got = _basis_count(entry, n)
             if expected != got:
                 raise ArithmeticError(
-                    f"freeness identity failed for component {i} in degree {n}: "
-                    f"dimension {expected}, basis count {got}")
+                    f"freeness identity failed for shape {shape.kind}({shape.rank}) "
+                    f"in degree {n}: dimension {expected}, basis count {got}")
         entries.append(entry)
     return FreenessCertificate(
-        components=tuple(entries),
+        shapes=tuple(entries),
         verified_up_to=up_to,
         chern_restriction="sum_of_squared_degree2_generators",
-        chern_non_zero_divisor=bool(decomposition.components))
+        chern_non_zero_divisor=bool(decomposition.shapes))
 
 
 def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
@@ -412,13 +390,13 @@ def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
     comparison can never prove detection, so the other outcome is
     inconclusive.
     """
-    if not decomposition.components:
+    if not decomposition.shapes:
         return Verdict(kind="Detection", outcome="inconclusive",
                        note="empty decomposition: nothing to detect")
-    target = ComponentRing(kind="NonInvariant", rank=datum.unit_rank_K,
-                           origin="diagonal torus (S-unit group model)")
+    target = ComponentRing(kind="NonInvariant", rank=datum.unit_rank_K)
     for n in range(-up_to, up_to + 1):
-        total = sum(graded_dimension(c, n) for c in decomposition.components)
+        total = sum(count * graded_dimension(shape, n)
+                    for shape, count in decomposition.shapes)
         torus = graded_dimension(target, n)
         if total > torus:
             return Verdict(kind="Detection", outcome="fails", witness=(n, total, torus))
@@ -478,39 +456,51 @@ def _dims_field(component: ComponentRing, bound: int) -> str:
     return f"dims[-4..{bound}]={values}"
 
 
-def component_line(index: int, component: ComponentRing, bound: int) -> str:
-    return (f"COMPONENT\t{index} shape={component.kind} "
-            f"{component.rank_letter}={component.rank} {_dims_field(component, bound)}")
+def _component_lines(decomposition: Decomposition, bound: int) -> list[str]:
+    """COMPONENT, FREENESS and CHERN lines.
 
-
-def freeness_lines(certificate: FreenessCertificate) -> list[str]:
-    lines = []
-    for entry in certificate.components:
-        counts: dict[int, int] = {}
-        for d in entry.basis_degrees:
-            counts[d] = counts.get(d, 0) + 1
-        degrees = ",".join(f"{d}:{m}" for d, m in sorted(counts.items()))
-        lines.append(f"FREENESS\tcomponent={entry.component} basis_degrees={degrees} "
-                     f"base={entry.base} verified_up_to={certificate.verified_up_to}")
-    lines.append(f"CHERN\trestriction={certificate.chern_restriction} "
-                 f"non_zero_divisor={'true' if certificate.chern_non_zero_divisor else 'false'}")
-    return lines
+    A report over ``COMPONENT_BOUND`` components is refused before any
+    work.  Everything that depends on the shape (graded dimensions,
+    freeness certificate, line suffixes) is built once per shape, so a
+    line costs only its index.
+    """
+    if decomposition.count > COMPONENT_BOUND:
+        raise ComponentBoundExceeded(
+            f"the report would list {decomposition.count} components, "
+            f"over the component bound {COMPONENT_BOUND}")
+    certificate = freeness_certificate(decomposition, bound)
+    components: list[str] = []
+    freeness: list[str] = []
+    start = 0
+    for (shape, count), entry in zip(decomposition.shapes, certificate.shapes):
+        degrees = ",".join(f"{d}:{m}" for d, m in sorted(Counter(entry.basis_degrees).items()))
+        ring = f"shape={shape.kind} {shape.rank_letter}={shape.rank} {_dims_field(shape, bound)}"
+        basis = (f"basis_degrees={degrees} base={entry.base} "
+                 f"verified_up_to={certificate.verified_up_to}")
+        indices = range(start, start + count)
+        components.extend([f"COMPONENT\t{i} {ring}" for i in indices])
+        freeness.extend([f"FREENESS\tcomponent={i} {basis}" for i in indices])
+        start += count
+    chern = (f"CHERN\trestriction={certificate.chern_restriction} "
+             f"non_zero_divisor={'true' if certificate.chern_non_zero_divisor else 'false'}")
+    return components + freeness + [chern]
 
 
 def machine_lines_number_field(datum: ArithmeticDatum,
-                               bound: int = DEFAULT_DEGREE_BOUND) -> list[str]:
-    """Report lines, one fact per line, for a number-field analysis."""
-    lines = []
-    verdict = nonvanishing(datum)
-    lines.append(f"NONVANISHING\t{verdict.outcome}")
-    decomposition = decompose_number_field(datum)
-    if verdict.outcome == "holds":
-        classes = conjugacy_classes(datum)
-        lines.append(f"CCLASSES\t{classes.order}")
-        lines.append(f"KCLASSES\t{len(decomposition.components)}")
-        for i, comp in enumerate(decomposition.components):
-            lines.append(component_line(i, comp, bound))
-        lines.extend(freeness_lines(freeness_certificate(decomposition, bound)))
+                               bound: int = DEFAULT_DEGREE_BOUND,
+                               decomposition: Decomposition | None = None) -> list[str]:
+    """Report lines, one fact per line, for a number-field analysis.
+
+    ``decomposition`` is the datum's decomposition when the caller already
+    has it.
+    """
+    if decomposition is None:
+        decomposition = decompose_number_field(datum)
+    lines = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
+    if decomposition.nonvanishing:
+        lines.append(f"CCLASSES\t{decomposition.classes.order}")
+        lines.append(f"KCLASSES\t{decomposition.count}")
+        lines.extend(_component_lines(decomposition, bound))
     detection = detection_verdict(datum, decomposition, bound)
     if detection.outcome == "fails":
         lines.append(f"DETECTION\tfails witness_degree={detection.witness[0]}")
@@ -526,10 +516,8 @@ def machine_lines_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec, 
                                  bound: int = DEFAULT_DEGREE_BOUND) -> list[str]:
     """Report lines for a function-field analysis."""
     decomposition = decompose_function_field(curve, field_spec, ell)
-    lines = [f"KCLASSES\t{len(decomposition.components)}"]
-    for i, comp in enumerate(decomposition.components):
-        lines.append(component_line(i, comp, bound))
-    lines.extend(freeness_lines(freeness_certificate(decomposition, bound)))
+    lines = [f"KCLASSES\t{decomposition.count}"]
+    lines.extend(_component_lines(decomposition, bound))
     for advisory in decomposition.advisories:
         lines.append(f"ADVISORY\t{advisory}")
     return lines

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abelian import (
-    DEFAULT_ENUMERATION_BOUND,
     FinGenAbGroup,
     GroupHom,
     Involution,
-    Orbit,
-    involution_orbits,
     is_prime,
 )
 
@@ -494,9 +491,3 @@ def picard_of_curve(curve: CurveSpec, spec: FiniteFieldSpec | None = None) -> Pi
     group = count_and_structure_elliptic(curve, spec)
     iota = Involution(GroupHom.negation(group))
     return PicardData(group=group, iota=iota, element_labels=None)
-
-
-def component_classes(pic: PicardData,
-                      bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Orbit, ...]:
-    """Orbits of the inversion involution; singletons are self-inverse."""
-    return involution_orbits(pic.group, pic.iota, bound)

@@ -145,3 +145,51 @@ def all_hom_matrices(domain: FinGenAbGroup, codomain: FinGenAbGroup):
     m, n = codomain.ngens, domain.ngens
     for flat in cartesian(*choices_per_entry):
         yield [list(flat[i * n:(i + 1) * n]) for i in range(m)]
+
+
+def group_elements(g: FinGenAbGroup):
+    """All elements of a finite group, in lexicographic coordinate order."""
+    return list(cartesian(*(range(d) for d in g.invariant_factors)))
+
+
+def apply_matrix(matrix, orders, x) -> tuple[int, ...]:
+    """Image of x under an integer matrix, reduced modulo the given orders."""
+    return tuple(sum(a * b for a, b in zip(row, x)) % o for row, o in zip(matrix, orders))
+
+
+def orbits_on_pairs(left, left_map, right, right_map):
+    """Orbits of (x, y) -> (left_map(x), right_map(y)) on left x right.
+
+    Walks every pair in lexicographic order; each orbit is listed once, by
+    its first member, as a tuple of its members.
+    """
+    seen = set()
+    orbits = []
+    for x in left:
+        for y in right:
+            if (x, y) in seen:
+                continue
+            image = (left_map(x), right_map(y))
+            orbit = ((x, y),) if image == (x, y) else ((x, y), image)
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+def basis_degrees_by_enumeration(kind: str, rank: int) -> tuple[int, ...]:
+    """Degrees of the module basis monomials over the periodic base ring.
+
+    The basis monomials are u^eps * x_T (Laurent shapes) or
+    b^eps * a^delta * x_T (function-field shapes) with eps, delta in {0, 1};
+    the sign-fixed shapes keep those of even total exponent weight.
+    """
+    degrees = []
+    subsets = [s for k in range(rank + 1) for s in combinations(range(rank), k)]
+    deltas = (0,) if kind in ("NonInvariant", "Invariant") else (0, 1)
+    for eps in (0, 1):
+        for delta in deltas:
+            for t in subsets:
+                if kind in ("Invariant", "MonomialFF") and (eps + delta + len(t)) % 2:
+                    continue
+                degrees.append(2 * eps + delta + len(t))
+    return tuple(sorted(degrees))

@@ -10,12 +10,14 @@ from sl2cohom.abelian import (
     Involution,
     cokernel,
     contains_in_image,
+    fixed_subgroup,
     involution_orbits,
     kernel,
     mod_ell_dimension,
     smith_normal_form,
+    two_torsion_order,
 )
-from brute import permanent_style_det, structure_from_element_set
+from brute import all_hom_matrices, permanent_style_det, structure_from_element_set
 
 
 def matmul(a, b):
@@ -255,6 +257,31 @@ def test_orbit_partition_properties():
         assert len(orbits) == (g.order + fixed) // 2
         for o in orbits:
             assert {s.apply(x) for x in o.elements} == set(o.elements)
+
+
+def test_closed_form_fixed_points_match_orbit_enumeration():
+    # Burnside: the fixed orbits of an involution are the points of
+    # ker(s - 1); for negation that is the 2-torsion
+    rng = random.Random(19)
+    for _ in range(40):
+        g = FinGenAbGroup.from_cyclic_orders(
+            [rng.randint(1, 8) for _ in range(rng.randint(0, 3))])
+        if g.order > 64:
+            continue
+        neg = Involution(GroupHom.negation(g))
+        fixed = sum(1 for o in involution_orbits(g, neg) if o.fixed)
+        assert two_torsion_order(g) == fixed_subgroup(neg).order == fixed
+        involutions = []
+        for m in all_hom_matrices(g, g):
+            try:
+                involutions.append(Involution(GroupHom(g, g, m)))
+            except ValueError:
+                continue
+        for s in rng.sample(involutions, min(4, len(involutions))):
+            orbits = involution_orbits(g, s)
+            fixed = sum(1 for o in orbits if o.fixed)
+            assert fixed_subgroup(s).order == fixed
+            assert len(orbits) == (g.order + fixed) // 2
 
 
 def test_involution_must_square_to_identity():

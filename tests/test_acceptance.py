@@ -8,6 +8,7 @@ classical class-number facts re-derived by reduced-form counting.
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from math import gcd
 
@@ -17,6 +18,7 @@ from sl2cohom.abelian import (
     Involution,
     cokernel,
     contains_in_image,
+    involution_orbits,
     kernel,
     smith_normal_form,
 )
@@ -45,7 +47,6 @@ from sl2cohom.curve import (
     FiniteFieldSpec,
     P1Minus,
     SingularCurveError,
-    component_classes,
     count_and_structure_elliptic,
     count_points_elliptic,
     elliptic_points,
@@ -141,14 +142,14 @@ def test_criterion_3_function_field_positive_cases():
             dec = decompose_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
             cert = freeness_certificate(dec, 12)
             elapsed = time.perf_counter() - start
-            assert len(dec.components) == 1
-            assert dec.components[0].kind == "MonomialFF"
-            assert dec.components[0].rank == len(punctures) - 1
+            assert dec.count == 1
+            (shape, _), = dec.shapes
+            assert shape.kind == "MonomialFF"
+            assert shape.rank == len(punctures) - 1
             # re-verify the certificate against blind monomial enumeration
-            entry = cert.components[0]
+            entry, = cert.shapes
             for n in range(0, 13):
-                want = shape_dimension_by_enumeration("MonomialFF",
-                                                      dec.components[0].rank, n)
+                want = shape_dimension_by_enumeration("MonomialFF", shape.rank, n)
                 got = sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0 and d <= n)
                 assert want == got
             assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -170,7 +171,7 @@ def test_criterion_4_elliptic_picard_and_hasse_scan():
         assert raw == {(0, 0), (2, 0), (3, 0)}
         assert len(raw) + 1 == group.order
         pic = picard_of_curve(EllipticMinusPoint(1, 0), spec)
-        classes = component_classes(pic)
+        classes = involution_orbits(pic.group, pic.iota)
         assert len(classes) == 4 and all(c.fixed for c in classes)
         # Hasse bound for every smooth short-Weierstrass curve with q <= 64
         violations = 0
@@ -304,9 +305,11 @@ def test_criterion_9_freeness_identity_on_random_decompositions():
             comps = tuple(
                 ComponentRing(rng.choice(kinds), rng.randint(0, 6))
                 for _ in range(rng.randint(1, 5)))
-            dec = Decomposition(components=comps, context=None, nonvanishing=True)
+            dec = Decomposition(shapes=tuple(Counter(comps).items()), nonvanishing=True)
             cert = freeness_certificate(dec, 12)
-            for entry, comp in zip(cert.components, comps):
+            assert [entry.shape for entry in cert.shapes] == list(Counter(comps))
+            for entry in cert.shapes:
+                comp = entry.shape
                 for n in range(-12, 13):
                     if entry.base == "laurent":
                         got = sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0)

@@ -78,6 +78,19 @@ def test_rejection_paths_exit_one(capsys):
     assert out.startswith("ERROR\t")
 
 
+def test_component_bound_refuses_before_any_line(capsys):
+    code, out = run(capsys, "analyze-nf", "--split-class-group", "2000,2000",
+                    "--unit-rank", "3", "--ell", "5")
+    assert code == 1
+    assert out.startswith("ERROR\t") and out.count("\n") == 1
+    assert "2000002 components" in out and "component bound 1000000" in out
+
+    code, out = run(capsys, "analyze-ff", "--curve", "p1", "--punctures", "3000000",
+                    "--q", "7", "--ell", "3")
+    assert code == 1
+    assert out.startswith("ERROR\t") and "component bound 1000000" in out
+
+
 def test_bad_datum_reports_location(tmp_path, capsys):
     bad = tmp_path / "broken.datum"
     good = (FIXTURE_DIR / "q_zeta23.datum").read_text()

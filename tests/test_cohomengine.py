@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -163,6 +164,7 @@ def test_three_conjugacy_classes_for_cyclotomic_fixture():
     classes = conjugacy_classes(datum)
     assert classes.order == 3
     assert "extension" in classes.description
+    assert decompose_number_field(datum).classes == classes
 
 
 def test_conjugacy_classes_trivial_case():
@@ -179,8 +181,12 @@ def test_conjugacy_classes_multiplicative():
 
 
 def test_conjugacy_classes_require_nonvanishing():
+    datum = synthetic_datum(trace=False)
     with pytest.raises(ValueError):
-        conjugacy_classes(synthetic_datum(trace=False))
+        conjugacy_classes(datum)
+    with pytest.raises(ValueError):
+        conjugacy_classes(datum, nonvanishing(datum))
+    assert decompose_number_field(datum).classes is None
 
 
 def test_split_data_have_class_number_many_conjugacy_classes():
@@ -192,34 +198,58 @@ def test_split_data_have_class_number_many_conjugacy_classes():
         assert conjugacy_classes(datum).order == cl.order
 
 
+def shape_counts(shapes):
+    return [(shape.kind, shape.rank, count) for shape, count in shapes]
+
+
 def test_two_subgroup_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    classes = subgroup_classes(datum)
-    assert len(classes) == 2
-    assert [c.invariant for c in classes] == [True, False]
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    assert shape_counts(shapes) == [("Invariant", 11, 1), ("NonInvariant", 11, 1)]
 
 
 def test_subgroup_classes_on_cyclic5_kernel():
     datum = build_split_datum(FinGenAbGroup(0, (5,)), 2, 7)
-    classes = subgroup_classes(datum)
-    assert len(classes) == 3
-    assert sum(1 for c in classes if c.invariant) == 1
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    assert sum(count for _, count in shapes) == 3
+    assert shape_counts(shapes) == [("Invariant", 2, 1), ("NonInvariant", 2, 2)]
+
+
+def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
+    # sigma = +1 on ker(nm0) = Z/3 fixes it; negation on coker = Z/4 fixes
+    # 0 and 2: 6 fixed classes, the other 6 of the 12 pair into 3
+    cl_A = FinGenAbGroup(0, (3,))
+    datum = synthetic_datum(cl_A=cl_A, nm0=GroupHom.zero(cl_A, FinGenAbGroup.trivial()),
+                            coker=FinGenAbGroup(0, (4,)), ker_rank=1,
+                            sigma=Involution(GroupHom.identity(cl_A)))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    assert shape_counts(shapes) == [("Invariant", 1, 6), ("NonInvariant", 1, 3)]
 
 
 def test_decomposition_of_cyclotomic_fixture():
     dec = decompose_number_field(load_datum(QZETA23))
-    assert [(c.kind, c.rank) for c in dec.components] == [
-        ("Invariant", 11), ("NonInvariant", 11)]
+    assert shape_counts(dec.shapes) == [("Invariant", 11, 1), ("NonInvariant", 11, 1)]
+    assert dec.count == 2
 
 
 def test_decomposition_empty_when_vanishing():
     dec = decompose_number_field(synthetic_datum(trace=False))
-    assert dec.components == () and not dec.nonvanishing
+    assert dec.shapes == () and dec.count == 0 and not dec.nonvanishing
 
 
 def test_decomposition_of_small_split_fixture():
     dec = decompose_number_field(load_datum(QZETA3))
-    assert [(c.kind, c.rank) for c in dec.components] == [("Invariant", 1)]
+    assert shape_counts(dec.shapes) == [("Invariant", 1, 1)]
+
+
+def test_decomposition_rejects_repeated_or_empty_shapes():
+    comp = ComponentRing("Invariant", 1)
+    with pytest.raises(ValueError):
+        Decomposition(shapes=((comp, 1), (comp, 2)), nonvanishing=True)
+    with pytest.raises(ValueError):
+        Decomposition(shapes=((comp, 0),), nonvanishing=True)
+    with pytest.raises(ValueError):
+        Decomposition(shapes=((comp, 1),), nonvanishing=False)
 
 
 def test_nontrivial_coker_emits_advisory():
@@ -234,17 +264,17 @@ def test_nontrivial_coker_emits_advisory():
 
 def test_doubly_punctured_line_single_monomial_component():
     dec = decompose_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
-    assert [(c.kind, c.rank) for c in dec.components] == [("MonomialFF", 1)]
+    assert shape_counts(dec.shapes) == [("MonomialFF", 1, 1)]
 
 
 def test_once_punctured_line_single_component_rank0():
     dec = decompose_function_field(P1Minus((1,)), FiniteFieldSpec(7), 3)
-    assert [(c.kind, c.rank) for c in dec.components] == [("MonomialFF", 0)]
+    assert shape_counts(dec.shapes) == [("MonomialFF", 0, 1)]
 
 
 def test_triple_punctured_line():
     dec = decompose_function_field(P1Minus((1, 1, 1)), FiniteFieldSpec(7), 3)
-    assert [(c.kind, c.rank) for c in dec.components] == [("MonomialFF", 2)]
+    assert shape_counts(dec.shapes) == [("MonomialFF", 2, 1)]
 
 
 def test_ell_must_divide_q_minus_one():
@@ -258,11 +288,8 @@ def test_elliptic_function_field_components():
     # y^2 = x^3 + 2 over the 7-element field has 9 points; inversion fixes
     # only the trivial class, so there are 5 classes, 4 of them paired
     dec = decompose_function_field(EllipticMinusPoint(0, 2), FiniteFieldSpec(7), 3)
-    kinds = [c.kind for c in dec.components]
-    assert len(kinds) == 5
-    assert kinds.count("MonomialFF") == 1
-    assert kinds.count("UnitsFF") == 4
-    assert all(c.rank == 0 for c in dec.components)
+    assert dec.count == 5
+    assert shape_counts(dec.shapes) == [("MonomialFF", 0, 1), ("UnitsFF", 0, 4)]
 
 
 def test_many_punctures_advisory():
@@ -305,9 +332,11 @@ def test_certificate_identity_random_shapes():
         comps = tuple(
             ComponentRing(rng.choice(kinds), rng.randint(0, 6))
             for _ in range(rng.randint(1, 4)))
-        dec = Decomposition(components=comps, context=None, nonvanishing=True)
+        dec = Decomposition(shapes=tuple(Counter(comps).items()), nonvanishing=True)
         cert = freeness_certificate(dec)
-        for entry, comp in zip(cert.components, comps):
+        assert [entry.shape for entry in cert.shapes] == list(Counter(comps))
+        for entry in cert.shapes:
+            comp = entry.shape
             for n in range(-12, 13):
                 want = graded_dimension(comp, n)
                 if entry.base == "laurent":
@@ -319,9 +348,9 @@ def test_certificate_identity_random_shapes():
 
 
 def test_empty_decomposition_certificate():
-    dec = Decomposition(components=(), context=None, nonvanishing=False)
+    dec = Decomposition(shapes=(), nonvanishing=False)
     cert = freeness_certificate(dec)
-    assert cert.components == () and not cert.chern_non_zero_divisor
+    assert cert.shapes == () and not cert.chern_non_zero_divisor
 
 
 # ---------------------------------------------------------------------------

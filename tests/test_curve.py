@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from sl2cohom.abelian import FinGenAbGroup
+from sl2cohom.abelian import FinGenAbGroup, involution_orbits
 from sl2cohom.curve import (
     EllipticMinusPoint,
     FiniteFieldSpec,
     P1Minus,
     SingularCurveError,
-    component_classes,
     count_and_structure_elliptic,
     count_points_elliptic,
     ec_add,
@@ -142,7 +141,7 @@ def test_hasse_bound_sample():
 def test_pic_of_doubly_punctured_line_is_trivial():
     pic = pic_p1_minus((1, 1))
     assert pic.group.is_trivial
-    classes = component_classes(pic)
+    classes = involution_orbits(pic.group, pic.iota)
     assert len(classes) == 1 and classes[0].fixed
 
 
@@ -153,7 +152,7 @@ def test_pic_single_puncture_trivial():
 def test_pic_gcd_of_degrees():
     pic = pic_p1_minus((2, 4))
     assert pic.group == FinGenAbGroup(0, (2,))
-    classes = component_classes(pic)
+    classes = involution_orbits(pic.group, pic.iota)
     assert len(classes) == 2 and all(c.fixed for c in classes)
     assert pic.element_labels == ("O(0)", "O(1)")
 
@@ -165,7 +164,7 @@ def test_pic_requires_a_puncture():
 
 def test_elliptic_picard_classes():
     pic = picard_of_curve(EllipticMinusPoint(1, 0), FiniteFieldSpec(5))
-    classes = component_classes(pic)
+    classes = involution_orbits(pic.group, pic.iota)
     assert pic.group == FinGenAbGroup(0, (2, 2))
     assert len(classes) == 4 and all(c.fixed for c in classes)
 
@@ -178,4 +177,4 @@ def test_class_count_formula():
         two_torsion = sum(
             1 for x in pic.group.elements()
             if pic.group.add(x, x) == pic.group.zero())
-        assert len(component_classes(pic)) == (order + two_torsion) // 2
+        assert len(involution_orbits(pic.group, pic.iota)) == (order + two_torsion) // 2

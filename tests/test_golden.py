@@ -1,0 +1,58 @@
+"""Golden reports: CLI stdout compared byte for byte.
+
+Each case runs ``sl2cohom.cli.main`` on fixed arguments and compares the
+captured stdout with ``tests/golden/<name>.out``.  A changed byte is a
+grammar decision: regenerate the files on purpose with
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+and document the change.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from sl2cohom.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "q_zeta23_machine": ["analyze-nf", "--datum", "q_zeta23.datum"],
+    "q_zeta23_human": ["analyze-nf", "--datum", "q_zeta23.datum", "--mode", "human"],
+    "q_zeta3_machine": ["analyze-nf", "--datum", "q_zeta3.datum"],
+    "q_zeta3_human": ["analyze-nf", "--datum", "q_zeta3.datum", "--mode", "human"],
+    "preset_p1_minus_infty": ["analyze-ff", "--preset", "p1_minus_infty", "--q", "7",
+                              "--ell", "3"],
+    "preset_p1_minus_0_infty": ["analyze-ff", "--preset", "p1_minus_0_infty", "--q", "7",
+                                "--ell", "3"],
+    "preset_p1_minus_01_infty": ["analyze-ff", "--preset", "p1_minus_01_infty", "--q", "7",
+                                 "--ell", "3"],
+    "split_2_4": ["analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3",
+                  "--ell", "5"],
+    "coker2": ["analyze-nf", "--datum", str(GOLDEN / "coker2.datum")],
+    "elliptic_0_2_q7": ["analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2",
+                        "--q", "7", "--ell", "3"],
+}
+
+
+def report(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    code, out = report(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.out").write_text(report(argv)[1], encoding="utf-8")
