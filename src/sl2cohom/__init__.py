@@ -11,7 +11,6 @@ from .abelian import (
     contains_in_image,
     involution_orbits,
     kernel,
-    mod_ell_dimension,
     smith_normal_form,
 )
 from .arithdata import (
@@ -19,13 +18,10 @@ from .arithdata import (
     DatumConsistencyError,
     DatumError,
     DatumParseError,
-    PlaceSpec,
     QuadraticForm,
     build_split_datum,
     class_group_imaginary_quadratic,
     load_datum,
-    s_unit_rank,
-    save_datum,
 )
 from .cohomengine import (
     ComponentRing,
@@ -49,7 +45,6 @@ from .curve import (
     FiniteField,
     FiniteFieldSpec,
     P1Minus,
-    PicardData,
     SingularCurveError,
     count_and_structure_elliptic,
     pic_p1_minus,

@@ -14,6 +14,8 @@ from itertools import product as _cartesian
 from math import prod
 
 DEFAULT_ENUMERATION_BOUND = 10**6
+# the largest integer factored by trial division (about 0.1 s of work)
+TRIAL_DIVISION_BOUND = 10**12
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -22,19 +24,31 @@ class EnumerationBoundExceeded(Exception):
     """Element listing was requested for a group beyond the allowed bound."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (p, e) pairs, p ascending.
+
+    This is the package's one trial-division loop.  Its cost grows like
+    sqrt(n), so n above ``TRIAL_DIVISION_BOUND`` is refused.
+    """
+    if n > TRIAL_DIVISION_BOUND:
+        raise ValueError(f"{n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
+    factors = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            factors.append((f, e))
+        f += 1 if f == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +235,6 @@ class FinGenAbGroup:
         return cls(0, ())
 
     @classmethod
-    def free(cls, rank: int) -> "FinGenAbGroup":
-        return cls(rank, ())
-
-    @classmethod
     def cyclic(cls, d: int) -> "FinGenAbGroup":
         if d == 0:
             return cls(1, ())
@@ -294,9 +304,6 @@ class FinGenAbGroup:
 
     def add(self, x, y) -> tuple[int, ...]:
         return self.reduce_element(tuple(a + b for a, b in zip(x, y)))
-
-    def neg(self, x) -> tuple[int, ...]:
-        return self.reduce_element(tuple(-a for a in x))
 
     def elements(self, bound: int = DEFAULT_ENUMERATION_BOUND):
         """Iterate all elements in lexicographic coordinate order."""
@@ -509,13 +516,6 @@ def contains_in_image(f: GroupHom, y) -> bool:
         elif c[i] % d:
             return False
     return True
-
-
-def mod_ell_dimension(g: FinGenAbGroup, ell: int) -> int:
-    """Dimension of g tensor Z/ell over the field with ell elements."""
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    return g.free_rank + sum(1 for d in g.invariant_factors if d % ell == 0)
 
 
 def two_torsion_order(g: FinGenAbGroup) -> int:

@@ -6,9 +6,9 @@ class groups, the Steinitz class of the quadratic extension generated by
 an ell-th root of unity, unit ranks, and the order-two symmetry acting
 on the kernel of the norm map.  Small inputs are computed from built-in
 families (imaginary-quadratic class groups via reduced binary quadratic
-forms and Gauss composition, Dirichlet S-unit ranks, the split
-cyclotomic construction); anything beyond built-in reach is ingested
-from a validated text file.
+forms and Gauss composition, the split cyclotomic construction);
+anything beyond built-in reach, unit ranks included, is ingested from a
+validated text file or given on the command line.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .abelian import (
     FinGenAbGroup,
     GroupHom,
     Involution,
+    factorize,
     is_prime,
     kernel,
     cokernel,
@@ -42,33 +43,6 @@ class DatumConsistencyError(DatumError):
     def __init__(self, invariant: str, message: str):
         self.invariant = invariant
         super().__init__(f"consistency violation [{invariant}]: {message}")
-
-
-# ---------------------------------------------------------------------------
-# places and unit ranks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlaceSpec:
-    """The shape of a finite place set S: infinite places plus finite ones."""
-
-    real_places: int
-    complex_places: int
-    finite_places: tuple[tuple[int, int], ...] = ()  # (residue char, residue degree)
-    contains_places_over_ell: bool = False
-
-    def __post_init__(self):
-        if self.real_places < 0 or self.complex_places < 0:
-            raise ValueError("place counts must be nonnegative")
-        object.__setattr__(self, "finite_places", tuple(
-            (int(p), int(f)) for p, f in self.finite_places))
-        if self.real_places + self.complex_places + len(self.finite_places) == 0:
-            raise ValueError("the place set must be non-empty")
-
-
-def s_unit_rank(places: PlaceSpec) -> int:
-    """Free rank of the S-unit group (Dirichlet)."""
-    return places.real_places + places.complex_places + len(places.finite_places) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,19 +80,11 @@ class QuadraticForm:
 def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
-    if d % 4 == 1:
-        return _is_squarefree(-d)
-    m = d // 4
-    return m % 4 in (2, 3) and _is_squarefree(-m)
-
-
-def _is_squarefree(n: int) -> bool:
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
+    if d % 4 == 0:
+        d //= 4
+        if d % 4 not in (2, 3):
             return False
-        f += 1
-    return True
+    return all(e == 1 for _, e in factorize(-d))
 
 
 def _reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -264,12 +230,6 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
 # the arithmetic datum
 # ---------------------------------------------------------------------------
 
-_PROVENANCE_FIELDS = (
-    "ell", "trace_in_K", "split", "cl_K", "cl_A", "nm0", "steinitz",
-    "unit_rank_K", "ker_nm1_rank", "coker_nm1", "sigma",
-)
-
-
 @dataclass(frozen=True)
 class ArithmeticDatum:
     """All arithmetic inputs the cohomology engine needs for one (K, S, ell).
@@ -293,7 +253,6 @@ class ArithmeticDatum:
     ker_nm1_rank: int
     coker_nm1: FinGenAbGroup
     sigma: Involution
-    provenance: tuple[tuple[str, str], ...] = ()
     ker_nm0: FinGenAbGroup | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -323,9 +282,6 @@ class ArithmeticDatum:
                 f"sigma acts on {self.sigma.group}, but ker(nm0) is {ker_group}")
         if self.split:
             self._check_split_case(ker_group)
-        if not self.provenance:
-            object.__setattr__(self, "provenance",
-                               tuple((name, "computed") for name in _PROVENANCE_FIELDS))
 
     def _check_split_case(self, ker_group: FinGenAbGroup):
         if not self.trace_in_K:
@@ -351,21 +307,6 @@ class ArithmeticDatum:
         if self.sigma.hom != GroupHom.negation(ker_group):
             raise DatumConsistencyError(
                 "split_sigma_negation", "in the split case sigma negates ker(nm0)")
-
-    @property
-    def provenance_map(self) -> dict[str, str]:
-        return dict(self.provenance)
-
-    def same_content(self, other: "ArithmeticDatum") -> bool:
-        """Equality of the mathematical content, ignoring provenance tags."""
-        return (
-            self.ell == other.ell and self.trace_in_K == other.trace_in_K
-            and self.split == other.split and self.cl_K == other.cl_K
-            and self.cl_A == other.cl_A and self.nm0 == other.nm0
-            and self.steinitz == other.steinitz
-            and self.unit_rank_K == other.unit_rank_K
-            and self.ker_nm1_rank == other.ker_nm1_rank
-            and self.coker_nm1 == other.coker_nm1 and self.sigma == other.sigma)
 
 
 def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> ArithmeticDatum:
@@ -402,7 +343,6 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
         ker_nm1_rank=unit_rank_K,
         coker_nm1=FinGenAbGroup.trivial(),
         sigma=sigma,
-        provenance=tuple((name, "computed") for name in _PROVENANCE_FIELDS),
     )
 
 
@@ -529,9 +469,12 @@ def _group_from_section(sec, path, name: str) -> FinGenAbGroup:
 
 
 def load_datum(source) -> ArithmeticDatum:
-    """Read and fully validate a datum file; every field is tagged ingested."""
+    """Read and fully validate a datum file."""
     path = Path(source)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatumError(f"cannot read datum file {path}: {exc.strerror or exc}") from exc
     sections = _parse_sections(text, str(path))
     head = sections["datum"]
     ell = _parse_int(head["ell"], str(path))
@@ -563,41 +506,5 @@ def load_datum(source) -> ArithmeticDatum:
         ell=ell, trace_in_K=trace_in_k, split=split,
         cl_K=cl_k, cl_A=cl_a, nm0=nm0, steinitz=steinitz,
         unit_rank_K=unit_rank, ker_nm1_rank=ker_rank,
-        coker_nm1=coker, sigma=sigma,
-        provenance=tuple((name, "ingested") for name in _PROVENANCE_FIELDS),
-        ker_nm0=ker_group,
+        coker_nm1=coker, sigma=sigma, ker_nm0=ker_group,
     )
-
-
-def _format_group(g: FinGenAbGroup) -> str:
-    return (f"free_rank = {g.free_rank}\n"
-            f"invariant_factors = {','.join(str(d) for d in g.invariant_factors)}")
-
-
-def _format_matrix(m) -> str:
-    return " ; ".join(" ".join(str(v) for v in row) for row in m)
-
-
-def save_datum(datum: ArithmeticDatum, target) -> None:
-    """Write a datum in the line-oriented text format read by load_datum."""
-    lines = [
-        "[datum]",
-        f"ell = {datum.ell}",
-        f"trace_in_K = {'true' if datum.trace_in_K else 'false'}",
-        f"split = {'true' if datum.split else 'false'}",
-        f"unit_rank_K = {datum.unit_rank_K}",
-        f"ker_nm1_rank = {datum.ker_nm1_rank}",
-        "[cl_K]",
-        _format_group(datum.cl_K),
-        "[cl_A]",
-        _format_group(datum.cl_A),
-        "[nm0]",
-        f"matrix = {_format_matrix(datum.nm0.matrix)}",
-        "[steinitz]",
-        f"coords = {','.join(str(c) for c in datum.steinitz)}",
-        "[coker_nm1]",
-        _format_group(datum.coker_nm1),
-        "[sigma]",
-        f"matrix = {_format_matrix(datum.sigma.hom.matrix)}",
-    ]
-    Path(target).write_text("\n".join(lines) + "\n", encoding="utf-8")

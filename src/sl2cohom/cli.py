@@ -8,7 +8,8 @@ grammar; human mode adds '#' commentary around the same lines.  Output
 is deterministic: identical inputs give byte-identical reports.
 
 Exit codes: 0 success, 1 input rejected (single ERROR line), 2 oracle or
-fixture verification failure.
+fixture verification failure, 3 internal self-check failure (single ERROR
+line).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .abelian import FinGenAbGroup
 from .arithdata import ArithmeticDatum, DatumError, build_split_datum, load_datum
 from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
+    MAX_DEGREE_BOUND,
     ComponentBoundExceeded,
     GateParams,
     detection_verdict,
@@ -231,10 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= args.degree_bound <= MAX_DEGREE_BOUND:
+            raise ValueError(f"--degree-bound {args.degree_bound} is outside "
+                             f"[0, {MAX_DEGREE_BOUND}]")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"ERROR\t{exc}")
         return 1
+    except ArithmeticError as exc:
+        # a failed self-check (freeness identity, Hasse bound, table checks)
+        print(f"ERROR\tinternal check failed: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ Component-ring shapes (all over the field with ell elements):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -46,6 +45,8 @@ from .curve import (
 )
 
 DEFAULT_DEGREE_BOUND = 12
+# the largest --degree-bound a report accepts (a report's cost grows with it)
+MAX_DEGREE_BOUND = 1000
 # the most components a report may list; larger reports are refused up front
 COMPONENT_BOUND = 10**6
 
@@ -111,8 +112,9 @@ def graded_dimension(component: ComponentRing, n: int) -> int:
     return total
 
 
-def freeness_basis_degrees(component: ComponentRing) -> tuple[int, ...]:
-    """Degrees of a module basis over the degree-4 periodic base ring.
+def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], ...]:
+    """Degrees of a module basis over the degree-4 periodic base ring, as
+    (degree, multiplicity) pairs in ascending degree, at most rank + 4.
 
     Laurent shapes are free over the Laurent subring generated by the
     square of the degree-2 generator, with basis the monomials whose
@@ -121,21 +123,16 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[int, ...]:
     monomials with even total sign weight.
     """
     d = component.rank
-    degrees: list[int] = []
-    if component.is_laurent:
-        for eps in (0, 1):
+    sign_fixed = component.kind in ("Invariant", "MonomialFF")
+    counts: dict[int, int] = {}
+    for eps in (0, 1):
+        for delta in (0,) if component.is_laurent else (0, 1):
             for k in range(d + 1):
-                if component.kind == "Invariant" and (eps + k) % 2:
+                if sign_fixed and (eps + delta + k) % 2:
                     continue
-                degrees.extend([2 * eps + k] * comb(d, k))
-    else:
-        for eps in (0, 1):
-            for delta in (0, 1):
-                for k in range(d + 1):
-                    if component.kind == "MonomialFF" and (eps + delta + k) % 2:
-                        continue
-                    degrees.extend([2 * eps + delta + k] * comb(d, k))
-    return tuple(sorted(degrees))
+                degree = 2 * eps + delta + k
+                counts[degree] = counts.get(degree, 0) + comb(d, k)
+    return tuple(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +141,11 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # Nonvanishing | Detection | QuillenFreeness | RefinedGate
     outcome: str  # holds | fails | inconclusive
     witness: tuple | None = None
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("Nonvanishing", "Detection", "QuillenFreeness", "RefinedGate"):
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
         if self.outcome not in ("holds", "fails", "inconclusive"):
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if self.outcome == "fails" and self.witness is None:
@@ -171,11 +165,6 @@ class ConjugacyClassSet:
     order: int
     coker: FinGenAbGroup
     ker: FinGenAbGroup
-
-    @property
-    def description(self) -> str:
-        return (f"extension of ker(nm0) = {self.ker} by coker(Nm1) = {self.coker}, "
-                f"modeled as their product set (extension class unresolved)")
 
 
 @dataclass(frozen=True)
@@ -212,7 +201,7 @@ class Decomposition:
 class ShapeFreeness:
     shape: ComponentRing
     base: str  # laurent | polynomial
-    basis_degrees: tuple[int, ...]
+    basis_degrees: tuple[tuple[int, int], ...]  # (degree, multiplicity)
 
 
 @dataclass(frozen=True)
@@ -232,10 +221,6 @@ class FreenessCertificate:
     chern_restriction: str
     chern_non_zero_divisor: bool
 
-    def verdict(self) -> Verdict:
-        return Verdict(kind="QuillenFreeness", outcome="holds",
-                       note=f"degreewise identity verified up to degree {self.verified_up_to}")
-
 
 # ---------------------------------------------------------------------------
 # number-field operations
@@ -250,8 +235,8 @@ def nonvanishing(datum: ArithmeticDatum) -> Verdict:
     elif not contains_in_image(datum.nm0, datum.steinitz):
         violated.append("steinitz_in_image_nm0")
     if violated:
-        return Verdict(kind="Nonvanishing", outcome="fails", witness=tuple(violated))
-    return Verdict(kind="Nonvanishing", outcome="holds")
+        return Verdict(outcome="fails", witness=tuple(violated))
+    return Verdict(outcome="holds")
 
 
 def conjugacy_classes(datum: ArithmeticDatum,
@@ -325,18 +310,19 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
                              ell: int) -> Decomposition:
     """One component per inversion orbit of the Picard group.
 
-    Requires ell odd and ell | q - 1.  Self-inverse classes give the
-    monomial-matrix shape, the others the unit-group shape.  Inversion is
-    negation, so the self-inverse classes are the 2-torsion Pic[2].
+    Requires ell | q - 1 and ell an odd prime.  Divisibility is checked
+    first, so an ell too large to factor never reaches trial division.
+    Self-inverse classes give the monomial-matrix shape, the others the
+    unit-group shape.  Inversion is negation, so the self-inverse classes
+    are the 2-torsion Pic[2].
     """
+    if ell > 2 and (field_spec.q - 1) % ell:
+        raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     if not is_prime(ell) or ell == 2:
         raise ValueError("ell must be an odd prime")
-    if (field_spec.q - 1) % ell:
-        raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     pic = picard_of_curve(curve, field_spec)
     rank = unit_rank_of_coordinate_ring(curve)
-    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, pic.group.order,
-                           two_torsion_order(pic.group))
+    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, pic.order, two_torsion_order(pic))
     advisories = []
     if isinstance(curve, P1Minus) and curve.punctures >= 4:
         advisories.append(
@@ -350,9 +336,8 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
 # ---------------------------------------------------------------------------
 
 def _basis_count(entry: ShapeFreeness, n: int) -> int:
-    if entry.base == "laurent":
-        return sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0)
-    return sum(1 for d in entry.basis_degrees if (d - n) % 4 == 0 and d <= n)
+    laurent = entry.base == "laurent"
+    return sum(m for d, m in entry.basis_degrees if (d - n) % 4 == 0 and (laurent or d <= n))
 
 
 def freeness_certificate(decomposition: Decomposition,
@@ -391,7 +376,7 @@ def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
     inconclusive.
     """
     if not decomposition.shapes:
-        return Verdict(kind="Detection", outcome="inconclusive",
+        return Verdict(outcome="inconclusive",
                        note="empty decomposition: nothing to detect")
     target = ComponentRing(kind="NonInvariant", rank=datum.unit_rank_K)
     for n in range(-up_to, up_to + 1):
@@ -399,8 +384,8 @@ def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
                     for shape, count in decomposition.shapes)
         torus = graded_dimension(target, n)
         if total > torus:
-            return Verdict(kind="Detection", outcome="fails", witness=(n, total, torus))
-    return Verdict(kind="Detection", outcome="inconclusive",
+            return Verdict(outcome="fails", witness=(n, total, torus))
+    return Verdict(outcome="inconclusive",
                    note=f"no rank excess up to degree {up_to}")
 
 
@@ -440,11 +425,11 @@ def refined_gate(params: GateParams) -> Verdict:
     if params.detection_hypothesis == "fails":
         violated.append("detection_on_finite_subgroups")
     if violated:
-        return Verdict(kind="RefinedGate", outcome="fails", witness=tuple(violated))
+        return Verdict(outcome="fails", witness=tuple(violated))
     if params.detection_hypothesis == "unknown":
-        return Verdict(kind="RefinedGate", outcome="inconclusive",
+        return Verdict(outcome="inconclusive",
                        note="detection hypothesis unknown")
-    return Verdict(kind="RefinedGate", outcome="holds")
+    return Verdict(outcome="holds")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +458,7 @@ def _component_lines(decomposition: Decomposition, bound: int) -> list[str]:
     freeness: list[str] = []
     start = 0
     for (shape, count), entry in zip(decomposition.shapes, certificate.shapes):
-        degrees = ",".join(f"{d}:{m}" for d, m in sorted(Counter(entry.basis_degrees).items()))
+        degrees = ",".join(f"{d}:{m}" for d, m in entry.basis_degrees)
         ring = f"shape={shape.kind} {shape.rank_letter}={shape.rank} {_dims_field(shape, bound)}"
         basis = (f"basis_degrees={degrees} base={entry.base} "
                  f"verified_up_to={certificate.verified_up_to}")

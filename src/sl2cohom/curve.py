@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import (
-    FinGenAbGroup,
-    GroupHom,
-    Involution,
-    is_prime,
-)
+from .abelian import FinGenAbGroup, factorize, is_prime
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -53,19 +48,12 @@ def field_spec_from_order(q: int) -> FiniteFieldSpec:
     """Factor a prime power into (p, e)."""
     if q < 2:
         raise ValueError("field order must be at least 2")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                e += 1
-            if r != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return FiniteFieldSpec(p, e)
-        p += 1
-    return FiniteFieldSpec(q, 1)
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return FiniteFieldSpec(*factors[0])
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -102,26 +90,12 @@ def _is_irreducible(modulus, p):
     power = _poly_pow_mod(x, p ** e, modulus, p)
     if power != x:
         return False
-    for r in _prime_divisors(e):
+    for r, _ in factorize(e):
         power = _poly_pow_mod(x, p ** (e // r), modulus, p)
         diff = [(a - b) % p for a, b in zip(power, x)]
         if _poly_gcd_is_nontrivial(diff, modulus, p):
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _poly_gcd_is_nontrivial(a, b_full, p):
@@ -330,19 +304,6 @@ class EllipticMinusPoint:
 CurveSpec = P1Minus | EllipticMinusPoint
 
 
-@dataclass(frozen=True)
-class PicardData:
-    group: FinGenAbGroup
-    iota: Involution
-    element_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if not self.group.is_finite:
-            raise ValueError("Picard group must be finite here")
-        if self.iota.group != self.group:
-            raise ValueError("involution must act on the Picard group")
-
-
 def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
     if field.p == 2:
         raise SingularCurveError(
@@ -415,16 +376,12 @@ def ec_scalar(field: FiniteField, a_coeff: int, n: int, point):
     return result
 
 
-def _divisors(n: int):
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
+def _divisors(n: int) -> list[int]:
+    """Divisors of n in ascending order."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 def count_and_structure_elliptic(curve: EllipticMinusPoint,
@@ -466,28 +423,23 @@ def count_and_structure_elliptic(curve: EllipticMinusPoint,
 # Picard groups and inversion classes
 # ---------------------------------------------------------------------------
 
-def pic_p1_minus(degrees) -> PicardData:
+def pic_p1_minus(degrees) -> FinGenAbGroup:
     """Divisor classes of the punctured projective line.
 
     Removing closed points of degrees d_i from the projective line leaves
-    the cyclic group Z/gcd(d_i), generated by the hyperplane class; the
-    inversion involution is negation.
+    the cyclic group Z/gcd(d_i), generated by the hyperplane class.
     """
     curve = P1Minus(tuple(degrees))
     g = 0
     for d in curve.puncture_degrees:
         g = gcd(g, d)
-    group = FinGenAbGroup.cyclic(g) if g > 1 else FinGenAbGroup.trivial()
-    iota = Involution(GroupHom.negation(group))
-    labels = tuple(f"O({k})" for k in range(max(g, 1)))
-    return PicardData(group=group, iota=iota, element_labels=labels)
+    return FinGenAbGroup.cyclic(g) if g > 1 else FinGenAbGroup.trivial()
 
 
-def picard_of_curve(curve: CurveSpec, spec: FiniteFieldSpec | None = None) -> PicardData:
+def picard_of_curve(curve: CurveSpec, spec: FiniteFieldSpec | None = None) -> FinGenAbGroup:
+    """The Picard group; its inversion involution is always negation."""
     if isinstance(curve, P1Minus):
         return pic_p1_minus(curve.puncture_degrees)
     if spec is None:
         raise ValueError("elliptic Picard groups need the finite field")
-    group = count_and_structure_elliptic(curve, spec)
-    iota = Involution(GroupHom.negation(group))
-    return PicardData(group=group, iota=iota, element_labels=None)
+    return count_and_structure_elliptic(curve, spec)

@@ -79,24 +79,6 @@ class GradedElement:
         return cls(spec, {((0,) * spec.n, 0): 1})
 
     @classmethod
-    def x_gen(cls, spec, i: int) -> "GradedElement":
-        if not 0 <= i < spec.n:
-            raise ValueError("generator index out of range")
-        if spec.ell == 2:
-            exps = tuple(1 if j == i else 0 for j in range(spec.n))
-            return cls(spec, {(exps, 0): 1})
-        return cls(spec, {((0,) * spec.n, 1 << i): 1})
-
-    @classmethod
-    def y_gen(cls, spec, i: int) -> "GradedElement":
-        if spec.ell == 2:
-            raise ValueError("the algebra for ell = 2 has no degree-2 generators")
-        if not 0 <= i < spec.n:
-            raise ValueError("generator index out of range")
-        exps = tuple(1 if j == i else 0 for j in range(spec.n))
-        return cls(spec, {(exps, 0): 1})
-
-    @classmethod
     def polynomial_linear_form(cls, spec, coeffs) -> "GradedElement":
         """Sum of c_i * (degree-1 gen for ell = 2, degree-2 gen otherwise)."""
         terms: dict[MonomialKey, int] = {}
@@ -153,9 +135,6 @@ class GradedElement:
 
     def __neg__(self) -> "GradedElement":
         return GradedElement(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
 
     def scaled(self, c: int) -> "GradedElement":
         return GradedElement(self.spec, {k: v * c for k, v in self.terms.items()})

@@ -19,8 +19,10 @@ from math import gcd, prod
 from .abelian import (
     FinGenAbGroup,
     GroupHom,
+    _matmul,
     contains_in_image,
     cokernel,
+    factorize,
     kernel,
     smith_normal_form,
 )
@@ -35,9 +37,9 @@ from .arithdata import (
 from .cohomengine import ComponentRing, graded_dimension
 from .curve import (
     EllipticMinusPoint,
-    FiniteFieldSpec,
     count_points_elliptic,
     elliptic_points,
+    field_spec_from_order,
     get_field,
 )
 
@@ -114,17 +116,7 @@ def brute_structure_from_elements(elements, add, zero) -> FinGenAbGroup:
     size = len(elements)
     if size == 1:
         return FinGenAbGroup.trivial()
-    primes = []
-    m = size
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            primes.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        primes.append(m)
+    primes = [p for p, _ in factorize(size)]
 
     def scaled(x, n):
         acc = zero
@@ -209,7 +201,7 @@ def suite_snf_reconstruction(count: int = 200, seed: int = 20250808) -> SuiteRes
         ncols = rng.randint(1, 6)
         matrix = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
         left, diag, right = smith_normal_form(matrix)
-        product = _mat_mul(_mat_mul(left, matrix), right)
+        product = _matmul(_matmul(left, matrix), right)
         for i in range(nrows):
             for j in range(ncols):
                 expected = diag[i] if i == j and i < len(diag) else 0
@@ -224,15 +216,6 @@ def suite_snf_reconstruction(count: int = 200, seed: int = 20250808) -> SuiteRes
             if abs(bareiss_determinant(matrix)) != prod(diag, start=1):
                 return SuiteResult(name, False, f"trial {trial}: determinant mismatch")
     return SuiteResult(name, True, f"{count} random matrices")
-
-
-def _mat_mul(a, b):
-    if not a:
-        return []
-    inner = len(a[0])
-    width = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(width)]
-            for i in range(len(a))]
 
 
 def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> SuiteResult:
@@ -316,9 +299,8 @@ def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
     name = "elliptic_point_recount"
     q = 3
     while q <= max_q:
-        spec = None
         try:
-            spec = FiniteFieldSpec(*_prime_power(q))
+            spec = field_spec_from_order(q)
         except ValueError:
             spec = None
         if spec is not None and spec.p != 2:
@@ -339,22 +321,6 @@ def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
                         return SuiteResult(name, False, f"q={spec.q} a={a} b={b}: Hasse violated")
         q += 1
     return SuiteResult(name, True, f"all odd-characteristic fields with q <= {max_q}")
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                e += 1
-            if r != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-        p += 1
-    return q, 1
 
 
 def run_all_suites() -> list[SuiteResult]:

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,14 @@ from sl2cohom.abelian import (
     FinGenAbGroup,
     GroupHom,
     Involution,
+    TRIAL_DIVISION_BOUND,
     cokernel,
     contains_in_image,
+    factorize,
     fixed_subgroup,
     involution_orbits,
+    is_prime,
     kernel,
-    mod_ell_dimension,
     smith_normal_form,
     two_torsion_order,
 )
@@ -23,6 +26,33 @@ from brute import all_hom_matrices, permanent_style_det, structure_from_element_
 def matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+# ---------------------------------------------------------------------------
+# trial division
+# ---------------------------------------------------------------------------
+
+def test_factorize_matches_a_sieve():
+    limit = 2000
+    composite = [False] * limit
+    for p in range(2, limit):
+        if not composite[p]:
+            for m in range(p * p, limit, p):
+                composite[m] = True
+    for n in range(1, limit):
+        pairs = factorize(n)
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+        assert all(not composite[p] for p, _ in pairs)
+        assert prod(p ** e for p, e in pairs) == n
+        assert is_prime(n) == (n >= 2 and not composite[n])
+
+
+def test_trial_division_is_bounded():
+    assert factorize(TRIAL_DIVISION_BOUND) == ((2, 12), (5, 12))
+    with pytest.raises(ValueError, match="trial-division bound"):
+        factorize(TRIAL_DIVISION_BOUND + 1)
+    with pytest.raises(ValueError, match="trial-division bound"):
+        is_prime(10**18 + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +247,6 @@ def test_contains_in_image_validates_input():
         contains_in_image(f, (5,))  # not reduced
     with pytest.raises(ValueError):
         contains_in_image(f, (0, 0))  # wrong length
-
-
-def test_mod_ell_dimension():
-    assert mod_ell_dimension(FinGenAbGroup.from_cyclic_orders([0, 9, 2]), 3) == 2
-    assert mod_ell_dimension(FinGenAbGroup(0, (5,)), 3) == 0
-    assert mod_ell_dimension(FinGenAbGroup(3, ()), 23) == 3
 
 
 # ---------------------------------------------------------------------------

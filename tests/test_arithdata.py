@@ -7,7 +7,6 @@ from sl2cohom.arithdata import (
     ArithmeticDatum,
     DatumConsistencyError,
     DatumParseError,
-    PlaceSpec,
     QuadraticForm,
     build_split_datum,
     class_group_imaginary_quadratic,
@@ -17,8 +16,6 @@ from sl2cohom.arithdata import (
     principal_form,
     reduce_form,
     reduced_forms,
-    s_unit_rank,
-    save_datum,
 )
 
 
@@ -102,21 +99,6 @@ def test_composition_associative_spot_checks():
 
 
 # ---------------------------------------------------------------------------
-# unit ranks
-# ---------------------------------------------------------------------------
-
-def test_s_unit_rank():
-    assert s_unit_rank(PlaceSpec(0, 1, ((3, 1),))) == 1
-    assert s_unit_rank(PlaceSpec(0, 11, ((23, 1),))) == 11
-    assert s_unit_rank(PlaceSpec(1, 0, ())) == 0
-
-
-def test_place_spec_must_be_nonempty():
-    with pytest.raises(ValueError):
-        PlaceSpec(0, 0, ())
-
-
-# ---------------------------------------------------------------------------
 # split datum construction
 # ---------------------------------------------------------------------------
 
@@ -169,16 +151,7 @@ FIXTURE = "src/sl2cohom/data/q_zeta23.datum"
 def test_fixture_matches_built_datum():
     loaded = load_datum(FIXTURE)
     built = build_split_datum(FinGenAbGroup(0, (3,)), 11, 23)
-    assert loaded.same_content(built)
-    assert loaded.provenance_map["cl_K"] == "ingested"
-    assert built.provenance_map["cl_K"] == "computed"
-
-
-def test_round_trip(tmp_path):
-    datum = build_split_datum(FinGenAbGroup(0, (2, 4)), 3, 5)
-    target = tmp_path / "roundtrip.datum"
-    save_datum(datum, target)
-    assert load_datum(target).same_content(datum)
+    assert loaded == built
 
 
 def test_rejects_even_ell_file(tmp_path):

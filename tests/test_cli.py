@@ -1,6 +1,8 @@
+import time
 from pathlib import Path
 
 from sl2cohom.cli import main
+from sl2cohom.cohomengine import MAX_DEGREE_BOUND
 
 FIXTURE_DIR = Path("src/sl2cohom/data")
 
@@ -62,20 +64,48 @@ def test_essential_command(capsys):
     assert "WEYL\tinvariant=true" in out
 
 
+HUGE = str(10**18 + 3)  # prime, far beyond trial division
+
+
+REJECTED = [
+    ("analyze-ff", "--curve", "p1", "--punctures", "1,1", "--q", "5", "--ell", "3"),
+    ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "0", "--q", "5", "--ell", "2"),
+    ("analyze-nf", "--datum", "no_such_file.datum"),
+    ("analyze-nf", "--split-class-group", "3", "--unit-rank", "11", "--ell", HUGE),
+    ("essential", "--ell", HUGE, "--rank", "1"),
+    ("analyze-ff", "--preset", "p1_minus_infty", "--q", HUGE, "--ell", "3"),
+    ("analyze-ff", "--preset", "p1_minus_infty", "--q", "7", "--ell", HUGE),
+    ("analyze-nf", "--datum", "q_zeta23.datum", "--degree-bound", "-1"),
+    ("analyze-nf", "--datum", "q_zeta23.datum", "--degree-bound", str(MAX_DEGREE_BOUND + 1)),
+    ("analyze-nf", "--datum", str(FIXTURE_DIR)),
+]
+
+
 def test_rejection_paths_exit_one(capsys):
-    code, out = run(capsys, "analyze-ff", "--curve", "p1", "--punctures", "1,1",
-                    "--q", "5", "--ell", "3")
-    assert code == 1
-    assert out.startswith("ERROR\t")
+    for argv in REJECTED:
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 1, argv
+        assert out.startswith("ERROR\t") and out.count("\n") == 1, argv
+        assert time.perf_counter() - start < 1.0, argv
 
-    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "0",
-                    "--q", "5", "--ell", "2")
-    assert code == 1
-    assert out.startswith("ERROR\t")
 
-    code, out = run(capsys, "analyze-nf", "--datum", "no_such_file.datum")
-    assert code == 1
-    assert out.startswith("ERROR\t")
+def test_degree_bound_range_is_inclusive(capsys):
+    for bound in ("0", str(MAX_DEGREE_BOUND)):
+        code, out = run(capsys, "analyze-ff", "--preset", "p1_minus_infty",
+                        "--q", "7", "--ell", "3", "--degree-bound", bound)
+        assert code == 0
+        assert f"verified_up_to={bound}" in out
+
+
+def test_internal_check_failure_exits_three(monkeypatch, capsys):
+    from sl2cohom import cohomengine
+
+    monkeypatch.setattr(cohomengine, "freeness_basis_degrees", lambda component: ((0, 1),))
+    code, out = run(capsys, "analyze-nf", "--datum", "q_zeta23.datum")
+    assert code == 3
+    assert out.startswith("ERROR\t") and out.count("\n") == 1
+    assert "freeness identity failed" in out
 
 
 def test_component_bound_refuses_before_any_line(capsys):

@@ -127,12 +127,12 @@ def enumerated_number_field(datum):
 def enumerated_function_field(curve, spec):
     """(components in enumeration order, expected report lines)."""
     pic = picard_of_curve(curve, spec)
-    orbits = involution_orbits(pic.group, pic.iota)
+    orbits = involution_orbits(pic, Involution(GroupHom.negation(pic)))
     if isinstance(curve, P1Minus):
         g = 0
         for d in curve.puncture_degrees:
             g = gcd(g, d)
-        assert pic.group.order == g
+        assert pic.order == g
         fixed = [o.fixed for o in orbits]
         rank = curve.punctures - 1
     else:

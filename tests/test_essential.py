@@ -11,12 +11,20 @@ from sl2cohom.essential import (
 )
 
 
+def unit(spec, i):
+    return [1 if j == i else 0 for j in range(spec.n)]
+
+
 def x(spec, i):
-    return GradedElement.x_gen(spec, i)
+    """The i-th degree-1 generator."""
+    if spec.ell == 2:
+        return GradedElement.polynomial_linear_form(spec, unit(spec, i))
+    return GradedElement.exterior_linear_form(spec, unit(spec, i))
 
 
 def y(spec, i):
-    return GradedElement.y_gen(spec, i)
+    """The i-th degree-2 generator (odd ell)."""
+    return GradedElement.polynomial_linear_form(spec, unit(spec, i))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +89,7 @@ def test_restriction_to_diagonal_substitutes():
     element = y(spec, 0) * y(spec, 1)
     target = GradedAlgebraSpec(3, 1)
     restricted = restrict(element, [[1], [1]])
-    y1 = GradedElement.y_gen(target, 0)
+    y1 = y(target, 0)
     assert restricted == y1 * y1
 
 
