@@ -91,12 +91,20 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
     return build_split_datum(cl_k, args.unit_rank, args.ell)
 
 
+def _degree_bound(args) -> int:
+    if not 0 <= args.degree_bound <= MAX_DEGREE_BOUND:
+        raise ValueError(f"--degree-bound {args.degree_bound} is outside "
+                         f"[0, {MAX_DEGREE_BOUND}]")
+    return args.degree_bound
+
+
 def _cmd_analyze_nf(args) -> int:
+    bound = _degree_bound(args)
     datum = _load_or_build_datum(args)
     decomposition = decompose_number_field(datum)
-    lines = machine_lines_number_field(datum, args.degree_bound, decomposition)
+    lines = machine_lines_number_field(datum, bound, decomposition)
     if args.gate_n is not None:
-        detection = detection_verdict(datum, decomposition, args.degree_bound)
+        detection = detection_verdict(datum, decomposition, bound)
         hypothesis = "fails" if detection.outcome == "fails" else "unknown"
         verdict = refined_gate(GateParams(
             ell=datum.ell, n=args.gate_n, zeta_in_K=datum.split,
@@ -116,6 +124,7 @@ def _parse_punctures(text: str) -> tuple[int, ...]:
 
 
 def _cmd_analyze_ff(args) -> int:
+    bound = _degree_bound(args)
     if args.preset:
         if args.preset not in CURVE_PRESETS:
             raise ValueError(f"unknown preset {args.preset!r}; "
@@ -134,7 +143,7 @@ def _cmd_analyze_ff(args) -> int:
     if args.q is None or args.ell is None:
         raise ValueError("analyze-ff needs --q and --ell")
     spec = field_spec_from_order(args.q)
-    lines = machine_lines_function_field(curve, spec, args.ell, args.degree_bound)
+    lines = machine_lines_function_field(curve, spec, args.ell, bound)
     _emit(lines, args.mode, "analyze-ff report")
     return 0
 
@@ -187,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Farrell-Tate cohomology data for rank-one S-arithmetic groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, degree_bound=False):
         p.add_argument("--mode", choices=("human", "machine"), default="machine")
-        p.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
+        if degree_bound:
+            p.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
 
     nf = sub.add_parser("analyze-nf", help="analyze a number-field datum")
     nf.add_argument("--datum", help="datum file (path or shipped fixture name)")
@@ -203,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=True, help="S contains the infinite places")
     nf.add_argument("--gate-s-ell", action=argparse.BooleanOptionalAction,
                     default=True, help="S contains the places over ell")
-    common(nf)
+    common(nf, degree_bound=True)
     nf.set_defaults(func=_cmd_analyze_nf)
 
     ff = sub.add_parser("analyze-ff", help="analyze a punctured curve over a finite field")
@@ -214,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     ff.add_argument("--b", type=int, help="elliptic coefficient b (field encoding)")
     ff.add_argument("--q", type=int, help="field size (prime power)")
     ff.add_argument("--ell", type=int, help="odd prime dividing q - 1")
-    common(ff)
+    common(ff, degree_bound=True)
     ff.set_defaults(func=_cmd_analyze_ff)
 
     es = sub.add_parser("essential", help="essential classes of an elementary abelian group")
@@ -233,15 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 0 <= args.degree_bound <= MAX_DEGREE_BOUND:
-            raise ValueError(f"--degree-bound {args.degree_bound} is outside "
-                             f"[0, {MAX_DEGREE_BOUND}]")
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"ERROR\t{exc}")
         return 1
     except ArithmeticError as exc:
-        # a failed self-check (freeness identity, Hasse bound, table checks)
+        # a failed self-check (freeness identity, Hasse bound, 2-torsion, tables)
         print(f"ERROR\tinternal check failed: {exc}")
         return 3
 

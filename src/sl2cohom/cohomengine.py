@@ -27,6 +27,7 @@ Component-ring shapes (all over the field with ell elements):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .abelian import (
@@ -41,7 +42,8 @@ from .curve import (
     CurveSpec,
     FiniteFieldSpec,
     P1Minus,
-    picard_of_curve,
+    elliptic_order_and_two_torsion,
+    pic_p1_minus,
 )
 
 DEFAULT_DEGREE_BOUND = 12
@@ -86,20 +88,16 @@ class ComponentRing:
 def graded_dimension(component: ComponentRing, n: int) -> int:
     """Dimension of the component ring in cohomological degree n.
 
-    The Laurent shapes are nonzero in negative degrees and 4-periodic;
-    the ordinary-cohomology shapes vanish below degree 0.
+    The Laurent shapes are nonzero in negative degrees and 4-periodic,
+    so they are summed once per residue of n mod 4; the
+    ordinary-cohomology shapes vanish below degree 0.
     """
+    if component.is_laurent:
+        return _laurent_dimension(component, n % 4)
     d = component.rank
-    kind = component.kind
-    if kind == "NonInvariant":
-        return sum(comb(d, k) for k in range(d + 1) if (n - k) % 2 == 0)
-    if kind == "Invariant":
-        # monomial (degree-2 gen)^m x_T invariant iff m + |T| even,
-        # which for 2m + |T| = n means n + |T| = 0 mod 4
-        return sum(comb(d, k) for k in range(d + 1) if (n + k) % 4 == 0)
     if n < 0:
         return 0
-    if kind == "UnitsFF":
+    if component.kind == "UnitsFF":
         return sum(comb(d, k) for k in range(min(d, n) + 1))
     # MonomialFF: monomial b^m a^delta x_T with 2m + delta + |T| = n,
     # kept when m + delta + |T| is even
@@ -110,6 +108,16 @@ def graded_dimension(component: ComponentRing, n: int) -> int:
         if m >= 0 and (m + delta + k) % 2 == 0:
             total += comb(d, k)
     return total
+
+
+@lru_cache(maxsize=1024)
+def _laurent_dimension(component: ComponentRing, residue: int) -> int:
+    d = component.rank
+    if component.kind == "NonInvariant":
+        return sum(comb(d, k) for k in range(d + 1) if (residue - k) % 2 == 0)
+    # Invariant: monomial (degree-2 gen)^m x_T invariant iff m + |T| even,
+    # which for 2m + |T| = n means n + |T| = 0 mod 4
+    return sum(comb(d, k) for k in range(d + 1) if (residue + k) % 4 == 0)
 
 
 def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], ...]:
@@ -314,15 +322,20 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     first, so an ell too large to factor never reaches trial division.
     Self-inverse classes give the monomial-matrix shape, the others the
     unit-group shape.  Inversion is negation, so the self-inverse classes
-    are the 2-torsion Pic[2].
+    are the 2-torsion Pic[2]; an elliptic report counts #E and #E[2] and
+    never computes the group structure.
     """
     if ell > 2 and (field_spec.q - 1) % ell:
         raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     if not is_prime(ell) or ell == 2:
         raise ValueError("ell must be an odd prime")
-    pic = picard_of_curve(curve, field_spec)
+    if isinstance(curve, P1Minus):
+        pic = pic_p1_minus(curve.puncture_degrees)
+        order, fixed = pic.order, two_torsion_order(pic)
+    else:
+        order, fixed = elliptic_order_and_two_torsion(curve, field_spec)
     rank = unit_rank_of_coordinate_ring(curve)
-    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, pic.order, two_torsion_order(pic))
+    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, order, fixed)
     advisories = []
     if isinstance(curve, P1Minus) and curve.punctures >= 4:
         advisories.append(

@@ -4,8 +4,10 @@ Finite fields GF(q) with q <= 2^16 are realized through exp/log tables
 over an irreducible modulus; elements are encoded as integers 0..q-1 in
 base-p digits.  Curves are either the projective line minus a set of
 closed points or a short-Weierstrass elliptic curve minus its point at
-infinity; Picard groups come from divisor-class bookkeeping in the first
-case and from exhaustive point counting in the second.
+infinity.  Picard groups come from divisor-class bookkeeping in the first
+case; in the second a report needs only |Pic| = #E(F_q), from the
+quadratic-character sum, and |Pic[2]| = #E[2], from the roots of the
+cubic.  The full group structure is kept as a slow oracle.
 """
 
 from __future__ import annotations
@@ -62,14 +64,14 @@ def _poly_mul_mod(a, b, modulus, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] += ai * bj
+    # reduce mod p only where a coefficient is read: exact integers, same result
     for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
+        c = out[i] % p
         if c:
-            out[i] = 0
             for j in range(e):
-                out[i - e + j] = (out[i - e + j] - c * modulus[j]) % p
-    return out[:e]
+                out[i - e + j] -= c * modulus[j]
+    return [c % p for c in out[:e]]
 
 
 def _poly_pow_mod(base, exp, modulus, p):
@@ -172,23 +174,27 @@ class FiniteField:
         prod = _poly_mul_mod(self._decode(a), self._decode(b), self.modulus, self.p)
         return self._encode(prod)
 
+    def _raw_pow(self, a: int, n: int) -> int:
+        if self.e == 1:
+            return pow(a, n, self.p)
+        return self._encode(_poly_pow_mod(self._decode(a), n, self.modulus, self.p))
+
     def _build_tables(self):
-        # scan for a multiplicative generator, building its power table
-        order_needed = self.q - 1
+        # the first candidate of order q - 1 (no g^((q-1)/r) is 1 for a prime
+        # r | q - 1) generates; walk its powers once, the generator first in
+        # each product because _poly_mul_mod skips its zero digits
         if self.q == 2:
             return [1], [0, 0]
-        for cand in range(2, self.q) if self.e == 1 else range(self.p, self.q):
-            exp = [1]
-            cur = cand
-            while cur != 1 and len(exp) <= order_needed:
-                exp.append(cur)
-                cur = self._raw_mul(cur, cand)
-            if len(exp) == order_needed:
-                log = [0] * self.q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                return exp, log
-        raise ArithmeticError("no generator found")  # unreachable for q >= 3
+        cofactors = [(self.q - 1) // r for r, _ in factorize(self.q - 1)]
+        gen = next(c for c in (range(2, self.q) if self.e == 1 else range(self.p, self.q))
+                   if all(self._raw_pow(c, k) != 1 for k in cofactors))
+        exp = [1]
+        while len(exp) < self.q - 1:
+            exp.append(self._raw_mul(gen, exp[-1]))
+        log = [0] * self.q
+        for i, v in enumerate(exp):
+            log[v] = i
+        return exp, log
 
     def _self_check(self):
         for x in range(1, self.q):
@@ -316,13 +322,17 @@ def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
         raise SingularCurveError("discriminant 4a^3 + 27b^2 vanishes")
 
 
+def _cubic_values(curve: EllipticMinusPoint, field: FiniteField):
+    """(x, x^3 + ax + b) for every x in the field, once the curve is checked."""
+    _check_elliptic(curve, field)
+    for x in field.elements():
+        yield x, field.add(field.mul(field.add(field.mul(x, x), curve.a), x), curve.b)
+
+
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
     """All rational points, point at infinity encoded as None."""
-    _check_elliptic(curve, field)
     points = [None]
-    for x in field.elements():
-        rhs = field.add(field.add(field.mul(field.mul(x, x), x),
-                                  field.mul(curve.a, x)), curve.b)
+    for x, rhs in _cubic_values(curve, field):
         if rhs == 0:
             points.append((x, 0))
         elif field.is_square(rhs):
@@ -334,14 +344,30 @@ def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
 
 def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:
     """Point count via the quadratic character, q + 1 + sum chi(x^3+ax+b)."""
-    _check_elliptic(curve, field)
     total = field.q + 1
-    for x in field.elements():
-        rhs = field.add(field.add(field.mul(field.mul(x, x), x),
-                                  field.mul(curve.a, x)), curve.b)
+    for _, rhs in _cubic_values(curve, field):
         if rhs:
             total += 1 if field.is_square(rhs) else -1
     return total
+
+
+def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
+                                   spec: FiniteFieldSpec) -> tuple[int, int]:
+    """#E(F_q) and #E[2], the only numbers an elliptic report needs.
+
+    #E[2] is the point at infinity plus one point (x, 0) per root of the
+    cubic.  Both counts are checked: the Hasse bound
+    |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
+    """
+    field = get_field(spec)
+    order = count_points_elliptic(curve, field)
+    if (order - field.q - 1) ** 2 > 4 * field.q:
+        raise ArithmeticError("point count violates the Hasse bound")
+    fixed = 1 + sum(1 for _, rhs in _cubic_values(curve, field) if rhs == 0)
+    if fixed not in (1, 2, 4) or order % fixed:
+        raise ArithmeticError(f"2-torsion count {fixed} is not 1, 2 or 4 dividing "
+                              f"the point count {order}")
+    return order, fixed
 
 
 def ec_add(field: FiniteField, a_coeff: int, p1, p2):
@@ -388,15 +414,13 @@ def count_and_structure_elliptic(curve: EllipticMinusPoint,
                                  spec: FiniteFieldSpec) -> FinGenAbGroup:
     """Rational-point group with structure Z/d1 + Z/d2, d1 | d2.
 
-    The order comes from exhaustive enumeration; the structure from the
-    maximal element order, validated by counting d1-torsion.  The count is
-    required to satisfy the Hasse bound |N - (q+1)| <= 2 sqrt(q).
+    The slow oracle for ``elliptic_order_and_two_torsion``: the order
+    comes from exhaustive enumeration, the structure from the maximal
+    element order, validated by counting d1-torsion.
     """
     field = get_field(spec)
     points = elliptic_points(curve, field)
     n = len(points)
-    if (n - field.q - 1) ** 2 > 4 * field.q:
-        raise ArithmeticError("point count violates the Hasse bound")
     divs = _divisors(n)
     max_order = 1
     for pt in points:
@@ -434,12 +458,3 @@ def pic_p1_minus(degrees) -> FinGenAbGroup:
     for d in curve.puncture_degrees:
         g = gcd(g, d)
     return FinGenAbGroup.cyclic(g) if g > 1 else FinGenAbGroup.trivial()
-
-
-def picard_of_curve(curve: CurveSpec, spec: FiniteFieldSpec | None = None) -> FinGenAbGroup:
-    """The Picard group; its inversion involution is always negation."""
-    if isinstance(curve, P1Minus):
-        return pic_p1_minus(curve.puncture_degrees)
-    if spec is None:
-        raise ValueError("elliptic Picard groups need the finite field")
-    return count_and_structure_elliptic(curve, spec)

@@ -1,6 +1,8 @@
 import time
 from pathlib import Path
 
+import pytest
+
 from sl2cohom.cli import main
 from sl2cohom.cohomengine import MAX_DEGREE_BOUND
 
@@ -106,6 +108,44 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert out.startswith("ERROR\t") and out.count("\n") == 1
     assert "freeness identity failed" in out
+
+
+def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
+    from sl2cohom import curve
+
+    def refuse(*args):
+        raise AssertionError("the report path computed a scalar multiple")
+
+    monkeypatch.setattr(curve, "ec_scalar", refuse)
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "0",
+                    "--q", "13", "--ell", "3")
+    assert code == 0
+    assert "KCLASSES\t12" in out
+
+
+@pytest.mark.parametrize("forged,message", [
+    (14 + 8, "Hasse bound"),  # (22 - 14)^2 = 64 > 4 * 13
+    (17, "2-torsion count 2 is not 1, 2 or 4 dividing the point count 17"),
+])
+def test_forged_point_count_exits_three(monkeypatch, capsys, forged, message):
+    from sl2cohom import curve
+
+    # y^2 = x^3 + x + 1 over the 13-element field: 18 points, one root of the cubic
+    monkeypatch.setattr(curve, "count_points_elliptic", lambda c, field: forged)
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                    "--q", "13", "--ell", "3")
+    assert code == 3
+    assert out.startswith("ERROR\tinternal check failed: ") and out.count("\n") == 1
+    assert message in out
+
+
+def test_degree_bound_belongs_to_the_analyze_commands(capsys):
+    for argv in (("essential", "--ell", "2", "--rank", "2", "--degree-bound", "5"),
+                 ("verify", "--degree-bound", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --degree-bound 5" in capsys.readouterr().err
 
 
 def test_component_bound_refuses_before_any_line(capsys):

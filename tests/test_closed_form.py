@@ -29,10 +29,11 @@ from sl2cohom.curve import (
     EllipticMinusPoint,
     P1Minus,
     SingularCurveError,
+    count_and_structure_elliptic,
     elliptic_points,
     field_spec_from_order,
     get_field,
-    picard_of_curve,
+    pic_p1_minus,
 )
 from brute import (
     all_hom_matrices,
@@ -126,7 +127,8 @@ def enumerated_number_field(datum):
 
 def enumerated_function_field(curve, spec):
     """(components in enumeration order, expected report lines)."""
-    pic = picard_of_curve(curve, spec)
+    pic = (pic_p1_minus(curve.puncture_degrees) if isinstance(curve, P1Minus)
+           else count_and_structure_elliptic(curve, spec))
     orbits = involution_orbits(pic, Involution(GroupHom.negation(pic)))
     if isinstance(curve, P1Minus):
         g = 0

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from sl2cohom.abelian import FinGenAbGroup, GroupHom, Involution, involution_orbits
+from brute import structure_from_element_set
+from sl2cohom.abelian import (
+    FinGenAbGroup,
+    GroupHom,
+    Involution,
+    factorize,
+    involution_orbits,
+    is_prime,
+    two_torsion_order,
+)
 from sl2cohom.curve import (
     EllipticMinusPoint,
     FiniteFieldSpec,
@@ -12,11 +21,11 @@ from sl2cohom.curve import (
     count_points_elliptic,
     ec_add,
     ec_scalar,
+    elliptic_order_and_two_torsion,
     elliptic_points,
     field_spec_from_order,
     get_field,
     pic_p1_minus,
-    picard_of_curve,
 )
 
 
@@ -42,6 +51,27 @@ def test_field_distributivity_spot_checks():
         left = field.mul(a, field.add(b, c))
         right = field.add(field.mul(a, b), field.mul(a, c))
         assert left == right
+
+
+def full_walk_generator(field):
+    """The first candidate whose power cycle has length q - 1, found by
+    walking every candidate's full cycle with polynomial multiplication."""
+    for cand in range(2, field.q) if field.e == 1 else range(field.p, field.q):
+        order, cur = 1, cand
+        while cur != 1:
+            cur = field._raw_mul(cur, cand)
+            order += 1
+        if order == field.q - 1:
+            return cand
+
+
+def test_generator_is_the_first_primitive_element():
+    for q in range(3, 2**10 + 1):
+        factors = factorize(q)
+        if len(factors) != 1:
+            continue
+        field = get_field(FiniteFieldSpec(*factors[0]))
+        assert field.exp[1] == full_walk_generator(field), q
 
 
 def test_field_spec_from_order():
@@ -134,6 +164,46 @@ def test_hasse_bound_sample():
                 assert (n - q - 1) ** 2 <= 4 * q
 
 
+def check_fast_counts(curve, spec):
+    """(#E, #E[2]) from the report path against the structure oracle, the
+    points P with P + P = O, and (for q <= 7) the brute-force structure
+    of the point set.  Returns the counts, or None for a singular curve."""
+    field = get_field(spec)
+    try:
+        points = elliptic_points(curve, field)
+    except SingularCurveError:
+        return None
+    fast = elliptic_order_and_two_torsion(curve, spec)
+    oracle = count_and_structure_elliptic(curve, spec)
+    assert fast == (oracle.order, two_torsion_order(oracle)), (curve, spec)
+    doubled = sum(1 for pt in points if ec_add(field, curve.a, pt, pt) is None)
+    assert fast == (len(points), doubled), (curve, spec)
+    if spec.q <= 7:
+        brute = structure_from_element_set(
+            points, lambda p1, p2: ec_add(field, curve.a, p1, p2), None)
+        assert brute == oracle, (curve, spec)
+    return fast
+
+
+def test_fast_counts_match_structure_oracle_and_brute_force():
+    two_torsion = set()
+    for q in (3, 5, 7, 9, 11, 13):
+        spec = field_spec_from_order(q)
+        for a in range(q):
+            for b in range(q):
+                counts = check_fast_counts(EllipticMinusPoint(a, b), spec)
+                if counts:
+                    two_torsion.add(counts[1])
+    assert two_torsion == {1, 2, 4}
+    rng = random.Random(1814)
+    primes = [p for p in range(17, 2000) if is_prime(p)]
+    sample = [FiniteFieldSpec(rng.choice(primes)) for _ in range(2)]
+    for spec in sample + [FiniteFieldSpec(3, 5), FiniteFieldSpec(7, 3)]:
+        while check_fast_counts(
+                EllipticMinusPoint(rng.randrange(spec.q), rng.randrange(spec.q)), spec) is None:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # Picard groups
 # ---------------------------------------------------------------------------
@@ -166,7 +236,7 @@ def test_pic_requires_a_puncture():
 
 
 def test_elliptic_picard_classes():
-    pic = picard_of_curve(EllipticMinusPoint(1, 0), FiniteFieldSpec(5))
+    pic = count_and_structure_elliptic(EllipticMinusPoint(1, 0), FiniteFieldSpec(5))
     classes = inversion_orbits(pic)
     assert pic == FinGenAbGroup(0, (2, 2))
     assert len(classes) == 4 and all(c.fixed for c in classes)
