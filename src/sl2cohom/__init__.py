@@ -1,7 +1,7 @@
 """Exact Farrell-Tate cohomology data for rank-one S-arithmetic groups."""
 
 from .abelian import (
-    DEFAULT_ENUMERATION_BOUND,
+    ENUMERATION_BOUND,
     EnumerationBoundExceeded,
     FinGenAbGroup,
     GroupHom,

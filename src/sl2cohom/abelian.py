@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
 
-DEFAULT_ENUMERATION_BOUND = 10**6
+# the largest group whose elements the oracles may list
+ENUMERATION_BOUND = 10**6
 # the largest integer factored by trial division (about 0.1 s of work)
 TRIAL_DIVISION_BOUND = 10**12
 
@@ -305,13 +306,13 @@ class FinGenAbGroup:
     def add(self, x, y) -> tuple[int, ...]:
         return self.reduce_element(tuple(a + b for a, b in zip(x, y)))
 
-    def elements(self, bound: int = DEFAULT_ENUMERATION_BOUND):
+    def elements(self):
         """Iterate all elements in lexicographic coordinate order."""
         if not self.is_finite:
             raise EnumerationBoundExceeded("cannot enumerate an infinite group")
-        if self.order > bound:
+        if self.order > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
-                f"group order {self.order} exceeds enumeration bound {bound}")
+                f"group order {self.order} exceeds enumeration bound {ENUMERATION_BOUND}")
         return _cartesian(*(range(d) for d in self.invariant_factors))
 
     def __str__(self) -> str:
@@ -529,8 +530,7 @@ def fixed_subgroup(s: Involution) -> FinGenAbGroup:
     return kernel(GroupHom(s.group, s.group, rows))[0]
 
 
-def involution_orbits(g: FinGenAbGroup, s: Involution,
-                      bound: int = DEFAULT_ENUMERATION_BOUND) -> tuple[Orbit, ...]:
+def involution_orbits(g: FinGenAbGroup, s: Involution) -> tuple[Orbit, ...]:
     """Orbits of an involution on a finite group, fixed orbits flagged.
 
     This enumerates the group; it is the oracle for the orbit counts that
@@ -542,7 +542,7 @@ def involution_orbits(g: FinGenAbGroup, s: Involution,
         raise ValueError("involution does not act on the given group")
     seen: set[tuple[int, ...]] = set()
     orbits: list[Orbit] = []
-    for x in g.elements(bound):
+    for x in g.elements():
         if x in seen:
             continue
         y = s.apply(x)

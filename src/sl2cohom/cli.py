@@ -153,7 +153,8 @@ def _cmd_essential(args) -> int:
     product = essential_product(spec)
     degree = product.degree()
     subgroups = enumerate_proper_subgroups(spec)
-    all_zero = all(restrict(product, m).is_zero for m in subgroups)
+    # every proper subgroup lies in a hyperplane, and restriction is transitive
+    all_zero = all(restrict(product, m).is_zero for m in subgroups if len(m[0]) == spec.n - 1)
     lines = [
         f"ESSENTIAL\tell={spec.ell} rank={spec.n} degree={degree} "
         f"nonzero={'true' if not product.is_zero else 'false'}",

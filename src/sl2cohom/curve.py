@@ -342,13 +342,23 @@ def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
     return points
 
 
+def _point_tally(curve: EllipticMinusPoint, field: FiniteField) -> tuple[int, int]:
+    """(#E, number of roots of the cubic) from one pass over the field.
+
+    #E is q + 1 + sum chi(x^3 + ax + b) over the quadratic character chi.
+    """
+    total, roots = field.q + 1, 0
+    for _, rhs in _cubic_values(curve, field):
+        if not rhs:
+            roots += 1
+        else:
+            total += 1 if field.is_square(rhs) else -1
+    return total, roots
+
+
 def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:
     """Point count via the quadratic character, q + 1 + sum chi(x^3+ax+b)."""
-    total = field.q + 1
-    for _, rhs in _cubic_values(curve, field):
-        if rhs:
-            total += 1 if field.is_square(rhs) else -1
-    return total
+    return _point_tally(curve, field)[0]
 
 
 def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
@@ -360,10 +370,10 @@ def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
     |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
     """
     field = get_field(spec)
-    order = count_points_elliptic(curve, field)
+    order, roots = _point_tally(curve, field)
     if (order - field.q - 1) ** 2 > 4 * field.q:
         raise ArithmeticError("point count violates the Hasse bound")
-    fixed = 1 + sum(1 for _, rhs in _cubic_values(curve, field) if rhs == 0)
+    fixed = 1 + roots
     if fixed not in (1, 2, 4) or order % fixed:
         raise ArithmeticError(f"2-torsion count {fixed} is not 1, 2 or 4 dividing "
                               f"the point count {order}")

@@ -193,3 +193,47 @@ def basis_degrees_by_enumeration(kind: str, rank: int) -> tuple[int, ...]:
                     continue
                 degrees.append(2 * eps + delta + len(t))
     return tuple(sorted(degrees))
+
+
+def column_span(ell: int, matrix) -> frozenset:
+    """All F_ell-combinations of the columns of a matrix (given by rows)."""
+    cols = list(zip(*matrix))
+    n = len(matrix)
+    return frozenset(
+        tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) % ell for i in range(n))
+        for coeffs in cartesian(range(ell), repeat=len(cols)))
+
+
+def proper_subgroup_spans(ell: int, n: int) -> set[frozenset]:
+    """Member sets of all proper nonzero subgroups of (Z/ell)^n.
+
+    Grows span sets one vector at a time and deduplicates them; no
+    echelon form is involved.  A vector already inside a span grown from
+    the same subgroup is skipped, since it would grow the same span again.
+    """
+    vectors = [v for v in cartesian(range(ell), repeat=n) if any(v)]
+    layer = {frozenset([(0,) * n])}
+    found = set()
+    for _ in range(n - 1):
+        grown = set()
+        for span in layer:
+            covered = set(span)
+            for v in vectors:
+                if v in covered:
+                    continue
+                bigger = frozenset(tuple((a + c * b) % ell for a, b in zip(s, v))
+                                   for s in span for c in range(ell))
+                covered |= bigger
+                grown.add(bigger)
+        found |= grown
+        layer = grown
+    return found
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n, from the product formula."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den

@@ -66,6 +66,32 @@ def test_essential_command(capsys):
     assert "WEYL\tinvariant=true" in out
 
 
+@pytest.mark.parametrize("ell,rank,hyperplanes,subgroups", [
+    (2, 1, 0, 0), (2, 4, 15, 65), (3, 3, 13, 26), (5, 2, 6, 6),
+])
+def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, rank,
+                                                     hyperplanes, subgroups):
+    from sl2cohom import cli
+
+    widths = []
+    restrict = cli.restrict
+
+    def recording(element, matrix):
+        widths.append(len(matrix[0]))
+        return restrict(element, matrix)
+
+    monkeypatch.setattr(cli, "restrict", recording)
+    code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
+    assert code == 0
+    assert widths == [rank - 1] * hyperplanes
+    assert (f"RESTRICTIONS\tall_proper_zero=true proper_subgroups={subgroups}\n") in out
+
+    # the verdict is read off the restrictions
+    monkeypatch.setattr(cli, "restrict", lambda element, matrix: element)
+    code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
+    assert f"all_proper_zero={'true' if rank == 1 else 'false'} " in out
+
+
 HUGE = str(10**18 + 3)  # prime, far beyond trial division
 
 
@@ -123,6 +149,24 @@ def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
     assert "KCLASSES\t12" in out
 
 
+def test_elliptic_report_walks_the_field_once(monkeypatch, capsys):
+    from sl2cohom import curve
+
+    calls = []
+    cubic_values = curve._cubic_values
+
+    def counting(*args):
+        calls.append(args)
+        return cubic_values(*args)
+
+    monkeypatch.setattr(curve, "_cubic_values", counting)
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                    "--q", "13", "--ell", "3")
+    assert code == 0
+    assert "KCLASSES\t10" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("forged,message", [
     (14 + 8, "Hasse bound"),  # (22 - 14)^2 = 64 > 4 * 13
     (17, "2-torsion count 2 is not 1, 2 or 4 dividing the point count 17"),
@@ -131,7 +175,7 @@ def test_forged_point_count_exits_three(monkeypatch, capsys, forged, message):
     from sl2cohom import curve
 
     # y^2 = x^3 + x + 1 over the 13-element field: 18 points, one root of the cubic
-    monkeypatch.setattr(curve, "count_points_elliptic", lambda c, field: forged)
+    monkeypatch.setattr(curve, "_point_tally", lambda c, field: (forged, 1))
     code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                     "--q", "13", "--ell", "3")
     assert code == 3

@@ -1,5 +1,9 @@
+import random
+from itertools import permutations
+
 import pytest
 
+from brute import column_span, gaussian_binomial, proper_subgroup_spans
 from sl2cohom.essential import (
     GradedAlgebraSpec,
     GradedElement,
@@ -11,20 +15,34 @@ from sl2cohom.essential import (
 )
 
 
-def unit(spec, i):
-    return [1 if j == i else 0 for j in range(spec.n)]
+def gen(spec, i):
+    """The i-th polynomial generator (degree 1 for ell = 2, degree 2 otherwise)."""
+    return GradedElement.polynomial_linear_form(spec, [1 if j == i else 0 for j in range(spec.n)])
 
 
-def x(spec, i):
-    """The i-th degree-1 generator."""
-    if spec.ell == 2:
-        return GradedElement.polynomial_linear_form(spec, unit(spec, i))
-    return GradedElement.exterior_linear_form(spec, unit(spec, i))
+def random_homogeneous(rng, spec, degree, terms):
+    """A sum of random monomials of one polynomial degree, random coefficients."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * spec.n
+        for _ in range(degree):
+            exps[rng.randrange(spec.n)] += 1
+        out[tuple(exps)] = rng.randrange(spec.ell)
+    return GradedElement(spec, out)
 
 
-def y(spec, i):
-    """The i-th degree-2 generator (odd ell)."""
-    return GradedElement.polynomial_linear_form(spec, unit(spec, i))
+def nonzero_forms(spec):
+    vectors = [[(v // spec.ell ** i) % spec.ell for i in range(spec.n)]
+               for v in range(1, spec.ell ** spec.n)]
+    return [GradedElement.polynomial_linear_form(spec, v) for v in vectors]
+
+
+def permutation_matrix(perm):
+    return [[1 if perm[i] == j else 0 for j in range(len(perm))] for i in range(len(perm))]
+
+
+# pairs small enough to restrict to every proper subgroup
+SMALL = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -34,19 +52,19 @@ def y(spec, i):
 def test_product_rank2_mod2():
     spec = GradedAlgebraSpec(2, 2)
     product = essential_product(spec)
-    x1, x2 = x(spec, 0), x(spec, 1)
+    x1, x2 = gen(spec, 0), gen(spec, 1)
     assert product == x1 * x1 * x2 + x1 * x2 * x2
     assert product.degree() == 3
 
 
 def test_product_rank1_mod2_is_the_generator():
     spec = GradedAlgebraSpec(2, 1)
-    assert essential_product(spec) == x(spec, 0)
+    assert essential_product(spec) == gen(spec, 0)
 
 
 def test_product_rank1_mod3():
     spec = GradedAlgebraSpec(3, 1)
-    y1 = y(spec, 0)
+    y1 = gen(spec, 0)
     assert essential_product(spec) == (y1 * y1).scaled(2)
 
 
@@ -61,7 +79,7 @@ def test_product_degrees(ell, n, expected_degree):
 
 
 def test_product_size_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="group order 2187 exceeds the product bound 729"):
         essential_product(GradedAlgebraSpec(3, 7))
 
 
@@ -79,32 +97,24 @@ def test_restriction_kills_product_on_all_proper_subgroups():
 
 def test_restriction_along_identity_is_identity():
     spec = GradedAlgebraSpec(3, 2)
-    element = y(spec, 0) * x(spec, 1) + x(spec, 0) * x(spec, 1)
+    element = gen(spec, 0) * gen(spec, 1) + gen(spec, 0) * gen(spec, 0).scaled(2)
     identity = [[1, 0], [0, 1]]
     assert restrict(element, identity) == element
 
 
 def test_restriction_to_diagonal_substitutes():
     spec = GradedAlgebraSpec(3, 2)
-    element = y(spec, 0) * y(spec, 1)
+    element = gen(spec, 0) * gen(spec, 1)
     target = GradedAlgebraSpec(3, 1)
     restricted = restrict(element, [[1], [1]])
-    y1 = y(target, 0)
+    y1 = gen(target, 0)
     assert restricted == y1 * y1
 
 
 def test_restriction_rank_check():
     spec = GradedAlgebraSpec(2, 2)
     with pytest.raises(ValueError):
-        restrict(x(spec, 0), [[1, 1], [1, 1]])  # rank 1, not 2
-
-
-def test_exterior_restriction_sign():
-    # swapping the two exterior generators flips the sign of x1*x2
-    spec = GradedAlgebraSpec(3, 2)
-    swap = [[0, 1], [1, 0]]
-    element = x(spec, 0) * x(spec, 1)
-    assert restrict(element, swap) == -element
+        restrict(gen(spec, 0), [[1, 1], [1, 1]])  # rank 1, not 2
 
 
 def test_subgroup_enumeration_counts():
@@ -112,6 +122,83 @@ def test_subgroup_enumeration_counts():
     assert len(enumerate_proper_subgroups(GradedAlgebraSpec(3, 2))) == 4
     # GF(2)^3: 7 lines + 7 planes
     assert len(enumerate_proper_subgroups(GradedAlgebraSpec(2, 3))) == 14
+
+
+@pytest.mark.parametrize("ell,n", [(ell, n) for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
+                                                        31, 37, 41, 43, 47, 53, 59, 61)
+                                   for n in range(1, 7) if ell ** n <= 64])
+def test_echelon_enumeration_matches_span_sets(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    matrices = enumerate_proper_subgroups(spec)
+    spans = []
+    for matrix in matrices:
+        k = len(matrix[0])
+        assert len(matrix) == n and all(len(row) == k for row in matrix)
+        span = column_span(ell, matrix)
+        assert len(span) == ell ** k  # the columns are independent
+        spans.append(span)
+    assert len(set(spans)) == len(spans)  # each subgroup once
+    assert set(spans) == proper_subgroup_spans(ell, n)
+    assert len(matrices) == sum(gaussian_binomial(n, k, ell) for k in range(1, n))
+    hyperplanes = [m for m in matrices if len(m[0]) == n - 1]
+    assert len(hyperplanes) == (gaussian_binomial(n, n - 1, ell) if n > 1 else 0)
+
+
+def _zero_on(element, matrices):
+    return all(restrict(element, m).is_zero for m in matrices)
+
+
+@pytest.mark.parametrize("ell,n", SMALL)
+def test_hyperplanes_decide_all_proper_subgroups(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    subgroups = enumerate_proper_subgroups(spec)
+    hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
+    rng = random.Random(f"hyperplanes:{ell}:{n}")
+    forms = nonzero_forms(spec)
+    one = GradedElement.one(spec)
+    product = essential_product(spec)
+    elements = [product, gen(spec, 0), GradedElement.zero(spec)]
+    for left_out in rng.sample(range(len(forms)), min(4, len(forms))):
+        # the product with one factor left out
+        partial = one
+        for i, form in enumerate(forms):
+            if i != left_out:
+                partial = partial * form
+        elements.append(partial)
+    for _ in range(6):  # products of random sets of factors
+        chosen = one
+        for form in rng.sample(forms, rng.randrange(1, len(forms) + 1)):
+            chosen = chosen * form
+        elements.append(chosen)
+    for _ in range(6):
+        element = random_homogeneous(rng, spec, rng.randrange(1, 6), rng.randrange(1, 5))
+        elements += [element, element * product]
+    verdicts = set()
+    for element in elements:
+        on_hyperplanes = _zero_on(element, hyperplanes)
+        assert on_hyperplanes == _zero_on(element, subgroups), (ell, n, element)
+        verdicts.add(on_hyperplanes)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
+@pytest.mark.parametrize("ell,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 3)])
+def test_weyl_check_matches_permutation_matrices(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    rng = random.Random(f"weyl:{ell}:{n}")
+    perms = list(permutations(range(n)))
+    verdicts = set()
+    for _ in range(12):
+        element = random_homogeneous(rng, spec, rng.randrange(1, 6), rng.randrange(1, 6))
+        # symmetrized over all permutations, over one transposition, or not at all
+        orbit = rng.choice([perms, [tuple(range(n)), perms[1]], [tuple(range(n))]])
+        symmetrized = GradedElement.zero(spec)
+        for perm in orbit:
+            symmetrized = symmetrized + restrict(element, permutation_matrix(perm))
+        fixed = all(restrict(symmetrized, permutation_matrix(p)) == symmetrized
+                    for p in perms)
+        assert weyl_invariance(symmetrized, spec) == fixed, (ell, n, symmetrized)
+        verdicts.add(fixed)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +212,21 @@ def test_product_is_weyl_invariant():
 
 
 def test_product_fixed_by_every_permutation():
-    from itertools import permutations
     for ell, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         spec = GradedAlgebraSpec(ell, n)
         product = essential_product(spec)
         for perm in permutations(range(n)):
-            matrix = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-            assert restrict(product, matrix) == product
+            assert restrict(product, permutation_matrix(perm)) == product
 
 
 def test_single_generator_is_not_weyl_invariant():
     spec = GradedAlgebraSpec(2, 2)
-    assert not weyl_invariance(x(spec, 0), spec)
+    assert not weyl_invariance(gen(spec, 0), spec)
 
 
 def test_symmetric_sum_is_weyl_invariant():
     spec = GradedAlgebraSpec(2, 2)
-    assert weyl_invariance(x(spec, 0) + x(spec, 1), spec)
+    assert weyl_invariance(gen(spec, 0) + gen(spec, 1), spec)
 
 
 def test_square_of_mod2_product_is_weyl_invariant():
@@ -154,25 +239,21 @@ def test_regularity():
     spec32 = GradedAlgebraSpec(3, 2)
     assert regularity_check(essential_product(spec32), spec32)
     spec31 = GradedAlgebraSpec(3, 1)
-    assert not regularity_check(x(spec31, 0), spec31)
+    assert regularity_check(gen(spec31, 0), spec31)
     assert not regularity_check(GradedElement.zero(spec31), spec31)
     spec22 = GradedAlgebraSpec(2, 2)
     assert regularity_check(essential_product(spec22), spec22)
-
-
-def test_exterior_generators_square_to_zero():
-    spec = GradedAlgebraSpec(5, 2)
-    x1 = x(spec, 0)
-    assert (x1 * x1).is_zero
+    with pytest.raises(ValueError):
+        regularity_check(essential_product(spec22), spec32)
 
 
 def test_coefficients_reduced_mod_ell():
     spec = GradedAlgebraSpec(3, 1)
-    y1 = y(spec, 0)
+    y1 = gen(spec, 0)
     assert (y1 + y1 + y1).is_zero
 
 
 def test_nonhomogeneous_degree_raises():
     spec = GradedAlgebraSpec(3, 2)
     with pytest.raises(ValueError):
-        (y(spec, 0) + x(spec, 0)).degree()
+        (gen(spec, 0) + gen(spec, 0) * gen(spec, 1)).degree()

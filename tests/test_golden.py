@@ -36,6 +36,9 @@ CASES = {
     "coker2": ["analyze-nf", "--datum", str(GOLDEN / "coker2.datum")],
     "elliptic_0_2_q7": ["analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2",
                         "--q", "7", "--ell", "3"],
+    "essential_2_4": ["essential", "--ell", "2", "--rank", "4"],
+    "essential_3_3": ["essential", "--ell", "3", "--rank", "3"],
+    "essential_5_2_human": ["essential", "--ell", "5", "--rank", "2", "--mode", "human"],
 }
 
 
