@@ -43,8 +43,8 @@ from .essential import (
     GradedAlgebraSpec,
     enumerate_proper_subgroups,
     essential_product,
+    lines_vanish_on_hyperplanes,
     regularity_check,
-    restrict,
     weyl_invariance,
 )
 from .oracles import run_all_suites
@@ -153,8 +153,10 @@ def _cmd_essential(args) -> int:
     product = essential_product(spec)
     degree = product.degree()
     subgroups = enumerate_proper_subgroups(spec)
-    # every proper subgroup lies in a hyperplane, and restriction is transitive
-    all_zero = all(restrict(product, m).is_zero for m in subgroups if len(m[0]) == spec.n - 1)
+    # every proper subgroup lies in a hyperplane, and restriction is transitive;
+    # the product has one linear factor per line: the one-column subgroups
+    all_zero = lines_vanish_on_hyperplanes(
+        spec, {tuple(row[0] for row in m) for m in subgroups if len(m[0]) == 1}, subgroups)
     lines = [
         f"ESSENTIAL\tell={spec.ell} rank={spec.n} degree={degree} "
         f"nonzero={'true' if not product.is_zero else 'false'}",

@@ -42,6 +42,7 @@ from .curve import (
     CurveSpec,
     FiniteFieldSpec,
     P1Minus,
+    check_punctures_exist,
     elliptic_order_and_two_torsion,
     pic_p1_minus,
 )
@@ -330,6 +331,7 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     if not is_prime(ell) or ell == 2:
         raise ValueError("ell must be an odd prime")
     if isinstance(curve, P1Minus):
+        check_punctures_exist(curve, field_spec.q)
         pic = pic_p1_minus(curve.puncture_degrees)
         order, fixed = pic.order, two_torsion_order(pic)
     else:

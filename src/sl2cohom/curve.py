@@ -12,8 +12,10 @@ cubic.  The full group structure is kept as a slow oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from .abelian import FinGenAbGroup, factorize, is_prime
 
@@ -456,6 +458,28 @@ def count_and_structure_elliptic(curve: EllipticMinusPoint,
 # ---------------------------------------------------------------------------
 # Picard groups and inversion classes
 # ---------------------------------------------------------------------------
+
+def check_punctures_exist(curve: P1Minus, q: int) -> None:
+    """Refuse a curve that removes more closed points of some degree d
+    than the projective line over F_q has.
+
+    There are q + 1 points of degree 1 and (1/d) sum_{e | d} mu(e) q^(d/e)
+    of degree d >= 2 (Lidl-Niederreiter, Thm 3.25).  For d >= 4 that count
+    exceeds q^d / 2d >= 2^(d-1) / d.  A degree is skipped when bit lengths
+    show 2^(d-1) / d above the count asked for, so q^d is never built for
+    large d.
+    """
+    for d, asked in sorted(Counter(curve.puncture_degrees).items()):
+        if d - 1 - d.bit_length() >= asked.bit_length():
+            continue
+        primes = [p for p, _ in factorize(d)]
+        exist = q + 1 if d == 1 else sum(
+            (-1) ** k * q ** (d // prod(s))
+            for k in range(len(primes) + 1) for s in combinations(primes, k)) // d
+        if asked > exist:
+            raise ValueError(f"the projective line over F_{q} has {exist} closed points of "
+                             f"degree {d}, fewer than the {asked} punctures of degree {d}")
+
 
 def pic_p1_minus(degrees) -> FinGenAbGroup:
     """Divisor classes of the punctured projective line.

@@ -17,12 +17,14 @@ hence acts without torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import combinations, permutations, product as _cartesian
 
-from .abelian import is_prime
+from .abelian import is_prime, smith_normal_form
 
-# the largest group order whose essential product is multiplied out
+# the largest group order whose essential product is built
 MAX_GROUP_ORDER = 3 ** 6
+# the most proper subgroups an essential report lists
+MAX_PROPER_SUBGROUPS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -144,51 +146,36 @@ class GradedElement:
 def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     """Product of all nonzero degree-1 (ell = 2) or degree-2 (odd) classes.
 
-    The result has degree 2^n - 1 for ell = 2 and 2(ell^n - 1) for odd ell,
-    and is nonzero.  Groups of order above ``MAX_GROUP_ORDER`` are refused.
+    By Dickson it is (-1)^((ell^n - 1)/(ell - 1)) L_n^(ell - 1), where the
+    Moore determinant L_n = det(y_j^(ell^i)) has n! signed permutation
+    terms.  The result has degree 2^n - 1 for ell = 2 and 2(ell^n - 1) for
+    odd ell, and is nonzero.  Groups of order above ``MAX_GROUP_ORDER``,
+    or with more than ``MAX_PROPER_SUBGROUPS`` proper subgroups for the
+    report to list, are refused.
     """
-    if spec.n < 1:
+    ell, n = spec.ell, spec.n
+    if n < 1:
         raise ValueError("need rank at least 1")
-    order = spec.ell ** spec.n
+    order = ell ** n
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} exceeds the product bound {MAX_GROUP_ORDER}")
-    result = GradedElement.one(spec)
-    for vec in _cartesian(*(range(spec.ell) for _ in range(spec.n))):
-        if not any(vec):
-            continue
-        result = result * GradedElement.polynomial_linear_form(spec, vec)
+    count, binomial = 0, 1  # proper subgroups: the Gaussian binomials [n k]_ell, 0 < k < n
+    for k in range(1, n):
+        binomial = binomial * (ell ** (n - k + 1) - 1) // (ell ** k - 1)
+        count += binomial
+    if count > MAX_PROPER_SUBGROUPS:
+        raise ValueError(f"the report would list {count} proper subgroups, "
+                         f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
+    moore = GradedElement(spec, {tuple(ell ** perm.index(j) for j in range(n)):
+                                 (-1) ** sum(a > b for a, b in combinations(perm, 2))
+                                 for perm in permutations(range(n))})
+    # (ell^n - 1)/(ell - 1) = 1 + ell + ... + ell^(n-1) has the parity of n for odd ell
+    result = moore.scaled((-1) ** n)
+    for _ in range(ell - 2):
+        result = result * moore
     if result.is_zero:
         raise ArithmeticError("essential product unexpectedly vanished")
     return result
-
-
-def _normalize_columns(matrix, ell: int, n: int):
-    cols = [tuple(int(v) % ell for v in row) for row in matrix]
-    if len(cols) != n:
-        raise ValueError(f"subgroup matrix needs {n} rows")
-    width = len(cols[0]) if cols else 0
-    if any(len(r) != width for r in cols):
-        raise ValueError("subgroup matrix rows must have equal length")
-    return cols, width
-
-
-def _rank_mod_ell(rows, ell: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % ell), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, ell)
-        mat[rank] = [v * inv % ell for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % ell:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % ell for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
@@ -200,8 +187,13 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     given by its matrix row.
     """
     spec = element.spec
-    rows, k = _normalize_columns(subgroup_matrix, spec.ell, spec.n)
-    if k and _rank_mod_ell(rows, spec.ell) != k:
+    rows = [tuple(int(v) % spec.ell for v in row) for row in subgroup_matrix]
+    if len(rows) != spec.n:
+        raise ValueError(f"subgroup matrix needs {spec.n} rows")
+    k = len(rows[0]) if rows else 0
+    if any(len(r) != k for r in rows):
+        raise ValueError("subgroup matrix rows must have equal length")
+    if k and sum(1 for d in smith_normal_form(rows)[1] if d % spec.ell) != k:
         raise ValueError("subgroup matrix must have full column rank")
     target = GradedAlgebraSpec(spec.ell, k)
     forms = [GradedElement.polynomial_linear_form(target, row) for row in rows]
@@ -215,6 +207,28 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
             term = term * power[e]
         total = total + term
     return total
+
+
+def lines_vanish_on_hyperplanes(spec: GradedAlgebraSpec, lines, subgroups) -> bool:
+    """True when the product of the linear forms of ``lines`` (vectors whose
+    first nonzero entry is 1) restricts to zero on every hyperplane among
+    ``subgroups``, listed as ``enumerate_proper_subgroups`` lists them.
+    Restriction maps into an integral domain, so only the factor whose line
+    the hyperplane annihilates can vanish there; only that one is restricted.
+    """
+    ell, n = spec.ell, spec.n
+    for matrix in (m for m in subgroups if len(m[0]) == n - 1):
+        # reduced column-echelon basis: column j is 1 on pivot row p_j; the
+        # annihilated line is 1 on the other row r and -matrix[r][j] on p_j
+        pivots = [next(i for i, row in enumerate(matrix) if row[j]) for j in range(n - 1)]
+        r = next(i for i in range(n) if i not in pivots)
+        line = [1 if i == r else -matrix[r][pivots.index(i)] for i in range(n)]
+        scale = pow(next(v for v in line if v % ell), -1, ell)
+        line = tuple(v * scale % ell for v in line)
+        form = GradedElement.polynomial_linear_form(spec, line)
+        if line not in lines or not restrict(form, matrix).is_zero:
+            return False
+    return True
 
 
 def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:

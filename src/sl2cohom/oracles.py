@@ -37,6 +37,7 @@ from .arithdata import (
 from .cohomengine import ComponentRing, graded_dimension
 from .curve import (
     EllipticMinusPoint,
+    SingularCurveError,
     count_points_elliptic,
     elliptic_points,
     field_spec_from_order,
@@ -308,11 +309,10 @@ def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
             for a in range(spec.q):
                 for b in range(spec.q):
                     curve = EllipticMinusPoint(a, b)
-                    disc = field.add(field.mul(field.from_int(4), field.pow(a, 3)) if a else 0,
-                                     field.mul(field.from_int(27), field.mul(b, b)) if b else 0)
-                    if disc == 0:
+                    try:
+                        by_enum = len(elliptic_points(curve, field))
+                    except SingularCurveError:
                         continue
-                    by_enum = len(elliptic_points(curve, field))
                     by_character = count_points_elliptic(curve, field)
                     if by_enum != by_character:
                         return SuiteResult(

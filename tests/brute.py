@@ -3,7 +3,8 @@
 Everything here deliberately avoids the fast code paths it is used to
 check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, graded dimensions from blind
-monomial enumeration, and class numbers from reduced-form counts.
+monomial enumeration, class numbers from reduced-form counts, and the
+essential product from multiplying out all its linear factors.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup
+from sl2cohom.essential import GradedElement
 
 
 def permanent_style_det(matrix) -> int:
@@ -237,3 +239,12 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def multiplied_out_product(spec) -> GradedElement:
+    """Product of the linear forms of all nonzero vectors, one at a time."""
+    result = GradedElement.one(spec)
+    for vec in cartesian(range(spec.ell), repeat=spec.n):
+        if any(vec):
+            result = result * GradedElement.polynomial_linear_form(spec, vec)
+    return result

@@ -71,25 +71,60 @@ def test_essential_command(capsys):
 ])
 def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, rank,
                                                      hyperplanes, subgroups):
-    from sl2cohom import cli
+    from sl2cohom import essential
 
     widths = []
-    restrict = cli.restrict
+    restrict = essential.restrict
 
     def recording(element, matrix):
         widths.append(len(matrix[0]))
         return restrict(element, matrix)
 
-    monkeypatch.setattr(cli, "restrict", recording)
+    monkeypatch.setattr(essential, "restrict", recording)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert code == 0
     assert widths == [rank - 1] * hyperplanes
     assert (f"RESTRICTIONS\tall_proper_zero=true proper_subgroups={subgroups}\n") in out
 
     # the verdict is read off the restrictions
-    monkeypatch.setattr(cli, "restrict", lambda element, matrix: element)
+    monkeypatch.setattr(essential, "restrict", lambda element, matrix: element)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert f"all_proper_zero={'true' if rank == 1 else 'false'} " in out
+
+
+@pytest.mark.parametrize("ell,rank,message", [
+    (2, 8, "the report would list 417197 proper subgroups, over the subgroup bound 100000"),
+    (2, 9, "the report would list 8283456 proper subgroups, over the subgroup bound 100000"),
+    (2, 10, "group order 1024 exceeds the product bound 729"),
+    (3, 7, "group order 2187 exceeds the product bound 729"),
+])
+def test_essential_guards_refuse_up_front(capsys, ell, rank, message):
+    start = time.perf_counter()
+    code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
+    assert code == 1
+    assert out == f"ERROR\t{message}\n"
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("punctures,message", [
+    (",".join(["1"] * 22), "has 8 closed points of degree 1, fewer than the 22 punctures"),
+    (",".join(["2"] * 22), "has 21 closed points of degree 2, fewer than the 22 punctures"),
+])
+def test_punctures_that_do_not_exist_are_refused(capsys, punctures, message):
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze-ff", "--curve", "p1", "--punctures", punctures,
+                    "--q", "7", "--ell", "3")
+    assert code == 1
+    assert out.startswith("ERROR\tthe projective line over F_7 ") and out.count("\n") == 1
+    assert message in out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_every_rational_point_may_be_punctured(capsys):
+    code, out = run(capsys, "analyze-ff", "--curve", "p1", "--punctures", ",".join(["1"] * 8),
+                    "--q", "7", "--ell", "3")
+    assert code == 0
+    assert "shape=MonomialFF r=7 " in out
 
 
 HUGE = str(10**18 + 3)  # prime, far beyond trial division

@@ -17,6 +17,7 @@ from sl2cohom.curve import (
     FiniteFieldSpec,
     P1Minus,
     SingularCurveError,
+    check_punctures_exist,
     count_and_structure_elliptic,
     count_points_elliptic,
     ec_add,
@@ -233,6 +234,28 @@ def test_pic_gcd_of_degrees():
 def test_pic_requires_a_puncture():
     with pytest.raises(ValueError):
         P1Minus(())
+
+
+def closed_point_counts(q, top):
+    """Closed points of the projective line over F_q by degree, from Gauss's
+    q^d = sum over e | d of e * (monic irreducibles of degree e)."""
+    monic = {}
+    for d in range(1, top + 1):
+        monic[d] = (q ** d - sum(e * monic[e] for e in range(1, d) if d % e == 0)) // d
+    return {d: count + (d == 1) for d, count in monic.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_punctures_need_existing_closed_points(q):
+    counts = closed_point_counts(q, 24)
+    for d in range(1, 25):
+        if counts[d] < 5000:  # every point of degree d may go, one more may not
+            check_punctures_exist(P1Minus((d,) * counts[d]), q)
+            with pytest.raises(ValueError, match=f"has {counts[d]} closed points of degree "
+                                                 f"{d}, fewer than the {counts[d] + 1} "):
+                check_punctures_exist(P1Minus((d,) * (counts[d] + 1)), q)
+        # a degree is skipped only while it has at least the most punctures it skips
+        assert counts[d] >= 2 ** (d - 1 - d.bit_length()) - 1
 
 
 def test_elliptic_picard_classes():

@@ -3,12 +3,14 @@ from itertools import permutations
 
 import pytest
 
-from brute import column_span, gaussian_binomial, proper_subgroup_spans
+from brute import column_span, gaussian_binomial, multiplied_out_product, proper_subgroup_spans
+from sl2cohom.abelian import is_prime
 from sl2cohom.essential import (
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
     essential_product,
+    lines_vanish_on_hyperplanes,
     regularity_check,
     restrict,
     weyl_invariance,
@@ -78,6 +80,17 @@ def test_product_degrees(ell, n, expected_degree):
     assert product.degree() == expected_degree
 
 
+# every (ell, n) with ell^n <= 81 but (2, 6), whose multiplied-out product alone takes seconds
+MOORE = [(ell, n) for ell in range(2, 82) if is_prime(ell)
+         for n in range(1, 7) if ell ** n <= 81 and (ell, n) != (2, 6)]
+
+
+@pytest.mark.parametrize("ell,n", MOORE)
+def test_moore_product_matches_multiplied_out_product(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    assert essential_product(spec) == multiplied_out_product(spec)
+
+
 def test_product_size_guard():
     with pytest.raises(ValueError, match="group order 2187 exceeds the product bound 729"):
         essential_product(GradedAlgebraSpec(3, 7))
@@ -115,6 +128,12 @@ def test_restriction_rank_check():
     spec = GradedAlgebraSpec(2, 2)
     with pytest.raises(ValueError):
         restrict(gen(spec, 0), [[1, 1], [1, 1]])  # rank 1, not 2
+
+
+def test_restriction_rank_is_taken_mod_ell():
+    spec = GradedAlgebraSpec(3, 2)
+    with pytest.raises(ValueError, match="full column rank"):
+        restrict(gen(spec, 0), [[1, 2], [2, 1]])  # determinant -3: rank 2 over Z, 1 mod 3
 
 
 def test_subgroup_enumeration_counts():
@@ -179,6 +198,32 @@ def test_hyperplanes_decide_all_proper_subgroups(ell, n):
         assert on_hyperplanes == _zero_on(element, subgroups), (ell, n, element)
         verdicts.add(on_hyperplanes)
     assert verdicts == ({True} if n == 1 else {True, False})
+
+
+def normalized_lines(spec):
+    """Nonzero vectors whose first nonzero entry is 1, one per line."""
+    vectors = [tuple((v // spec.ell ** i) % spec.ell for i in range(spec.n))
+               for v in range(1, spec.ell ** spec.n)]
+    return {v for v in vectors if next(c for c in v if c) == 1}
+
+
+@pytest.mark.parametrize("ell,n", [pair for pair in SMALL if pair[1] > 1]
+                         + [(2, 5), (3, 4), (7, 3)])
+def test_line_factors_decide_the_hyperplanes(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    subgroups = enumerate_proper_subgroups(spec)
+    hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
+    lines = normalized_lines(spec)
+    assert lines == {tuple(row[0] for row in m) for m in subgroups if len(m[0]) == 1}
+    assert lines_vanish_on_hyperplanes(spec, lines, subgroups)
+    rng = random.Random(f"lines:{ell}:{n}")
+    for left_out in rng.sample(sorted(lines), 3):
+        assert not lines_vanish_on_hyperplanes(spec, lines - {left_out}, subgroups)
+        if (ell, n) in SMALL:  # the product of the remaining forms agrees
+            partial = GradedElement.one(spec)
+            for line in lines - {left_out}:
+                partial = partial * GradedElement.polynomial_linear_form(spec, line)
+            assert not _zero_on(partial, hyperplanes)
 
 
 @pytest.mark.parametrize("ell,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 3)])

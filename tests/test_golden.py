@@ -39,6 +39,8 @@ CASES = {
     "essential_2_4": ["essential", "--ell", "2", "--rank", "4"],
     "essential_3_3": ["essential", "--ell", "3", "--rank", "3"],
     "essential_5_2_human": ["essential", "--ell", "5", "--rank", "2", "--mode", "human"],
+    "essential_2_5": ["essential", "--ell", "2", "--rank", "5"],
+    "essential_3_4": ["essential", "--ell", "3", "--rank", "4"],
 }
 
 
