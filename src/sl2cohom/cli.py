@@ -43,7 +43,7 @@ from .essential import (
     GradedAlgebraSpec,
     enumerate_proper_subgroups,
     essential_product,
-    lines_vanish_on_hyperplanes,
+    line_factors_vanish_on_hyperplanes,
     regularity_check,
     weyl_invariance,
 )
@@ -151,14 +151,11 @@ def _cmd_analyze_ff(args) -> int:
 def _cmd_essential(args) -> int:
     spec = GradedAlgebraSpec(args.ell, args.rank)
     product = essential_product(spec)
-    degree = product.degree()
     subgroups = enumerate_proper_subgroups(spec)
-    # every proper subgroup lies in a hyperplane, and restriction is transitive;
-    # the product has one linear factor per line: the one-column subgroups
-    all_zero = lines_vanish_on_hyperplanes(
-        spec, {tuple(row[0] for row in m) for m in subgroups if len(m[0]) == 1}, subgroups)
+    # every proper subgroup lies in a hyperplane, and restriction is transitive
+    all_zero = line_factors_vanish_on_hyperplanes(spec, subgroups)
     lines = [
-        f"ESSENTIAL\tell={spec.ell} rank={spec.n} degree={degree} "
+        f"ESSENTIAL\tell={spec.ell} rank={spec.n} degree={product.degree()} "
         f"nonzero={'true' if not product.is_zero else 'false'}",
         f"PRODUCT\t{product}",
         f"RESTRICTIONS\tall_proper_zero={'true' if all_zero else 'false'} "

@@ -21,10 +21,8 @@ from itertools import combinations, permutations, product as _cartesian
 
 from .abelian import is_prime, smith_normal_form
 
-# the largest group order whose essential product is built
-MAX_GROUP_ORDER = 3 ** 6
-# the most proper subgroups an essential report lists
-MAX_PROPER_SUBGROUPS = 10 ** 5
+MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
+MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
 
 
 @dataclass(frozen=True)
@@ -146,12 +144,11 @@ class GradedElement:
 def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     """Product of all nonzero degree-1 (ell = 2) or degree-2 (odd) classes.
 
-    By Dickson it is (-1)^((ell^n - 1)/(ell - 1)) L_n^(ell - 1), where the
-    Moore determinant L_n = det(y_j^(ell^i)) has n! signed permutation
-    terms.  The result has degree 2^n - 1 for ell = 2 and 2(ell^n - 1) for
-    odd ell, and is nonzero.  Groups of order above ``MAX_GROUP_ORDER``,
-    or with more than ``MAX_PROPER_SUBGROUPS`` proper subgroups for the
-    report to list, are refused.
+    By Dickson it is (-1)^((ell^n - 1)/(ell - 1)) L_n^(ell - 1); the Moore
+    determinant L_n = det(y_j^(ell^i)) has one signed term per arrangement of
+    the exponents 1, ell, ..., ell^(n-1).  It is nonzero, of degree 2^n - 1
+    (ell = 2) or 2(ell^n - 1).  Groups of order above ``MAX_GROUP_ORDER``, or
+    with more than ``MAX_PROPER_SUBGROUPS`` proper subgroups, are refused.
     """
     ell, n = spec.ell, spec.n
     if n < 1:
@@ -166,11 +163,9 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     if count > MAX_PROPER_SUBGROUPS:
         raise ValueError(f"the report would list {count} proper subgroups, "
                          f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
-    moore = GradedElement(spec, {tuple(ell ** perm.index(j) for j in range(n)):
-                                 (-1) ** sum(a > b for a, b in combinations(perm, 2))
-                                 for perm in permutations(range(n))})
-    # (ell^n - 1)/(ell - 1) = 1 + ell + ... + ell^(n-1) has the parity of n for odd ell
-    result = moore.scaled((-1) ** n)
+    moore = GradedElement(spec, {exps: (-1) ** sum(a > b for a, b in combinations(exps, 2))
+                                 for exps in permutations([ell ** i for i in range(n)])})
+    result = moore.scaled((-1) ** n)  # (ell^n - 1)/(ell - 1) has the parity of n, ell odd
     for _ in range(ell - 2):
         result = result * moore
     if result.is_zero:
@@ -188,11 +183,9 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     """
     spec = element.spec
     rows = [tuple(int(v) % spec.ell for v in row) for row in subgroup_matrix]
-    if len(rows) != spec.n:
-        raise ValueError(f"subgroup matrix needs {spec.n} rows")
     k = len(rows[0]) if rows else 0
-    if any(len(r) != k for r in rows):
-        raise ValueError("subgroup matrix rows must have equal length")
+    if len(rows) != spec.n or any(len(r) != k for r in rows):
+        raise ValueError(f"subgroup matrix needs {spec.n} rows of equal length")
     if k and sum(1 for d in smith_normal_form(rows)[1] if d % spec.ell) != k:
         raise ValueError("subgroup matrix must have full column rank")
     target = GradedAlgebraSpec(spec.ell, k)
@@ -209,24 +202,20 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     return total
 
 
-def lines_vanish_on_hyperplanes(spec: GradedAlgebraSpec, lines, subgroups) -> bool:
-    """True when the product of the linear forms of ``lines`` (vectors whose
-    first nonzero entry is 1) restricts to zero on every hyperplane among
-    ``subgroups``, listed as ``enumerate_proper_subgroups`` lists them.
-    Restriction maps into an integral domain, so only the factor whose line
-    the hyperplane annihilates can vanish there; only that one is restricted.
+def line_factors_vanish_on_hyperplanes(spec: GradedAlgebraSpec, subgroups) -> bool:
+    """True when each hyperplane among ``subgroups`` (reduced column-echelon
+    bases M, as ``enumerate_proper_subgroups`` lists them) restricts to zero
+    the form of the line it annihilates: 1 on the row r that is no pivot,
+    -M[r][j] on the pivot row of column j.  No product is restricted: the
+    verdict holds for the essential product through Dickson's factorization
+    of L_n into one such form per line, in an integral domain.
     """
-    ell, n = spec.ell, spec.n
+    n = spec.n
     for matrix in (m for m in subgroups if len(m[0]) == n - 1):
-        # reduced column-echelon basis: column j is 1 on pivot row p_j; the
-        # annihilated line is 1 on the other row r and -matrix[r][j] on p_j
         pivots = [next(i for i, row in enumerate(matrix) if row[j]) for j in range(n - 1)]
         r = next(i for i in range(n) if i not in pivots)
         line = [1 if i == r else -matrix[r][pivots.index(i)] for i in range(n)]
-        scale = pow(next(v for v in line if v % ell), -1, ell)
-        line = tuple(v * scale % ell for v in line)
-        form = GradedElement.polynomial_linear_form(spec, line)
-        if line not in lines or not restrict(form, matrix).is_zero:
+        if not restrict(GradedElement.polynomial_linear_form(spec, line), matrix).is_zero:
             return False
     return True
 

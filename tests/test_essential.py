@@ -4,13 +4,14 @@ from itertools import permutations
 import pytest
 
 from brute import column_span, gaussian_binomial, multiplied_out_product, proper_subgroup_spans
+from sl2cohom import essential
 from sl2cohom.abelian import is_prime
 from sl2cohom.essential import (
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
     essential_product,
-    lines_vanish_on_hyperplanes,
+    line_factors_vanish_on_hyperplanes,
     regularity_check,
     restrict,
     weyl_invariance,
@@ -209,21 +210,35 @@ def normalized_lines(spec):
 
 @pytest.mark.parametrize("ell,n", [pair for pair in SMALL if pair[1] > 1]
                          + [(2, 5), (3, 4), (7, 3)])
-def test_line_factors_decide_the_hyperplanes(ell, n):
+def test_line_factors_decide_the_hyperplanes(monkeypatch, ell, n):
     spec = GradedAlgebraSpec(ell, n)
     subgroups = enumerate_proper_subgroups(spec)
     hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
-    lines = normalized_lines(spec)
-    assert lines == {tuple(row[0] for row in m) for m in subgroups if len(m[0]) == 1}
-    assert lines_vanish_on_hyperplanes(spec, lines, subgroups)
+    restricted = {}  # hyperplane -> the normalized line whose form was restricted on it
+
+    def recording(element, matrix):
+        line = [element.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+        scale = pow(next(c for c in line if c), -1, ell)
+        restricted[matrix] = tuple(c * scale % ell for c in line)
+        return restrict(element, matrix)
+
+    monkeypatch.setattr(essential, "restrict", recording)
+    assert line_factors_vanish_on_hyperplanes(spec, subgroups)
+    # one factor of the product per hyperplane, and every line's factor once
+    assert sorted(restricted) == sorted(hyperplanes)
+    assert sorted(restricted.values()) == sorted(normalized_lines(spec))
+
+    # a hyperplane on which its form does not vanish makes the verdict false
     rng = random.Random(f"lines:{ell}:{n}")
-    for left_out in rng.sample(sorted(lines), 3):
-        assert not lines_vanish_on_hyperplanes(spec, lines - {left_out}, subgroups)
-        if (ell, n) in SMALL:  # the product of the remaining forms agrees
+    for spared in rng.sample(hyperplanes, 3):
+        monkeypatch.setattr(essential, "restrict", lambda element, matrix:
+                            element if matrix == spared else restrict(element, matrix))
+        assert not line_factors_vanish_on_hyperplanes(spec, subgroups)
+        if (ell, n) in SMALL:  # as the product of the other lines' forms does not vanish there
             partial = GradedElement.one(spec)
-            for line in lines - {left_out}:
+            for line in normalized_lines(spec) - {restricted[spared]}:
                 partial = partial * GradedElement.polynomial_linear_form(spec, line)
-            assert not _zero_on(partial, hyperplanes)
+            assert not restrict(partial, spared).is_zero
 
 
 @pytest.mark.parametrize("ell,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 3)])

@@ -41,6 +41,8 @@ CASES = {
     "essential_5_2_human": ["essential", "--ell", "5", "--rank", "2", "--mode", "human"],
     "essential_2_5": ["essential", "--ell", "2", "--rank", "5"],
     "essential_3_4": ["essential", "--ell", "3", "--rank", "4"],
+    "essential_2_6": ["essential", "--ell", "2", "--rank", "6"],
+    "essential_7_3": ["essential", "--ell", "7", "--rank", "3"],
 }
 
 
