@@ -1,13 +1,14 @@
 """Function-field arithmetic: small finite fields and punctured curves.
 
 Finite fields GF(q) with q <= 2^16 are realized through exp/log tables
-over an irreducible modulus; elements are encoded as integers 0..q-1 in
-base-p digits.  Curves are either the projective line minus a set of
-closed points or a short-Weierstrass elliptic curve minus its point at
-infinity.  Picard groups come from divisor-class bookkeeping in the first
-case; in the second a report needs only |Pic| = #E(F_q), from the
-quadratic-character sum, and |Pic[2]| = #E[2], from the roots of the
-cubic.  The full group structure is kept as a slow oracle.
+over an irreducible modulus, and GF(p^e) adds through Zech logarithms;
+elements are encoded as integers 0..q-1 in base-p digits.  Curves are
+either the projective line minus a set of closed points or a
+short-Weierstrass elliptic curve minus its point at infinity.  Picard
+groups come from divisor-class bookkeeping in the first case; in the
+second a report needs only |Pic| = #E(F_q), from the quadratic-character
+sum, and |Pic[2]| = #E[2], from the roots of the cubic.  The full group
+structure is kept as a slow oracle.
 """
 
 from __future__ import annotations
@@ -143,7 +144,8 @@ class FiniteField:
     """GF(q) arithmetic with exp/log tables; elements are ints 0..q-1.
 
     The encoding of an element is its base-p digit vector read as an
-    integer; constants 0..p-1 are encoded as themselves.
+    integer; constants 0..p-1 are encoded as themselves.  Digits are coded
+    only to build the tables; GF(p^e) adds by g^i + g^j = g^(i + zech[j - i]).
     """
 
     def __init__(self, spec: FiniteFieldSpec):
@@ -154,6 +156,11 @@ class FiniteField:
         else:
             self.modulus = _find_modulus(self.p, self.e)
         self.exp, self.log = self._build_tables()
+        if self.e > 1:
+            # 1 + g^n = g^zech[n], or -1 where 1 + g^n = 0; adding 1 changes
+            # only the constant base-p digit of the encoding
+            one_more = [v - v % self.p + (v + 1) % self.p for v in self.exp]
+            self.zech = [self.log[w] if w else -1 for w in one_more]
         self._self_check()
 
     # -- encoding helpers ---------------------------------------------------
@@ -207,13 +214,16 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        return self._encode([(x + y) % self.p
-                             for x, y in zip(self._decode(a), self._decode(b))])
+        if a == 0 or b == 0:
+            return a or b
+        i = self.log[a]
+        z = self.zech[(self.log[b] - i) % (self.q - 1)]
+        return 0 if z < 0 else self.exp[(i + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return -a % self.p
-        return self._encode([-x % self.p for x in self._decode(a)])
+        return self.mul(a, self.p - 1)  # -1 = g^((q - 1)/2), 1 when p = 2
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -153,6 +153,8 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     ell, n = spec.ell, spec.n
     if n < 1:
         raise ValueError("need rank at least 1")
+    if n > MAX_GROUP_ORDER.bit_length():  # then ell^n >= 2^n is over the bound; not built
+        raise ValueError(f"group order {ell}^{n} exceeds the product bound {MAX_GROUP_ORDER}")
     order = ell ** n
     if order > MAX_GROUP_ORDER:
         raise ValueError(f"group order {order} exceeds the product bound {MAX_GROUP_ORDER}")

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the fast code paths it is used to
 check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, graded dimensions from blind
-monomial enumeration, class numbers from reduced-form counts, and the
-essential product from multiplying out all its linear factors.
+monomial enumeration, class numbers from reduced-form counts, the
+essential product from multiplying out all its linear factors, and
+GF(p^e) addition from the base-p digits of the element encodings.
 """
 
 from __future__ import annotations
@@ -248,3 +249,29 @@ def multiplied_out_product(spec) -> GradedElement:
         if any(vec):
             result = result * GradedElement.polynomial_linear_form(spec, vec)
     return result
+
+
+def _digits(code: int, p: int, e: int) -> list[int]:
+    digits = []
+    for _ in range(e):
+        code, d = divmod(code, p)
+        digits.append(d)
+    return digits
+
+
+def _undigits(digits, p: int) -> int:
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
+def digitwise_add(field, a: int, b: int) -> int:
+    """a + b in GF(p^e): the encodings' base-p digits added modulo p."""
+    p, e = field.p, field.e
+    return _undigits([(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p)
+
+
+def digitwise_neg(field, a: int) -> int:
+    """-a in GF(p^e): each base-p digit of the encoding negated modulo p."""
+    return _undigits([-x % field.p for x in _digits(a, field.p, field.e)], field.p)

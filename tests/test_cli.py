@@ -97,6 +97,8 @@ def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, r
     (2, 9, "the report would list 8283456 proper subgroups, over the subgroup bound 100000"),
     (2, 10, "group order 1024 exceeds the product bound 729"),
     (3, 7, "group order 2187 exceeds the product bound 729"),
+    (3, 10000, "group order 3^10000 exceeds the product bound 729"),
+    (3, 10000000, "group order 3^10000000 exceeds the product bound 729"),
 ])
 def test_essential_guards_refuse_up_front(capsys, ell, rank, message):
     start = time.perf_counter()
@@ -182,6 +184,22 @@ def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
                     "--q", "13", "--ell", "3")
     assert code == 0
     assert "KCLASSES\t12" in out
+
+
+def test_elliptic_report_over_an_extension_field_does_no_digit_coding(monkeypatch, capsys):
+    from sl2cohom import curve
+
+    curve.get_field(curve.FiniteFieldSpec(3, 5))
+
+    def refuse(*args):
+        raise AssertionError("the report path coded base-p digits")
+
+    monkeypatch.setattr(curve.FiniteField, "_decode", refuse)
+    monkeypatch.setattr(curve.FiniteField, "_encode", refuse)
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                    "--q", "243", "--ell", "11")
+    assert code == 0
+    assert "KCLASSES\t123\n" in out
 
 
 def test_elliptic_report_walks_the_field_once(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import structure_from_element_set
+from brute import digitwise_add, digitwise_neg, structure_from_element_set
 from sl2cohom.abelian import (
     FinGenAbGroup,
     GroupHom,
@@ -52,6 +52,19 @@ def test_field_distributivity_spot_checks():
         left = field.mul(a, field.add(b, c))
         right = field.add(field.mul(a, b), field.mul(a, c))
         assert left == right
+
+
+ZECH_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11) for e in range(2, 8)
+               if p ** e <= 125] + [(3, 5)]
+
+
+@pytest.mark.parametrize("p,e", ZECH_FIELDS)
+def test_zech_addition_matches_digitwise_addition(p, e):
+    field = get_field(FiniteFieldSpec(p, e))
+    for a in field.elements():
+        assert field.neg(a) == digitwise_neg(field, a)
+        assert [field.add(a, b) for b in field.elements()] == \
+            [digitwise_add(field, a, b) for b in field.elements()]
 
 
 def full_walk_generator(field):

@@ -43,6 +43,8 @@ CASES = {
     "essential_3_4": ["essential", "--ell", "3", "--rank", "4"],
     "essential_2_6": ["essential", "--ell", "2", "--rank", "6"],
     "essential_7_3": ["essential", "--ell", "7", "--rank", "3"],
+    "verify_machine": ["verify"],
+    "verify_human": ["verify", "--mode", "human"],
 }
 
 
