@@ -10,8 +10,10 @@ after construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 from math import prod
+from operator import mul
 
 # the largest group whose elements the oracles may list
 ENUMERATION_BOUND = 10**6
@@ -263,11 +265,11 @@ class FinGenAbGroup:
             orders.extend(g.orders)
         return cls.from_cyclic_orders(orders)
 
-    @property
+    @cached_property
     def ngens(self) -> int:
         return self.free_rank + len(self.invariant_factors)
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return (0,) * self.free_rank + self.invariant_factors
 
@@ -289,10 +291,10 @@ class FinGenAbGroup:
         return (0,) * self.ngens
 
     def reduce_element(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ngens:
             raise ValueError(f"element needs {self.ngens} coordinates, got {len(coords)}")
-        return tuple(c if o == 0 else c % o for c, o in zip(coords, self.orders))
+        return tuple(c % o if o else c for c, o in zip(coords, self.orders))
 
     def validate_element(self, coords) -> tuple[int, ...]:
         coords = tuple(int(c) for c in coords)
@@ -367,10 +369,25 @@ class GroupHom:
         return cls(domain, codomain, [[0] * domain.ngens for _ in range(codomain.ngens)])
 
     def apply(self, x) -> tuple[int, ...]:
-        x = tuple(int(c) for c in x)
+        x = tuple(map(int, x))
         if len(x) != self.domain.ngens:
             raise ValueError("element has wrong length for the domain")
-        return self.codomain.reduce_element(_matvec(self.matrix, x))
+        sums = [sum(map(mul, row, x)) for row in self.matrix]
+        return tuple(s % o if o else s for s, o in zip(sums, self.codomain.orders))
+
+    @cached_property
+    def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
+        """(left, diag, right) of [matrix | codomain relations], once per map.
+
+        ``kernel``, ``cokernel`` and ``contains_in_image`` all read this one
+        Smith form; its parts are tuples, so no reader can change them.
+        """
+        orders = self.codomain.orders
+        torsion = [i for i, p in enumerate(orders) if p > 0]
+        rows = [list(row) + [orders[i] if i == k else 0 for k in torsion]
+                for i, row in enumerate(self.matrix)]
+        left, _, diag, right = _snf(rows, len(rows), self.domain.ngens + len(torsion))
+        return left, diag, right
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -412,18 +429,6 @@ class Orbit:
 # kernels, cokernels, image membership
 # ---------------------------------------------------------------------------
 
-def _augmented_matrix(f: GroupHom):
-    """[matrix | codomain relation columns], with column count returned."""
-    h = f.codomain
-    torsion = [i for i, p in enumerate(h.orders) if p > 0]
-    m, n = h.ngens, f.domain.ngens
-    rows = []
-    for i in range(m):
-        rel = [h.orders[i] if i == k else 0 for k in torsion]
-        rows.append(list(f.matrix[i]) + rel)
-    return rows, m, n, n + len(torsion)
-
-
 def _column_lattice_basis(columns, dim: int):
     """Basis (as column vectors) of the lattice spanned by the given columns."""
     if not columns:
@@ -460,8 +465,9 @@ def _solve_integer(mat, nrows, ncols, targets):
 def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Kernel subgroup in canonical form with its inclusion into the domain."""
     g = f.domain
-    rows, m, n, width = _augmented_matrix(f)
-    _, _, diag, right = _snf(rows, m, width)
+    n = g.ngens
+    _, diag, right = f._smith
+    width = len(right)
     span = []
     for j in range(width):
         if j >= len(diag) or diag[j] == 0:
@@ -492,8 +498,8 @@ def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
 def cokernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Cokernel in canonical form with the projection from the codomain."""
     h = f.codomain
-    rows, m, n, width = _augmented_matrix(f)
-    left, _, diag, _ = _snf(rows, m, width)
+    m = h.ngens
+    left, diag, _ = f._smith
     gen_orders = [diag[i] if i < len(diag) else 0 for i in range(m)]
     free_rows = [i for i, o in enumerate(gen_orders) if o == 0]
     torsion_rows = [i for i, o in enumerate(gen_orders) if o > 1]
@@ -506,10 +512,9 @@ def cokernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
 def contains_in_image(f: GroupHom, y) -> bool:
     """Exact image-membership test via Smith normal form (no enumeration)."""
     y = f.codomain.validate_element(y)
-    rows, m, n, width = _augmented_matrix(f)
-    left, _, diag, _ = _snf(rows, m, width)
-    c = _matvec(left, list(y))
-    for i in range(m):
+    left, diag, _ = f._smith
+    c = _matvec(left, y)
+    for i in range(len(c)):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
             if c[i] != 0:

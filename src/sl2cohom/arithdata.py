@@ -28,6 +28,10 @@ from .abelian import (
     smith_normal_form,
 )
 
+# the largest unit rank a datum may carry: a report's component rings have
+# this rank, and its work and output grow with it
+MAX_UNIT_RANK = 2000
+
 
 class DatumError(Exception):
     """Base class for datum-file problems."""
@@ -266,6 +270,10 @@ class ArithmeticDatum:
             raise DatumConsistencyError("coker_nm1_finite", "coker(Nm1) must be finite")
         if self.unit_rank_K < 0 or self.ker_nm1_rank < 0:
             raise DatumConsistencyError("ranks_nonnegative", "unit ranks must be nonnegative")
+        rank = max(self.unit_rank_K, self.ker_nm1_rank)
+        if rank > MAX_UNIT_RANK:
+            raise DatumConsistencyError(
+                "unit_rank_bound", f"unit rank {rank} exceeds the unit-rank bound {MAX_UNIT_RANK}")
         if self.nm0.domain != self.cl_A or self.nm0.codomain != self.cl_K:
             raise DatumConsistencyError("nm0_shape", "nm0 must map cl_A to cl_K")
         try:

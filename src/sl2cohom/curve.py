@@ -334,17 +334,21 @@ def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
         raise SingularCurveError("discriminant 4a^3 + 27b^2 vanishes")
 
 
-def _cubic_values(curve: EllipticMinusPoint, field: FiniteField):
-    """(x, x^3 + ax + b) for every x in the field, once the curve is checked."""
+def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
+    """The list of x^3 + ax + b, indexed by x, once the curve is checked."""
     _check_elliptic(curve, field)
-    for x in field.elements():
-        yield x, field.add(field.mul(field.add(field.mul(x, x), curve.a), x), curve.b)
+    a, b = curve.a, curve.b
+    if field.e == 1:
+        p = field.p
+        return [((x * x + a) * x + b) % p for x in range(p)]
+    add, mul = field.add, field.mul
+    return [add(mul(add(mul(x, x), a), x), b) for x in field.elements()]
 
 
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
     """All rational points, point at infinity encoded as None."""
     points = [None]
-    for x, rhs in _cubic_values(curve, field):
+    for x, rhs in enumerate(_cubic_values(curve, field)):
         if rhs == 0:
             points.append((x, 0))
         elif field.is_square(rhs):
@@ -357,15 +361,15 @@ def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
 def _point_tally(curve: EllipticMinusPoint, field: FiniteField) -> tuple[int, int]:
     """(#E, number of roots of the cubic) from one pass over the field.
 
-    #E is q + 1 + sum chi(x^3 + ax + b) over the quadratic character chi.
+    A root gives one point and a nonzero square two, so #E = 1 + roots +
+    2 * squares, which is q + 1 + sum chi(x^3 + ax + b) over the quadratic
+    character chi.  A nonzero value is a square exactly when its log is even.
     """
-    total, roots = field.q + 1, 0
-    for _, rhs in _cubic_values(curve, field):
-        if not rhs:
-            roots += 1
-        else:
-            total += 1 if field.is_square(rhs) else -1
-    return total, roots
+    values = _cubic_values(curve, field)
+    roots = values.count(0)
+    log = field.log
+    squares = sum(1 for v in values if v and not log[v] & 1)
+    return 1 + roots + 2 * squares, roots
 
 
 def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:

@@ -12,6 +12,7 @@ so two runs produce identical results.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
@@ -157,27 +158,30 @@ def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
 
 def monomial_count_oracle(kind: str, rank: int, degree: int,
                           laurent_window: int = 40) -> int:
-    """Blind monomial enumeration for the four component shapes."""
+    """Blind monomial enumeration for the four component shapes.
+
+    Every subset of the rank generators is listed, then tallied by size
+    once; the monomials are counted over sizes with their multiplicities.
+    """
     count = 0
-    subsets = [frozenset(c) for k in range(rank + 1)
-               for c in combinations(range(rank), k)]
+    sizes = Counter(len(c) for k in range(rank + 1) for c in combinations(range(rank), k))
     if kind in ("NonInvariant", "Invariant"):
         for m in range(-laurent_window, laurent_window + 1):
-            for t in subsets:
-                if 2 * m + len(t) != degree:
+            for size, subsets in sizes.items():
+                if 2 * m + size != degree:
                     continue
-                if kind == "Invariant" and (m + len(t)) % 2:
+                if kind == "Invariant" and (m + size) % 2:
                     continue
-                count += 1
+                count += subsets
         return count
     for m in range(0, laurent_window + 1):
         for delta in (0, 1):
-            for t in subsets:
-                if 2 * m + delta + len(t) != degree:
+            for size, subsets in sizes.items():
+                if 2 * m + delta + size != degree:
                     continue
-                if kind == "MonomialFF" and (m + delta + len(t)) % 2:
+                if kind == "MonomialFF" and (m + delta + size) % 2:
                     continue
-                count += 1
+                count += subsets
     return count
 
 

@@ -5,11 +5,13 @@ check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, graded dimensions from blind
 monomial enumeration, class numbers from reduced-form counts, the
 essential product from multiplying out all its linear factors, and
-GF(p^e) addition from the base-p digits of the element encodings.
+GF(p^e) arithmetic from the base-p digits of the element encodings, and
+elliptic point counts from Euler's criterion on those digits.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup
@@ -156,8 +158,10 @@ def group_elements(g: FinGenAbGroup):
 
 
 def apply_matrix(matrix, orders, x) -> tuple[int, ...]:
-    """Image of x under an integer matrix, reduced modulo the given orders."""
-    return tuple(sum(a * b for a, b in zip(row, x)) % o for row, o in zip(matrix, orders))
+    """Image of x under an integer matrix, reduced modulo the given orders
+    (an order of 0 is a free coordinate, left as it is)."""
+    values = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    return tuple(v % o if o else v for v, o in zip(values, orders))
 
 
 def orbits_on_pairs(left, left_map, right, right_map):
@@ -275,3 +279,48 @@ def digitwise_add(field, a: int, b: int) -> int:
 def digitwise_neg(field, a: int) -> int:
     """-a in GF(p^e): each base-p digit of the encoding negated modulo p."""
     return _undigits([-x % field.p for x in _digits(a, field.p, field.e)], field.p)
+
+
+def digitwise_mul(field, a: int, b: int) -> int:
+    """a * b in GF(p^e): the digit polynomials multiplied and reduced by
+    the field's monic modulus, without its exp/log tables."""
+    p, e = field.p, field.e
+    if e == 1:
+        return a * b % p
+    out = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            out[i + j] += x * y
+    for top in range(2 * e - 2, e - 1, -1):
+        c = out[top] % p
+        for j, m in enumerate(field.modulus):
+            out[top - e + j] -= c * m
+    return _undigits([c % p for c in out[:e]], p)
+
+
+@lru_cache(maxsize=None)
+def euler_characters(field) -> tuple[int, ...]:
+    """chi(v) = v^((q-1)/2) in {0, 1, -1} for every encoding v (Euler's criterion)."""
+    half = (field.q - 1) // 2
+    chi = []
+    for v in range(field.q):
+        power, base, n = 1, v, half
+        while n:
+            if n & 1:
+                power = digitwise_mul(field, power, base)
+            base = digitwise_mul(field, base, base)
+            n >>= 1
+        chi.append(0 if v == 0 else 1 if power == 1 else -1)
+    return tuple(chi)
+
+
+def character_sum_tally(field, a: int, b: int) -> tuple[int, int]:
+    """(q + 1 + sum chi(x^3 + ax + b), number of roots of the cubic), by digits."""
+    chi = euler_characters(field)
+    total, roots = field.q + 1, 0
+    for x in range(field.q):
+        x2a = digitwise_add(field, digitwise_mul(field, x, x), a)
+        value = digitwise_add(field, digitwise_mul(field, x2a, x), b)
+        total += chi[value]
+        roots += value == 0
+    return total, roots

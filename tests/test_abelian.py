@@ -20,7 +20,13 @@ from sl2cohom.abelian import (
     smith_normal_form,
     two_torsion_order,
 )
-from brute import all_hom_matrices, permanent_style_det, structure_from_element_set
+from brute import (
+    all_hom_matrices,
+    apply_matrix,
+    permanent_style_det,
+    structure_from_element_set,
+)
+from sl2cohom.oracles import random_hom
 
 
 def matmul(a, b):
@@ -345,3 +351,82 @@ def test_kernel_cokernel_membership_match_enumeration():
         assert c.order * len(image) == cod.order
         for y in cod.elements():
             assert contains_in_image(f, y) == (y in image)
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic and the one Smith form per map
+# ---------------------------------------------------------------------------
+
+def random_mixed_hom(rng):
+    """A seeded map between groups with free and torsion parts."""
+    def group():
+        return FinGenAbGroup.from_cyclic_orders(
+            [rng.choice((0, 0, 2, 3, 4, 6, 9, 12)) for _ in range(rng.randint(0, 3))])
+    return random_hom(rng, group(), group())
+
+
+def random_element(rng, group):
+    return group.reduce_element([rng.randint(-30, 30) for _ in range(group.ngens)])
+
+
+def test_apply_and_reduce_match_coordinatewise_arithmetic():
+    rng = random.Random(3141)
+    for _ in range(200):
+        f = random_mixed_hom(rng)
+        for _ in range(5):
+            raw = [rng.randint(-50, 50) for _ in range(f.domain.ngens)]
+            reduced = f.domain.reduce_element(raw)
+            assert reduced == tuple(c % o if o else c for c, o in zip(raw, f.domain.orders))
+            assert f.apply(raw) == apply_matrix(f.matrix, f.codomain.orders, raw)
+            assert f.apply(reduced) == f.apply(raw)
+
+
+def test_wrong_length_elements_are_refused():
+    g = FinGenAbGroup(1, (2, 6))
+    f = GroupHom.identity(g)
+    with pytest.raises(ValueError, match="element needs 3 coordinates, got 2"):
+        g.reduce_element((1, 1))
+    with pytest.raises(ValueError, match="element has wrong length for the domain"):
+        f.apply((1, 1, 1, 1))
+
+
+def augmented(f):
+    """[matrix | codomain relations], built independently of the package."""
+    torsion = [i for i, o in enumerate(f.codomain.orders) if o]
+    return [list(row) + [f.codomain.orders[i] if i == k else 0 for k in torsion]
+            for i, row in enumerate(f.matrix)]
+
+
+def test_one_smith_form_per_map(monkeypatch):
+    from sl2cohom import abelian
+
+    calls = []
+    snf = abelian._snf
+
+    def counting(matrix, nrows, ncols):
+        calls.append([list(row) for row in matrix])
+        return snf(matrix, nrows, ncols)
+
+    monkeypatch.setattr(abelian, "_snf", counting)
+    rng = random.Random(99)
+    f = random_hom(rng, FinGenAbGroup(1, (2, 6)), FinGenAbGroup(0, (4, 12)))
+    cokernel(f)
+    for y in list(f.codomain.elements())[:20]:
+        contains_in_image(f, y)
+    assert len(calls) == 1
+    kernel(f)
+    assert calls.count(augmented(f)) == 1
+
+
+def test_shared_smith_form_matches_a_fresh_map():
+    rng = random.Random(2718)
+    for _ in range(200):
+        f = random_mixed_hom(rng)
+        targets = [random_element(rng, f.codomain) for _ in range(5)]
+        first = [contains_in_image(f, y) for y in targets], cokernel(f), kernel(f)
+        assert cokernel(f) == first[1]  # the cached transforms were not changed
+        fresh = GroupHom(f.domain, f.codomain, f.matrix)
+        assert fresh == f
+        k = kernel(fresh)
+        assert (k, cokernel(fresh)) == (first[2], first[1])
+        assert [contains_in_image(fresh, y) for y in targets] == first[0]

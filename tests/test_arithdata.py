@@ -7,6 +7,7 @@ from sl2cohom.arithdata import (
     ArithmeticDatum,
     DatumConsistencyError,
     DatumParseError,
+    MAX_UNIT_RANK,
     QuadraticForm,
     build_split_datum,
     class_group_imaginary_quadratic,
@@ -124,6 +125,13 @@ def test_split_datum_two_torsion_orbits_all_fixed():
     k, _ = kernel(datum.nm0)
     orbits = involution_orbits(k, datum.sigma)
     assert len(orbits) == 4 and all(o.fixed for o in orbits)
+
+
+def test_unit_rank_bound_is_inclusive():
+    assert build_split_datum(FinGenAbGroup.trivial(), MAX_UNIT_RANK, 3).unit_rank_K == 2000
+    with pytest.raises(DatumConsistencyError, match="unit rank 2001 exceeds") as err:
+        build_split_datum(FinGenAbGroup.trivial(), MAX_UNIT_RANK + 1, 3)
+    assert err.value.invariant == "unit_rank_bound"
 
 
 def test_split_datum_kernel_size_matches_class_number():

@@ -155,6 +155,23 @@ def test_rejection_paths_exit_one(capsys):
         assert time.perf_counter() - start < 1.0, argv
 
 
+def test_unit_rank_bound_refuses_up_front(tmp_path, capsys):
+    big = tmp_path / "big_rank.datum"
+    good = (FIXTURE_DIR / "q_zeta23.datum").read_text()
+    big.write_text(good.replace("unit_rank_K = 11", "unit_rank_K = 5000"))
+    for argv, rank in [
+        (("--split-class-group", "2", "--ell", "3", "--unit-rank", "2001"), 2001),
+        (("--split-class-group", "2", "--ell", "3", "--unit-rank", "100000"), 100000),
+        (("--datum", str(big)), 5000),
+    ]:
+        start = time.perf_counter()
+        code, out = run(capsys, "analyze-nf", *argv)
+        assert code == 1, argv
+        assert out == (f"ERROR\tconsistency violation [unit_rank_bound]: unit rank {rank} "
+                       f"exceeds the unit-rank bound 2000\n"), argv
+        assert time.perf_counter() - start < 1.0, argv
+
+
 def test_degree_bound_range_is_inclusive(capsys):
     for bound in ("0", str(MAX_DEGREE_BOUND)):
         code, out = run(capsys, "analyze-ff", "--preset", "p1_minus_infty",

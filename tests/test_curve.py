@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from brute import digitwise_add, digitwise_neg, structure_from_element_set
+from brute import (
+    character_sum_tally,
+    digitwise_add,
+    digitwise_neg,
+    structure_from_element_set,
+)
 from sl2cohom.abelian import (
     FinGenAbGroup,
     GroupHom,
@@ -13,6 +18,8 @@ from sl2cohom.abelian import (
     two_torsion_order,
 )
 from sl2cohom.curve import (
+    _cubic_values,
+    _point_tally,
     EllipticMinusPoint,
     FiniteFieldSpec,
     P1Minus,
@@ -163,6 +170,30 @@ def test_character_count_agrees_with_enumeration():
                 except SingularCurveError:
                     continue
                 assert by_enum == count_points_elliptic(curve, field)
+
+
+def tally_curves():
+    """Every curve over q in {3, 5, 7, 9, 25}, and y^2 = x^3 + x + 1 over GF(3^5)."""
+    for q in (3, 5, 7, 9, 25):
+        for a in range(q):
+            for b in range(q):
+                yield get_field(field_spec_from_order(q)), EllipticMinusPoint(a, b)
+    yield get_field(FiniteFieldSpec(3, 5)), EllipticMinusPoint(1, 1)
+
+
+def test_cubic_values_and_tally_match_per_point_evaluation():
+    checked = 0
+    for field, curve in tally_curves():
+        try:
+            values = _cubic_values(curve, field)
+        except SingularCurveError:
+            continue
+        add, mul = field.add, field.mul
+        assert values == [add(mul(add(mul(x, x), curve.a), x), curve.b)
+                          for x in range(field.q)], (field.q, curve)
+        assert _point_tally(curve, field) == character_sum_tally(field, curve.a, curve.b)
+        checked += 1
+    assert checked > 600
 
 
 def test_hasse_bound_sample():

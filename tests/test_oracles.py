@@ -5,7 +5,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from brute import structure_from_element_set
+from brute import shape_dimension_by_enumeration, structure_from_element_set
 from sl2cohom import oracles
 from sl2cohom.abelian import FinGenAbGroup, kernel, cokernel
 from sl2cohom.oracles import brute_structure_from_elements, random_finite_group
@@ -57,3 +57,11 @@ def test_kernel_cokernel_suite_catches_a_wrong_structure(monkeypatch, name, fast
     monkeypatch.setattr(oracles, name, wrong)
     result = oracles.suite_kernel_cokernel_enumeration()
     assert not result.passed and "mismatch" in result.detail
+
+
+@pytest.mark.parametrize("kind", ["NonInvariant", "Invariant", "UnitsFF", "MonomialFF"])
+def test_monomial_count_oracle_matches_enumeration(kind):
+    for rank in range(7):
+        for degree in range(-4, 13):
+            assert (oracles.monomial_count_oracle(kind, rank, degree)
+                    == shape_dimension_by_enumeration(kind, rank, degree)), (rank, degree)
