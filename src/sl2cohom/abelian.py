@@ -77,46 +77,38 @@ def _matmul(a, b) -> list[list[int]]:
     return out
 
 
-def _matvec(a, v) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
 def _snf(matrix, nrows: int, ncols: int):
     """Smith normal form with transforms.
 
-    Returns (left, left_inv, diag, right) where left * matrix * right is
+    Returns (left, diag, right, right_inv) where left * matrix * right is
     diagonal with entries ``diag`` forming a divisibility chain of
-    nonnegative integers (zeros last); left and right are unimodular.
+    nonnegative integers (zeros last); left and right are unimodular and
+    right_inv is the inverse of right.
     """
     a = [list(row) for row in matrix]
     left = _identity(nrows)
-    left_inv = _identity(nrows)
     right = _identity(ncols)
+    right_inv = _identity(ncols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         left[i], left[j] = left[j], left[i]
-        for r in left_inv:
-            r[i], r[j] = r[j], r[i]
 
     def negate_row(i):
         a[i] = [-v for v in a[i]]
         left[i] = [-v for v in left[i]]
-        for r in left_inv:
-            r[i] = -r[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
         a[i] = [u + q * v for u, v in zip(a[i], a[j])]
         left[i] = [u + q * v for u, v in zip(left[i], left[j])]
-        for r in left_inv:
-            r[j] -= q * r[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in right:
             r[i], r[j] = r[j], r[i]
+        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def add_col(j, i, q):
         # col_j += q * col_i
@@ -124,6 +116,7 @@ def _snf(matrix, nrows: int, ncols: int):
             r[j] += q * r[i]
         for r in right:
             r[j] += q * r[i]
+        right_inv[i] = [u - q * v for u, v in zip(right_inv[i], right_inv[j])]
 
     def move_min_pivot(t) -> bool:
         # smallest nonzero entry of the trailing block becomes the pivot
@@ -186,7 +179,7 @@ def _snf(matrix, nrows: int, ncols: int):
             add_row(t, violation, 1)
 
     diag = tuple(a[i][i] for i in range(limit))
-    return _freeze(left), _freeze(left_inv), diag, _freeze(right)
+    return _freeze(left), diag, _freeze(right), _freeze(right_inv)
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
@@ -201,7 +194,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
-    left, _, diag, right = _snf(rows, nrows, ncols)
+    left, diag, right, _ = _snf(rows, nrows, ncols)
     return left, diag, right
 
 
@@ -376,8 +369,8 @@ class GroupHom:
         return tuple(s % o if o else s for s, o in zip(sums, self.codomain.orders))
 
     @cached_property
-    def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
-        """(left, diag, right) of [matrix | codomain relations], once per map.
+    def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix, IntMatrix]:
+        """(left, diag, right, right_inv) of [matrix | codomain relations], once per map.
 
         ``kernel``, ``cokernel`` and ``contains_in_image`` all read this one
         Smith form; its parts are tuples, so no reader can change them.
@@ -386,8 +379,7 @@ class GroupHom:
         torsion = [i for i, p in enumerate(orders) if p > 0]
         rows = [list(row) + [orders[i] if i == k else 0 for k in torsion]
                 for i, row in enumerate(self.matrix)]
-        left, _, diag, right = _snf(rows, len(rows), self.domain.ngens + len(torsion))
-        return left, diag, right
+        return _snf(rows, len(rows), self.domain.ngens + len(torsion))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -429,91 +421,63 @@ class Orbit:
 # kernels, cokernels, image membership
 # ---------------------------------------------------------------------------
 
-def _column_lattice_basis(columns, dim: int):
-    """Basis (as column vectors) of the lattice spanned by the given columns."""
-    if not columns:
-        return []
-    mat = [[col[i] for col in columns] for i in range(dim)]
-    _, left_inv, diag, _ = _snf(mat, dim, len(columns))
-    basis = []
-    for j, d in enumerate(diag):
-        if d:
-            basis.append([left_inv[i][j] * d for i in range(dim)])
-    return basis
-
-
-def _solve_integer(mat, nrows, ncols, targets):
-    """One integer solution of mat*x = y for each target y (all solvable)."""
-    left, _, diag, right = _snf(mat, nrows, ncols)
-    solutions = []
-    for y in targets:
-        c = _matvec(left, y)
-        z = [0] * ncols
-        for i in range(nrows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    raise ArithmeticError("inconsistent integer system")
-            else:
-                if c[i] % d:
-                    raise ArithmeticError("inconsistent integer system")
-                z[i] = c[i] // d
-        solutions.append(_matvec(right, z))
-    return solutions
+def _diagonal_quotient(diag, size: int) -> tuple[FinGenAbGroup, list[int]]:
+    """Z^size modulo diag (padded with zeros) in canonical form, with the
+    indices of its generators: free ones first, factors 1 dropped."""
+    orders = list(diag) + [0] * (size - len(diag))
+    keep = [i for i, o in enumerate(orders) if o == 0] + [i for i, o in enumerate(orders) if o > 1]
+    return FinGenAbGroup(orders.count(0), tuple(o for o in orders if o > 1)), keep
 
 
 def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
-    """Kernel subgroup in canonical form with its inclusion into the domain."""
+    """Kernel subgroup in canonical form with its inclusion into the domain.
+
+    With A = [matrix | codomain relations], the null columns of the shared
+    transform ``right``, cut to the domain rows, are a basis B of the lattice
+    L of integer vectors that f sends to the codomain relations: projecting
+    ker A onto the domain is injective, as the relation columns are nonzero
+    on distinct rows.  The kernel is L modulo the domain relations; their
+    coordinates in B are read off ``right_inv``, and one Smith form of that
+    relation matrix (none for a free domain) puts the quotient in canonical
+    form (Cohen, GTM 138, section 2.4).
+    """
     g = f.domain
     n = g.ngens
-    _, diag, right = f._smith
-    width = len(right)
-    span = []
-    for j in range(width):
-        if j >= len(diag) or diag[j] == 0:
-            span.append([right[i][j] for i in range(n)])
-    basis = _column_lattice_basis(span, n)
-    r = len(basis)
-    torsion = [(j, o) for j, o in enumerate(g.orders) if o > 0]
-    if r == 0:
-        k = FinGenAbGroup.trivial()
-        return k, GroupHom(k, g, [[] for _ in range(g.ngens)])
-    basis_mat = [[basis[c][i] for c in range(r)] for i in range(n)]
-    targets = []
+    _, diag, right, right_inv = f._smith
+    null = [j for j in range(len(right)) if j >= len(diag) or diag[j] == 0]
+    basis = [[right[i][j] for j in null] for i in range(n)]
+    torsion = [(j, o) for j, o in enumerate(g.orders) if o]
+    if not torsion:
+        k = FinGenAbGroup(len(null), ())
+        return k, GroupHom(k, g, basis)
+    # the relation o*e_j lifts to (o*e_j, -o*M[i][j]/p_i) in ker A; the
+    # division is exact because f is a homomorphism
+    cod_torsion = [(i, p) for i, p in enumerate(f.codomain.orders) if p]
+    rel = []
     for j, o in torsion:
-        targets.append([o if i == j else 0 for i in range(n)])
-    coeffs = _solve_integer(basis_mat, n, r, targets)
-    rel = [[coeffs[c][i] for c in range(len(torsion))] for i in range(r)]
-    _, left_inv2, diag2, _ = _snf(rel, r, len(torsion))
-    new_basis = _matmul(basis_mat, left_inv2)
-    gen_orders = [diag2[i] if i < len(diag2) else 0 for i in range(r)]
-    free_cols = [i for i, o in enumerate(gen_orders) if o == 0]
-    torsion_cols = [i for i, o in enumerate(gen_orders) if o > 1]
-    k = FinGenAbGroup(len(free_cols), tuple(gen_orders[i] for i in torsion_cols))
-    keep = free_cols + torsion_cols
-    incl = [[new_basis[i][c] for c in keep] for i in range(n)]
+        lift = [0] * n + [-o * f.matrix[i][j] // p for i, p in cod_torsion]
+        lift[j] = o
+        rel.append([sum(map(mul, right_inv[c], lift)) for c in null])
+    # rel is (domain relations) x (basis B); with L' rel R' = D', the rows of
+    # R'^-1 give the canonical generators in B
+    _, diag2, _, gens = _snf(rel, len(rel), len(null))
+    k, keep = _diagonal_quotient(diag2, len(null))
+    incl = [[sum(map(mul, row, gens[c])) for c in keep] for row in basis]
     return k, GroupHom(k, g, incl)
 
 
 def cokernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Cokernel in canonical form with the projection from the codomain."""
-    h = f.codomain
-    m = h.ngens
-    left, diag, _ = f._smith
-    gen_orders = [diag[i] if i < len(diag) else 0 for i in range(m)]
-    free_rows = [i for i, o in enumerate(gen_orders) if o == 0]
-    torsion_rows = [i for i, o in enumerate(gen_orders) if o > 1]
-    c = FinGenAbGroup(len(free_rows), tuple(gen_orders[i] for i in torsion_rows))
-    keep = free_rows + torsion_rows
-    proj = [list(left[i]) for i in keep]
-    return c, GroupHom(h, c, proj)
+    left, diag, _, _ = f._smith
+    c, keep = _diagonal_quotient(diag, f.codomain.ngens)
+    return c, GroupHom(f.codomain, c, [left[i] for i in keep])
 
 
 def contains_in_image(f: GroupHom, y) -> bool:
     """Exact image-membership test via Smith normal form (no enumeration)."""
     y = f.codomain.validate_element(y)
-    left, diag, _ = f._smith
-    c = _matvec(left, y)
+    left, diag, _, _ = f._smith
+    c = [sum(map(mul, row, y)) for row in left]
     for i in range(len(c)):
         d = diag[i] if i < len(diag) else 0
         if d == 0:

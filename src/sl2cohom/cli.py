@@ -86,7 +86,11 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
         raise ValueError("provide --datum FILE or all of --split-class-group, "
                          "--unit-rank and --ell")
     text = args.split_class_group.strip()
-    factors = tuple(int(v) for v in text.split(",") if v != "") if text else ()
+    try:
+        factors = tuple(int(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise ValueError(f"bad --split-class-group list {text!r}; "
+                         "expected comma-separated integers") from None
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
     return build_split_datum(cl_k, args.unit_rank, args.ell)
 
@@ -100,6 +104,8 @@ def _degree_bound(args) -> int:
 
 def _cmd_analyze_nf(args) -> int:
     bound = _degree_bound(args)
+    if args.gate_n is not None and args.gate_n < 1:
+        raise ValueError(f"--gate-n {args.gate_n} must be at least 1")
     datum = _load_or_build_datum(args)
     decomposition = decompose_number_field(datum)
     lines = machine_lines_number_field(datum, bound, decomposition)
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--unit-rank", type=int, help="S-unit rank (split case)")
     nf.add_argument("--ell", type=int, help="odd prime (split case)")
     nf.add_argument("--gate-n", type=int,
-                    help="also run the refined hypothesis gate for this rank")
+                    help="also run the refined hypothesis gate for this rank (n >= 1)")
     nf.add_argument("--gate-s-infinite", action=argparse.BooleanOptionalAction,
                     default=True, help="S contains the infinite places")
     nf.add_argument("--gate-s-ell", action=argparse.BooleanOptionalAction,

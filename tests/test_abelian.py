@@ -1,4 +1,5 @@
 import random
+from itertools import product as cartesian
 from math import prod
 
 import pytest
@@ -115,6 +116,36 @@ def test_snf_reconstruction_and_chain(m):
         for d in diag:
             got *= d
         assert want == got
+
+
+def test_snf_right_inverse_and_diagonal_form():
+    from sl2cohom.abelian import _snf
+
+    rng = random.Random(1729)
+    cases = []
+    for rows, cols in [(0, 3), (3, 0), (0, 0), (1, 5), (5, 1), (1, 1), (4, 4), (3, 6), (6, 3)]:
+        cases.append(([[0] * cols for _ in range(rows)], rows, cols))
+        for _ in range(8):
+            cases.append(([[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)],
+                          rows, cols))
+    for _ in range(20):  # rank deficient: a product through a thinner matrix
+        rows, cols, inner = rng.randint(2, 6), rng.randint(2, 6), rng.randint(1, 2)
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        cases.append((matmul(a, b), rows, cols))
+    for m, rows, cols in cases:
+        left, diag, right, right_inv = _snf(m, rows, cols)
+        assert len(diag) == min(rows, cols)
+        assert len(left) == rows and len(right) == len(right_inv) == cols
+        assert all(len(r) == cols for r in right + right_inv)
+        for i in range(cols):
+            for j in range(cols):
+                assert sum(right[i][k] * right_inv[k][j] for k in range(cols)) == (i == j)
+        for i in range(rows):
+            for j in range(cols):
+                entry = sum(left[i][a] * m[a][b] * right[b][j]
+                            for a in range(rows) for b in range(cols))
+                assert entry == (diag[i] if i == j else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +461,56 @@ def test_shared_smith_form_matches_a_fresh_map():
         k = kernel(fresh)
         assert (k, cokernel(fresh)) == (first[2], first[1])
         assert [contains_in_image(fresh, y) for y in targets] == first[0]
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by fraction-free Gaussian elimination."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        j = next(j for j, v in enumerate(pivot) if v)
+        rows = [[pivot[j] * v - r[j] * u for u, v in zip(pivot, r)] for r in rows]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+    return rank
+
+
+def test_kernels_with_free_parts():
+    rng = random.Random(4242)
+    for _ in range(200):
+        f = random_mixed_hom(rng)
+        g, h = f.domain, f.codomain
+        k, incl = kernel(f)
+        assert incl.domain == k and incl.codomain == g
+        assert f.compose(incl) == GroupHom.zero(k, h)
+        window = {g.reduce_element(x) for x in cartesian(range(-4, 5), repeat=g.ngens)}
+        for x in window:
+            if f.apply(x) == h.zero():
+                assert contains_in_image(incl, x), (f, x)
+        free_block = [row[:g.free_rank] for row in f.matrix[:h.free_rank]]
+        assert k.free_rank == g.free_rank - rational_rank(free_block)
+
+
+def test_kernel_adds_one_smith_form_beyond_the_shared_one(monkeypatch):
+    from sl2cohom import abelian
+
+    calls = []
+    snf = abelian._snf
+
+    def counting(matrix, nrows, ncols):
+        calls.append((nrows, ncols))
+        return snf(matrix, nrows, ncols)
+
+    monkeypatch.setattr(abelian, "_snf", counting)
+    rng = random.Random(555)
+    seen = set()
+    for _ in range(100):
+        f = random_mixed_hom(rng)
+        f._smith
+        before = len(calls)
+        kernel(f)
+        free = not f.domain.invariant_factors
+        assert len(calls) - before == (0 if free else 1)
+        seen.add(free)
+    assert seen == {True, False}

@@ -155,6 +155,23 @@ def test_rejection_paths_exit_one(capsys):
         assert time.perf_counter() - start < 1.0, argv
 
 
+def test_gate_rank_below_one_is_refused_before_the_datum(capsys):
+    for n in ("0", "-1"):
+        for source in (("--datum", "q_zeta3.datum"), ("--datum", "no_such_file.datum")):
+            code, out = run(capsys, "analyze-nf", *source, "--gate-n", n)
+            assert (code, out) == (1, f"ERROR\t--gate-n {n} must be at least 1\n")
+    code, out = run(capsys, "analyze-nf", "--datum", "q_zeta3.datum", "--gate-n", "1")
+    assert code == 0 and "GATE\t" in out
+
+
+def test_bad_split_class_group_names_the_flag(capsys):
+    for text in ("x", "3,x", "2.5"):
+        code, out = run(capsys, "analyze-nf", "--split-class-group", text,
+                        "--unit-rank", "1", "--ell", "3")
+        assert (code, out) == (1, f"ERROR\tbad --split-class-group list {text!r}; "
+                                  "expected comma-separated integers\n")
+
+
 def test_unit_rank_bound_refuses_up_front(tmp_path, capsys):
     big = tmp_path / "big_rank.datum"
     good = (FIXTURE_DIR / "q_zeta23.datum").read_text()
