@@ -33,6 +33,11 @@ CASES = {
                                  "--ell", "3"],
     "split_2_4": ["analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3",
                   "--ell", "5"],
+    "q_zeta23_gate_2": ["analyze-nf", "--datum", "q_zeta23.datum", "--gate-n", "2"],
+    "q_zeta3_gate_1": ["analyze-nf", "--datum", "q_zeta3.datum", "--gate-n", "1"],
+    "split_2_4_gate_7_no_s_ell": ["analyze-nf", "--split-class-group", "2,4",
+                                  "--unit-rank", "3", "--ell", "5", "--gate-n", "7",
+                                  "--no-gate-s-ell"],
     "coker2": ["analyze-nf", "--datum", str(GOLDEN / "coker2.datum")],
     "elliptic_0_2_q7": ["analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2",
                         "--q", "7", "--ell", "3"],
