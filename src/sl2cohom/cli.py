@@ -8,13 +8,15 @@ grammar; human mode adds '#' commentary around the same lines.  Output
 is deterministic: identical inputs give byte-identical reports.
 
 Exit codes: 0 success, 1 input rejected (single ERROR line), 2 oracle or
-fixture verification failure, 3 internal self-check failure (single ERROR
-line).
+fixture verification failure (or an argparse usage error, on stderr), 3
+internal self-check failure (single ERROR line), 141 stdout closed before
+the report was written (nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -25,7 +27,6 @@ from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
     MAX_DEGREE_BOUND,
     ComponentBoundExceeded,
-    GateParams,
     detection_verdict,
     decompose_number_field,
     gate_line,
@@ -112,11 +113,10 @@ def _cmd_analyze_nf(args) -> int:
     if args.gate_n is not None:
         detection = detection_verdict(datum, decomposition, bound)
         hypothesis = "fails" if detection.outcome == "fails" else "unknown"
-        verdict = refined_gate(GateParams(
-            ell=datum.ell, n=args.gate_n, zeta_in_K=datum.split,
-            s_contains_infinite=args.gate_s_infinite,
-            s_contains_ell=args.gate_s_ell,
-            detection_hypothesis=hypothesis))
+        verdict = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,
+                               s_contains_infinite=args.gate_s_infinite,
+                               s_contains_ell=args.gate_s_ell,
+                               detection_hypothesis=hypothesis)
         lines.append(gate_line(verdict))
     _emit(lines, args.mode, "analyze-nf report")
     return 0
@@ -249,14 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"ERROR\t{exc}")
-        return 1
-    except ArithmeticError as exc:
-        # a failed self-check (freeness identity, Hasse bound, 2-torsion, tables)
-        print(f"ERROR\tinternal check failed: {exc}")
-        return 3
+        try:
+            code = args.func(args)
+        except _INPUT_ERRORS as exc:
+            print(f"ERROR\t{exc}")
+            code = 1
+        except ArithmeticError as exc:
+            # a failed self-check (freeness identity, Hasse bound, 2-torsion, tables)
+            print(f"ERROR\tinternal check failed: {exc}")
+            code = 3
+        sys.stdout.flush()  # a reader that closes early is caught here too
+        return code
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so that the flush at
+        # shutdown does not fail again; 141 = 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

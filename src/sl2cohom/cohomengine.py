@@ -30,13 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .abelian import (
-    FinGenAbGroup,
-    contains_in_image,
-    fixed_subgroup,
-    is_prime,
-    two_torsion_order,
-)
+from .abelian import contains_in_image, fixed_subgroup, is_prime, two_torsion_order
 from .arithdata import ArithmeticDatum
 from .curve import (
     CurveSpec,
@@ -162,35 +156,20 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ConjugacyClassSet:
-    """The set of conjugacy classes of elements of order ell.
-
-    It is an extension of ker(nm0) by coker(Nm1); only the cardinality
-    and the orbit counts of the order-two symmetry are used, so the set is
-    modeled as the product of the two groups, counted but never listed,
-    and the extension class is recorded as unresolved.
-    """
-
-    order: int
-    coker: FinGenAbGroup
-    ker: FinGenAbGroup
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """The direct-sum decomposition, stored as a count per component shape.
 
     ``shapes`` pairs each distinct component ring with its multiplicity,
     the fixed-class shape (``Invariant``/``MonomialFF``) first; component
     indices run consecutively through the shapes in that order.  For a
-    number field ``classes`` is the conjugacy-class set the components
-    are counted on.
+    number field ``classes`` is the number of conjugacy classes the
+    components are counted on.
     """
 
     shapes: tuple[tuple[ComponentRing, int], ...]
     nonvanishing: bool
     advisories: tuple[str, ...] = ()
-    classes: ConjugacyClassSet | None = None
+    classes: int | None = None
 
     def __post_init__(self):
         if not self.nonvanishing and self.shapes:
@@ -204,31 +183,6 @@ class Decomposition:
     def count(self) -> int:
         """Number of components (subgroup or Picard inversion classes)."""
         return sum(count for _, count in self.shapes)
-
-
-@dataclass(frozen=True)
-class ShapeFreeness:
-    shape: ComponentRing
-    base: str  # laurent | polynomial
-    basis_degrees: tuple[tuple[int, int], ...]  # (degree, multiplicity)
-
-
-@dataclass(frozen=True)
-class FreenessCertificate:
-    """Degreewise witness that each component is free over the periodic base.
-
-    It is kept once per component shape.  For every scanned degree n the
-    dimension of the shape equals the number of basis degrees congruent to
-    n mod 4 (for a polynomial base, also at most n).  The certificate
-    records in addition that the second Chern class restricts to the sum
-    of the squared degree-2 generators of the components, which acts as a
-    non-zero-divisor whenever the decomposition is non-empty.
-    """
-
-    shapes: tuple[ShapeFreeness, ...]
-    verified_up_to: int
-    chern_restriction: str
-    chern_non_zero_divisor: bool
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +202,19 @@ def nonvanishing(datum: ArithmeticDatum) -> Verdict:
     return Verdict(outcome="holds")
 
 
-def conjugacy_classes(datum: ArithmeticDatum,
-                      verdict: Verdict | None = None) -> ConjugacyClassSet:
-    """Conjugacy classes of order-ell elements, counted exactly.
+def conjugacy_classes(datum: ArithmeticDatum, verdict: Verdict | None = None) -> int:
+    """Number of conjugacy classes of order-ell elements, |coker(Nm1)| * |ker(nm0)|.
 
-    Requires non-vanishing; ``verdict`` is the datum's non-vanishing
-    verdict when the caller already has it.  The count is
-    |coker(Nm1)| * |ker(nm0)|.
+    The class set is an extension of ker(nm0) by coker(Nm1).  Only its
+    cardinality and the orbit counts of the order-two symmetry are used,
+    so it is modeled as the product of the two groups, counted but never
+    listed, and the extension class is left unresolved.  Requires
+    non-vanishing; ``verdict`` is the datum's non-vanishing verdict when
+    the caller already has it.
     """
     if (verdict or nonvanishing(datum)).outcome != "holds":
         raise ValueError("conjugacy classes require non-vanishing cohomology")
-    return ConjugacyClassSet(order=datum.coker_nm1.order * datum.ker_nm0.order,
-                             coker=datum.coker_nm1, ker=datum.ker_nm0)
+    return datum.coker_nm1.order * datum.ker_nm0.order
 
 
 def _orbit_shapes(fixed_kind: str, paired_kind: str, rank: int,
@@ -271,17 +226,16 @@ def _orbit_shapes(fixed_kind: str, paired_kind: str, rank: int,
 
 
 def subgroup_classes(datum: ArithmeticDatum,
-                     classes: ConjugacyClassSet) -> tuple[tuple[ComponentRing, int], ...]:
-    """Orbits of the order-two symmetry on the conjugacy-class set, counted.
+                     classes: int) -> tuple[tuple[ComponentRing, int], ...]:
+    """Orbits of the order-two symmetry on the ``classes`` conjugacy classes.
 
     The symmetry acts componentwise on the product model: by negation on
     coker(Nm1) and by the datum's sigma on ker(nm0).  Its fixed set is
     coker[2] x ker(sigma - 1), which gives the invariant subgroup classes;
     the other classes pair up into non-invariant ones.
     """
-    fixed = two_torsion_order(classes.coker) * fixed_subgroup(datum.sigma).order
-    return _orbit_shapes("Invariant", "NonInvariant", datum.ker_nm1_rank,
-                         classes.order, fixed)
+    fixed = two_torsion_order(datum.coker_nm1) * fixed_subgroup(datum.sigma).order
+    return _orbit_shapes("Invariant", "NonInvariant", datum.ker_nm1_rank, classes, fixed)
 
 
 def decompose_number_field(datum: ArithmeticDatum) -> Decomposition:
@@ -303,18 +257,6 @@ def decompose_number_field(datum: ArithmeticDatum) -> Decomposition:
 # function-field operations
 # ---------------------------------------------------------------------------
 
-def unit_rank_of_coordinate_ring(curve: CurveSpec) -> int:
-    """Free rank of the unit group of the coordinate ring.
-
-    For the projective line minus s closed points the units are constants
-    times s - 1 independent rational functions; a once-punctured elliptic
-    curve has only constant units.
-    """
-    if isinstance(curve, P1Minus):
-        return curve.punctures - 1
-    return 0
-
-
 def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
                              ell: int) -> Decomposition:
     """One component per inversion orbit of the Picard group.
@@ -324,60 +266,57 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     Self-inverse classes give the monomial-matrix shape, the others the
     unit-group shape.  Inversion is negation, so the self-inverse classes
     are the 2-torsion Pic[2]; an elliptic report counts #E and #E[2] and
-    never computes the group structure.
+    never computes the group structure.  The shapes' rank is the free rank
+    of the unit group of the coordinate ring: s - 1 for the projective
+    line minus s closed points (constants times s - 1 independent rational
+    functions), 0 for a once-punctured elliptic curve (constant units only).
     """
     if ell > 2 and (field_spec.q - 1) % ell:
         raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     if not is_prime(ell) or ell == 2:
         raise ValueError("ell must be an odd prime")
+    advisories = ()
     if isinstance(curve, P1Minus):
         check_punctures_exist(curve, field_spec.q)
         pic = pic_p1_minus(curve.puncture_degrees)
-        order, fixed = pic.order, two_torsion_order(pic)
+        order, fixed, rank = pic.order, two_torsion_order(pic), curve.punctures - 1
+        if curve.punctures >= 4:
+            advisories = (
+                f"punctures={curve.punctures} threshold=4 "
+                "nondetectable_classes_possible=true decomposition_covers_parabolic_part_only",)
     else:
         order, fixed = elliptic_order_and_two_torsion(curve, field_spec)
-    rank = unit_rank_of_coordinate_ring(curve)
-    shapes = _orbit_shapes("MonomialFF", "UnitsFF", rank, order, fixed)
-    advisories = []
-    if isinstance(curve, P1Minus) and curve.punctures >= 4:
-        advisories.append(
-            f"punctures={curve.punctures} threshold=4 "
-            "nondetectable_classes_possible=true decomposition_covers_parabolic_part_only")
-    return Decomposition(shapes=shapes, nonvanishing=True, advisories=tuple(advisories))
+        rank = 0
+    return Decomposition(shapes=_orbit_shapes("MonomialFF", "UnitsFF", rank, order, fixed),
+                         nonvanishing=True, advisories=advisories)
 
 
 # ---------------------------------------------------------------------------
 # freeness, detection, hypothesis gate
 # ---------------------------------------------------------------------------
 
-def _basis_count(entry: ShapeFreeness, n: int) -> int:
-    laurent = entry.base == "laurent"
-    return sum(m for d, m in entry.basis_degrees if (d - n) % 4 == 0 and (laurent or d <= n))
-
-
 def freeness_certificate(decomposition: Decomposition,
-                         up_to: int = DEFAULT_DEGREE_BOUND) -> FreenessCertificate:
-    """Basis-degree certificate, checked degreewise on [-up_to, up_to]
-    once per component shape."""
-    entries = []
+                         up_to: int = DEFAULT_DEGREE_BOUND) -> list[tuple[tuple[int, int], ...]]:
+    """The basis degrees of each component shape, in the order of
+    ``decomposition.shapes``, each checked degreewise on [-up_to, up_to].
+
+    For every scanned degree n the dimension of the shape equals the
+    number of basis degrees congruent to n mod 4 (for a polynomial base,
+    also at most n).
+    """
+    certificate = []
     for shape, _ in decomposition.shapes:
-        entry = ShapeFreeness(
-            shape=shape,
-            base="laurent" if shape.is_laurent else "polynomial",
-            basis_degrees=freeness_basis_degrees(shape))
+        degrees = freeness_basis_degrees(shape)
+        laurent = shape.is_laurent
         for n in range(-up_to, up_to + 1):
             expected = graded_dimension(shape, n)
-            got = _basis_count(entry, n)
+            got = sum(m for d, m in degrees if (d - n) % 4 == 0 and (laurent or d <= n))
             if expected != got:
                 raise ArithmeticError(
                     f"freeness identity failed for shape {shape.kind}({shape.rank}) "
                     f"in degree {n}: dimension {expected}, basis count {got}")
-        entries.append(entry)
-    return FreenessCertificate(
-        shapes=tuple(entries),
-        verified_up_to=up_to,
-        chern_restriction="sum_of_squared_degree2_generators",
-        chern_non_zero_divisor=bool(decomposition.shapes))
+        certificate.append(degrees)
+    return certificate
 
 
 def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
@@ -404,44 +343,34 @@ def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
                    note=f"no rank excess up to degree {up_to}")
 
 
-@dataclass(frozen=True)
-class GateParams:
-    ell: int
-    n: int
-    zeta_in_K: bool
-    s_contains_infinite: bool
-    s_contains_ell: bool
-    detection_hypothesis: str  # holds | fails | unknown
-
-    def __post_init__(self):
-        if self.detection_hypothesis not in ("holds", "fails", "unknown"):
-            raise ValueError("detection_hypothesis must be holds, fails or unknown")
-
-
-def refined_gate(params: GateParams) -> Verdict:
+def refined_gate(ell: int, n: int, *, zeta_in_K: bool, s_contains_infinite: bool,
+                 s_contains_ell: bool, detection_hypothesis: str) -> Verdict:
     """Hypothesis gate for the refined freeness conjecture in rank n.
 
     Checks that ell is prime, n < ell, the ell-th root of unity lies in K,
     S contains the infinite places and the places over ell, and that the
-    detection hypothesis holds.  Violations are listed; an unknown
-    detection hypothesis with everything else satisfied is inconclusive.
+    detection hypothesis holds; ``detection_hypothesis`` is holds, fails or
+    unknown.  Violations are listed; an unknown detection hypothesis with
+    everything else satisfied is inconclusive.
     """
+    if detection_hypothesis not in ("holds", "fails", "unknown"):
+        raise ValueError("detection_hypothesis must be holds, fails or unknown")
     violated = []
-    if not is_prime(params.ell):
+    if not is_prime(ell):
         violated.append("ell_prime")
-    if not params.n < params.ell:
+    if not n < ell:
         violated.append("n_less_than_ell")
-    if not params.zeta_in_K:
+    if not zeta_in_K:
         violated.append("zeta_ell_in_K")
-    if not params.s_contains_infinite:
+    if not s_contains_infinite:
         violated.append("S_contains_infinite_places")
-    if not params.s_contains_ell:
+    if not s_contains_ell:
         violated.append("S_contains_places_over_ell")
-    if params.detection_hypothesis == "fails":
+    if detection_hypothesis == "fails":
         violated.append("detection_on_finite_subgroups")
     if violated:
         return Verdict(outcome="fails", witness=tuple(violated))
-    if params.detection_hypothesis == "unknown":
+    if detection_hypothesis == "unknown":
         return Verdict(outcome="inconclusive",
                        note="detection hypothesis unknown")
     return Verdict(outcome="holds")
@@ -472,17 +401,19 @@ def _component_lines(decomposition: Decomposition, bound: int) -> list[str]:
     components: list[str] = []
     freeness: list[str] = []
     start = 0
-    for (shape, count), entry in zip(decomposition.shapes, certificate.shapes):
-        degrees = ",".join(f"{d}:{m}" for d, m in entry.basis_degrees)
+    for (shape, count), basis_degrees in zip(decomposition.shapes, certificate):
+        degrees = ",".join(f"{d}:{m}" for d, m in basis_degrees)
         ring = f"shape={shape.kind} {shape.rank_letter}={shape.rank} {_dims_field(shape, bound)}"
-        basis = (f"basis_degrees={degrees} base={entry.base} "
-                 f"verified_up_to={certificate.verified_up_to}")
+        base = "laurent" if shape.is_laurent else "polynomial"
+        basis = f"basis_degrees={degrees} base={base} verified_up_to={bound}"
         indices = range(start, start + count)
         components.extend([f"COMPONENT\t{i} {ring}" for i in indices])
         freeness.extend([f"FREENESS\tcomponent={i} {basis}" for i in indices])
         start += count
-    chern = (f"CHERN\trestriction={certificate.chern_restriction} "
-             f"non_zero_divisor={'true' if certificate.chern_non_zero_divisor else 'false'}")
+    # c2 restricts to the sum of the components' squared degree-2
+    # generators, a non-zero-divisor whenever there is a component
+    chern = ("CHERN\trestriction=sum_of_squared_degree2_generators "
+             f"non_zero_divisor={'true' if decomposition.shapes else 'false'}")
     return components + freeness + [chern]
 
 
@@ -498,7 +429,7 @@ def machine_lines_number_field(datum: ArithmeticDatum,
         decomposition = decompose_number_field(datum)
     lines = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
     if decomposition.nonvanishing:
-        lines.append(f"CCLASSES\t{decomposition.classes.order}")
+        lines.append(f"CCLASSES\t{decomposition.classes}")
         lines.append(f"KCLASSES\t{decomposition.count}")
         lines.extend(_component_lines(decomposition, bound))
     detection = detection_verdict(datum, decomposition, bound)

@@ -274,13 +274,9 @@ class FiniteField:
         return range(self.q)
 
 
-_FIELD_CACHE: dict[FiniteFieldSpec, FiniteField] = {}
-
-
 def get_field(spec: FiniteFieldSpec) -> FiniteField:
-    if spec not in _FIELD_CACHE:
-        _FIELD_CACHE[spec] = FiniteField(spec)
-    return _FIELD_CACHE[spec]
+    """The field's tables, built afresh: no command asks for a field twice."""
+    return FiniteField(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +318,13 @@ class EllipticMinusPoint:
 CurveSpec = P1Minus | EllipticMinusPoint
 
 
+def _check_odd_characteristic(p: int) -> None:
+    if p == 2:
+        raise SingularCurveError("y^2 = x^3 + ax + b is singular in characteristic 2")
+
+
 def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
-    if field.p == 2:
-        raise SingularCurveError(
-            "y^2 = x^3 + ax + b is singular in characteristic 2")
+    _check_odd_characteristic(field.p)
     if not (0 <= curve.a < field.q and 0 <= curve.b < field.q):
         raise ValueError("coefficients must be encoded field elements")
     four_a3 = field.mul(field.from_int(4), field.pow(curve.a, 3)) if curve.a else 0
@@ -384,7 +383,9 @@ def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
     #E[2] is the point at infinity plus one point (x, 0) per root of the
     cubic.  Both counts are checked: the Hasse bound
     |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
+    Characteristic 2 is refused before the field's tables are built.
     """
+    _check_odd_characteristic(spec.p)
     field = get_field(spec)
     order, roots = _point_tally(curve, field)
     if (order - field.q - 1) ** 2 > 4 * field.q:

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import sl2cohom
 from sl2cohom.cli import main
 from sl2cohom.cohomengine import MAX_DEGREE_BOUND
 
@@ -223,17 +227,40 @@ def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
 def test_elliptic_report_over_an_extension_field_does_no_digit_coding(monkeypatch, capsys):
     from sl2cohom import curve
 
-    curve.get_field(curve.FiniteFieldSpec(3, 5))
+    building = []
+    build_tables = curve.FiniteField._build_tables
 
-    def refuse(*args):
-        raise AssertionError("the report path coded base-p digits")
+    def tracked_build(self):
+        building.append(self.q)
+        try:
+            return build_tables(self)
+        finally:
+            building.pop()
 
-    monkeypatch.setattr(curve.FiniteField, "_decode", refuse)
-    monkeypatch.setattr(curve.FiniteField, "_encode", refuse)
+    def only_while_building(method):
+        def guarded(self, *args):
+            if not building:
+                raise AssertionError("the report path coded base-p digits")
+            return method(self, *args)
+        return guarded
+
+    monkeypatch.setattr(curve.FiniteField, "_build_tables", tracked_build)
+    for name in ("_decode", "_encode"):
+        monkeypatch.setattr(curve.FiniteField, name,
+                            only_while_building(getattr(curve.FiniteField, name)))
     code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                     "--q", "243", "--ell", "11")
     assert code == 0
     assert "KCLASSES\t123\n" in out
+
+
+def test_characteristic_two_is_refused_before_the_field_is_built(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                    "--q", "65536", "--ell", "3")
+    assert code == 1
+    assert out == "ERROR\ty^2 = x^3 + ax + b is singular in characteristic 2\n"
+    assert time.perf_counter() - start < 0.3
 
 
 def test_elliptic_report_walks_the_field_once(monkeypatch, capsys):
@@ -268,6 +295,26 @@ def test_forged_point_count_exits_three(monkeypatch, capsys, forged, message):
     assert code == 3
     assert out.startswith("ERROR\tinternal check failed: ") and out.count("\n") == 1
     assert message in out
+
+
+@pytest.mark.parametrize("argv,first_line", [
+    # the report is about 168 kB, more than a pipe holds, so the writer
+    # meets the closed pipe
+    (("analyze-nf", "--split-class-group", "2000", "--unit-rank", "1", "--ell", "3"),
+     b"NONVANISHING\tholds\n"),
+    (("analyze-nf", "--datum", "no_such.datum"), None),  # the ERROR line
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
+    env = dict(os.environ, PYTHONPATH=str(Path(sl2cohom.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "sl2cohom.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_degree_bound_belongs_to_the_analyze_commands(capsys):

@@ -8,7 +8,6 @@ from sl2cohom.arithdata import ArithmeticDatum, build_split_datum, load_datum
 from sl2cohom.cohomengine import (
     ComponentRing,
     Decomposition,
-    GateParams,
     Verdict,
     conjugacy_classes,
     decompose_function_field,
@@ -162,14 +161,13 @@ def test_nonvanishing_truth_table_random():
 
 def test_three_conjugacy_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    classes = conjugacy_classes(datum)
-    assert classes.order == 3
-    assert decompose_number_field(datum).classes == classes
+    assert conjugacy_classes(datum) == 3
+    assert decompose_number_field(datum).classes == 3
 
 
 def test_conjugacy_classes_trivial_case():
     datum = build_split_datum(FinGenAbGroup.trivial(), 1, 3)
-    assert conjugacy_classes(datum).order == 1
+    assert conjugacy_classes(datum) == 1
 
 
 def test_conjugacy_classes_multiplicative():
@@ -177,7 +175,7 @@ def test_conjugacy_classes_multiplicative():
         cl_A=FinGenAbGroup(0, (3,)), cl_K=FinGenAbGroup.trivial(),
         nm0=GroupHom(FinGenAbGroup(0, (3,)), FinGenAbGroup.trivial(), []),
         coker=FinGenAbGroup(0, (2,)))
-    assert conjugacy_classes(datum).order == 6
+    assert conjugacy_classes(datum) == 6
 
 
 def test_conjugacy_classes_require_nonvanishing():
@@ -195,7 +193,7 @@ def test_split_data_have_class_number_many_conjugacy_classes():
         cl = FinGenAbGroup.from_cyclic_orders(
             [rng.randint(1, 6) for _ in range(rng.randint(0, 2))])
         datum = build_split_datum(cl, rng.randint(0, 3), 5)
-        assert conjugacy_classes(datum).order == cl.order
+        assert conjugacy_classes(datum) == cl.order
 
 
 def shape_counts(shapes):
@@ -327,13 +325,19 @@ def test_basis_degrees_are_a_count_per_degree():
 
 
 def test_certificate_for_fixture_and_ff_cases():
-    cert = freeness_certificate(decompose_number_field(load_datum(QZETA23)))
-    assert cert.verified_up_to == 12
-    assert cert.chern_non_zero_divisor
+    datum = load_datum(QZETA23)
+    dec = decompose_number_field(datum)
+    assert freeness_certificate(dec) == [freeness_basis_degrees(s) for s, _ in dec.shapes]
+    lines = machine_lines_number_field(datum)
+    assert all(line.endswith(" verified_up_to=12")
+               for line in lines if line.startswith("FREENESS"))
+    assert "CHERN\trestriction=sum_of_squared_degree2_generators non_zero_divisor=true" in lines
     for punctures in [(1,), (1, 1), (1, 1, 1)]:
         dec = decompose_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
-        cert = freeness_certificate(dec)
-        assert cert.chern_non_zero_divisor
+        (shape, _), = dec.shapes
+        assert freeness_certificate(dec) == [freeness_basis_degrees(shape)]
+        lines = machine_lines_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
+        assert lines[-1].endswith(" non_zero_divisor=true")
 
 
 def test_certificate_identity_random_shapes():
@@ -345,23 +349,21 @@ def test_certificate_identity_random_shapes():
             for _ in range(rng.randint(1, 4)))
         dec = Decomposition(shapes=tuple(Counter(comps).items()), nonvanishing=True)
         cert = freeness_certificate(dec)
-        assert [entry.shape for entry in cert.shapes] == list(Counter(comps))
-        for entry in cert.shapes:
-            comp = entry.shape
+        assert len(cert) == len(Counter(comps))
+        for comp, basis_degrees in zip(Counter(comps), cert):
+            assert basis_degrees == freeness_basis_degrees(comp)
             for n in range(-12, 13):
                 want = graded_dimension(comp, n)
-                if entry.base == "laurent":
-                    got = sum(m for d, m in entry.basis_degrees if (d - n) % 4 == 0)
+                if comp.is_laurent:
+                    got = sum(m for d, m in basis_degrees if (d - n) % 4 == 0)
                 else:
-                    got = sum(m for d, m in entry.basis_degrees
-                              if (d - n) % 4 == 0 and d <= n)
+                    got = sum(m for d, m in basis_degrees if (d - n) % 4 == 0 and d <= n)
                 assert want == got
 
 
 def test_empty_decomposition_certificate():
     dec = Decomposition(shapes=(), nonvanishing=False)
-    cert = freeness_certificate(dec)
-    assert cert.shapes == () and not cert.chern_non_zero_divisor
+    assert freeness_certificate(dec) == []
 
 
 # ---------------------------------------------------------------------------
@@ -408,30 +410,47 @@ def test_detection_never_holds():
 # hypothesis gate
 # ---------------------------------------------------------------------------
 
+def gate(ell, n, detection_hypothesis, **flags):
+    """The gate with every place and root-of-unity flag true unless given."""
+    flags = {"zeta_in_K": True, "s_contains_infinite": True, "s_contains_ell": True, **flags}
+    return refined_gate(ell, n, detection_hypothesis=detection_hypothesis, **flags)
+
+
 def test_gate_holds_with_all_hypotheses():
-    verdict = refined_gate(GateParams(23, 2, True, True, True, "holds"))
+    verdict = gate(23, 2, "holds")
     assert verdict.outcome == "holds"
 
 
 def test_gate_rejects_rank_not_less_than_ell():
-    verdict = refined_gate(GateParams(3, 3, True, True, True, "holds"))
+    verdict = gate(3, 3, "holds")
     assert verdict.outcome == "fails"
     assert "n_less_than_ell" in verdict.witness
 
 
 def test_gate_rejects_failing_detection():
-    verdict = refined_gate(GateParams(23, 2, True, True, True, "fails"))
+    verdict = gate(23, 2, "fails")
     assert verdict.outcome == "fails"
     assert "detection_on_finite_subgroups" in verdict.witness
 
 
 def test_gate_inconclusive_on_unknown_detection():
-    verdict = refined_gate(GateParams(23, 2, True, True, True, "unknown"))
+    verdict = gate(23, 2, "unknown")
     assert verdict.outcome == "inconclusive"
 
 
+def test_gate_refuses_an_unknown_detection_hypothesis():
+    with pytest.raises(ValueError, match="holds, fails or unknown"):
+        gate(23, 2, "maybe")
+
+
+def test_gate_flags_are_keyword_only():
+    with pytest.raises(TypeError):
+        refined_gate(23, 2, True, True, True, "holds")
+
+
 def test_gate_lists_all_violations():
-    verdict = refined_gate(GateParams(9, 9, False, False, False, "fails"))
+    verdict = gate(9, 9, "fails", zeta_in_K=False, s_contains_infinite=False,
+                   s_contains_ell=False)
     assert verdict.outcome == "fails"
     assert set(verdict.witness) == {
         "ell_prime", "n_less_than_ell", "zeta_ell_in_K",
