@@ -10,7 +10,9 @@ is deterministic: identical inputs give byte-identical reports.
 Exit codes: 0 success, 1 input rejected (single ERROR line), 2 oracle or
 fixture verification failure (or an argparse usage error, on stderr), 3
 internal self-check failure (single ERROR line), 141 stdout closed before
-the report was written (nothing on stderr).
+the whole report was written (nothing on stderr).  Every check that can
+refuse or fail runs before the first byte; the report is then written as
+it is produced.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import os
 import sys
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
 
 from .abelian import FinGenAbGroup
@@ -57,17 +60,19 @@ CURVE_PRESETS = {
 }
 
 _INPUT_ERRORS = (DatumError, SingularCurveError, ComponentBoundExceeded, ValueError)
+# report lines joined into one write; more lines per write raise the peak memory
+EMIT_CHUNK = 256
 
 
 def _emit(lines, mode: str, title: str) -> None:
+    """Write the report as it is produced, ``EMIT_CHUNK`` lines per write."""
     if mode == "human":
-        print(f"# {title}")
-        for line in lines:
-            print(line)
-        print("# end of report")
-    else:
-        for line in lines:
-            print(line)
+        lines = chain((f"# {title}",), lines, ("# end of report",))
+    lines = iter(lines)
+    write = sys.stdout.write
+    for chunk in iter(lambda: list(islice(lines, EMIT_CHUNK)), []):
+        chunk.append("")
+        write("\n".join(chunk))
 
 
 def resolve_datum_path(name: str) -> Path:
@@ -109,15 +114,15 @@ def _cmd_analyze_nf(args) -> int:
         raise ValueError(f"--gate-n {args.gate_n} must be at least 1")
     datum = _load_or_build_datum(args)
     decomposition = decompose_number_field(datum)
-    lines = machine_lines_number_field(datum, bound, decomposition)
+    detection = detection_verdict(datum, decomposition, bound)
+    lines = machine_lines_number_field(datum, bound, decomposition, detection)
     if args.gate_n is not None:
-        detection = detection_verdict(datum, decomposition, bound)
         hypothesis = "fails" if detection.outcome == "fails" else "unknown"
         verdict = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,
                                s_contains_infinite=args.gate_s_infinite,
                                s_contains_ell=args.gate_s_ell,
                                detection_hypothesis=hypothesis)
-        lines.append(gate_line(verdict))
+        lines = chain(lines, (gate_line(verdict),))
     _emit(lines, args.mode, "analyze-nf report")
     return 0
 

@@ -26,8 +26,10 @@ Component-ring shapes (all over the field with ell elements):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .abelian import contains_in_image, fixed_subgroup, is_prime, two_torsion_order
@@ -385,73 +387,84 @@ def _dims_field(component: ComponentRing, bound: int) -> str:
     return f"dims[-4..{bound}]={values}"
 
 
-def _component_lines(decomposition: Decomposition, bound: int) -> list[str]:
-    """COMPONENT, FREENESS and CHERN lines.
+def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
+    """COMPONENT, FREENESS and CHERN lines, produced lazily.
 
-    A report over ``COMPONENT_BOUND`` components is refused before any
-    work.  Everything that depends on the shape (graded dimensions,
-    freeness certificate, line suffixes) is built once per shape, so a
-    line costs only its index.
+    A report over ``COMPONENT_BOUND`` components is refused, and the
+    freeness certificate is checked, before the iterator is returned.
+    Everything that depends on the shape (graded dimensions, basis
+    degrees, line suffixes) is built once per shape, so a line costs only
+    its index.
     """
     if decomposition.count > COMPONENT_BOUND:
         raise ComponentBoundExceeded(
             f"the report would list {decomposition.count} components, "
             f"over the component bound {COMPONENT_BOUND}")
     certificate = freeness_certificate(decomposition, bound)
-    components: list[str] = []
-    freeness: list[str] = []
+    blocks = []
     start = 0
     for (shape, count), basis_degrees in zip(decomposition.shapes, certificate):
         degrees = ",".join(f"{d}:{m}" for d, m in basis_degrees)
         ring = f"shape={shape.kind} {shape.rank_letter}={shape.rank} {_dims_field(shape, bound)}"
         base = "laurent" if shape.is_laurent else "polynomial"
         basis = f"basis_degrees={degrees} base={base} verified_up_to={bound}"
-        indices = range(start, start + count)
-        components.extend([f"COMPONENT\t{i} {ring}" for i in indices])
-        freeness.extend([f"FREENESS\tcomponent={i} {basis}" for i in indices])
+        blocks.append((range(start, start + count), ring, basis))
         start += count
     # c2 restricts to the sum of the components' squared degree-2
     # generators, a non-zero-divisor whenever there is a component
     chern = ("CHERN\trestriction=sum_of_squared_degree2_generators "
              f"non_zero_divisor={'true' if decomposition.shapes else 'false'}")
-    return components + freeness + [chern]
+
+    def lines():
+        for indices, ring, _ in blocks:
+            for i in indices:
+                yield f"COMPONENT\t{i} {ring}"
+        for indices, _, basis in blocks:
+            for i in indices:
+                yield f"FREENESS\tcomponent={i} {basis}"
+        yield chern
+
+    return lines()
 
 
 def machine_lines_number_field(datum: ArithmeticDatum,
                                bound: int = DEFAULT_DEGREE_BOUND,
-                               decomposition: Decomposition | None = None) -> list[str]:
+                               decomposition: Decomposition | None = None,
+                               detection: Verdict | None = None) -> Iterator[str]:
     """Report lines, one fact per line, for a number-field analysis.
 
-    ``decomposition`` is the datum's decomposition when the caller already
-    has it.
+    ``decomposition`` and ``detection`` are the datum's decomposition and
+    detection verdict (up to ``bound``) when the caller already has them.
+    Every check that can refuse or fail runs before the iterator is
+    returned; the lines themselves are produced lazily.
     """
     if decomposition is None:
         decomposition = decompose_number_field(datum)
-    lines = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
+    head = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
+    components = ()
     if decomposition.nonvanishing:
-        lines.append(f"CCLASSES\t{decomposition.classes}")
-        lines.append(f"KCLASSES\t{decomposition.count}")
-        lines.extend(_component_lines(decomposition, bound))
-    detection = detection_verdict(datum, decomposition, bound)
+        head.append(f"CCLASSES\t{decomposition.classes}")
+        head.append(f"KCLASSES\t{decomposition.count}")
+        components = _component_lines(decomposition, bound)
+    if detection is None:
+        detection = detection_verdict(datum, decomposition, bound)
     if detection.outcome == "fails":
-        lines.append(f"DETECTION\tfails witness_degree={detection.witness[0]}")
+        tail = [f"DETECTION\tfails witness_degree={detection.witness[0]}"]
     else:
         note = f" note={detection.note.split(':')[0].replace(' ', '_')}" if detection.note else ""
-        lines.append(f"DETECTION\tinconclusive{note}")
-    for advisory in decomposition.advisories:
-        lines.append(f"ADVISORY\t{advisory}")
-    return lines
+        tail = [f"DETECTION\tinconclusive{note}"]
+    tail.extend(f"ADVISORY\t{advisory}" for advisory in decomposition.advisories)
+    return chain(head, components, tail)
 
 
 def machine_lines_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec, ell: int,
-                                 bound: int = DEFAULT_DEGREE_BOUND) -> list[str]:
-    """Report lines for a function-field analysis."""
+                                 bound: int = DEFAULT_DEGREE_BOUND) -> Iterator[str]:
+    """Report lines for a function-field analysis, produced lazily after
+    every check has run."""
     decomposition = decompose_function_field(curve, field_spec, ell)
-    lines = [f"KCLASSES\t{decomposition.count}"]
-    lines.extend(_component_lines(decomposition, bound))
-    for advisory in decomposition.advisories:
-        lines.append(f"ADVISORY\t{advisory}")
-    return lines
+    return chain((f"KCLASSES\t{decomposition.count}",),
+                 _component_lines(decomposition, bound),
+                 (f"ADVISORY\t{advisory}" for advisory in decomposition.advisories))
 
 
 def gate_line(verdict: Verdict) -> str:

@@ -206,9 +206,10 @@ class FiniteField:
         return exp, log
 
     def _self_check(self):
-        for x in range(1, self.q):
-            if self.mul(x, self.inv(x)) != 1:
-                raise ArithmeticError("inconsistent exp/log tables")
+        # exp must list every unit once, starting from 1, and log invert it
+        indices = list(map(self.log.__getitem__, self.exp))
+        if self.exp[0] != 1 or indices != list(range(self.q - 1)):
+            raise ArithmeticError("inconsistent exp/log tables")
 
     # -- field operations ----------------------------------------------------
     def add(self, a: int, b: int) -> int:

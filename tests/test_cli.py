@@ -317,6 +317,60 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
     assert stderr == b""
 
 
+LARGE_REPORT = ("analyze-nf", "--split-class-group", "1000,1000", "--unit-rank", "3",
+                "--ell", "5")  # 1 000 002 components, 91 MB
+# run in a helper process: it pipes the report of one CLI process, its only
+# child, through sha256 and prints the exit code, the digest and the
+# child's peak RSS in KiB
+MEASURE_CHILD = """
+import hashlib, resource, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "sl2cohom.cli", *sys.argv[1:]],
+                        stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(block)
+print(proc.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def cli_env():
+    return dict(os.environ, PYTHONPATH=str(Path(sl2cohom.__file__).resolve().parents[1]))
+
+
+@pytest.fixture(scope="module")
+def large_report():
+    out = subprocess.run([sys.executable, "-c", MEASURE_CHILD, *LARGE_REPORT], env=cli_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
+    code, digest, peak_kib = out.stdout.split()
+    return int(code), digest, int(peak_kib)
+
+
+def test_large_report_matches_the_recorded_digest(large_report):
+    code, digest, _ = large_report
+    assert code == 0
+    recorded = (Path(__file__).parent / "golden" / "split_1000_1000.sha256").read_text()
+    assert digest == recorded.split()[0]
+
+
+def test_large_report_is_written_as_it_is_produced(large_report):
+    code, _, peak_kib = large_report
+    assert code == 0
+    assert peak_kib < 60 * 1024
+
+
+def test_closed_stdout_stops_a_large_report_early():
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "sl2cohom.cli", *LARGE_REPORT],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    assert proc.stdout.readline() == b"NONVANISHING\tholds\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert time.perf_counter() - start < 2
+    assert stderr == b""
+
+
 def test_degree_bound_belongs_to_the_analyze_commands(capsys):
     for argv in (("essential", "--ell", "2", "--rank", "2", "--degree-bound", "5"),
                  ("verify", "--degree-bound", "5")):
@@ -337,6 +391,32 @@ def test_component_bound_refuses_before_any_line(capsys):
                     "--q", "7", "--ell", "3")
     assert code == 1
     assert out.startswith("ERROR\t") and "component bound 1000000" in out
+
+
+@pytest.mark.parametrize("mode", ["machine", "human"])
+def test_component_bound_refusal_is_the_only_line(capsys, mode):
+    code, out = run(capsys, "analyze-nf", "--split-class-group", "2000,2000",
+                    "--unit-rank", "3", "--ell", "5", "--gate-n", "2", "--mode", mode)
+    assert code == 1
+    assert out == ("ERROR\tthe report would list 2000002 components, "
+                   "over the component bound 1000000\n")
+
+
+@pytest.mark.parametrize("mode", ["machine", "human"])
+@pytest.mark.parametrize("argv", [
+    ("analyze-nf", "--datum", "q_zeta23.datum", "--gate-n", "2"),
+    ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1", "--q", "13", "--ell", "3"),
+])
+def test_failed_freeness_check_is_the_only_line(monkeypatch, capsys, argv, mode):
+    from sl2cohom import cohomengine
+
+    def failing(decomposition, up_to):
+        raise ArithmeticError("injected freeness failure")
+
+    monkeypatch.setattr(cohomengine, "freeness_certificate", failing)
+    code, out = run(capsys, *argv, "--mode", mode)
+    assert code == 3
+    assert out == "ERROR\tinternal check failed: injected freeness failure\n"
 
 
 def test_bad_datum_reports_location(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from sl2cohom.abelian import FinGenAbGroup, GroupHom, Involution
 from sl2cohom.arithdata import ArithmeticDatum, build_split_datum, load_datum
 from sl2cohom.cohomengine import (
+    COMPONENT_BOUND,
+    ComponentBoundExceeded,
     ComponentRing,
     Decomposition,
     Verdict,
@@ -328,7 +330,7 @@ def test_certificate_for_fixture_and_ff_cases():
     datum = load_datum(QZETA23)
     dec = decompose_number_field(datum)
     assert freeness_certificate(dec) == [freeness_basis_degrees(s) for s, _ in dec.shapes]
-    lines = machine_lines_number_field(datum)
+    lines = list(machine_lines_number_field(datum))
     assert all(line.endswith(" verified_up_to=12")
                for line in lines if line.startswith("FREENESS"))
     assert "CHERN\trestriction=sum_of_squared_degree2_generators non_zero_divisor=true" in lines
@@ -336,7 +338,7 @@ def test_certificate_for_fixture_and_ff_cases():
         dec = decompose_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
         (shape, _), = dec.shapes
         assert freeness_certificate(dec) == [freeness_basis_degrees(shape)]
-        lines = machine_lines_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
+        lines = list(machine_lines_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3))
         assert lines[-1].endswith(" non_zero_divisor=true")
 
 
@@ -468,7 +470,7 @@ def test_failing_verdict_requires_witness():
 # ---------------------------------------------------------------------------
 
 def test_number_field_report_lines():
-    lines = machine_lines_number_field(load_datum(QZETA23))
+    lines = list(machine_lines_number_field(load_datum(QZETA23)))
     assert "NONVANISHING\tholds" in lines
     assert "CCLASSES\t3" in lines
     assert "KCLASSES\t2" in lines
@@ -480,7 +482,7 @@ def test_number_field_report_lines():
 
 
 def test_number_field_report_vanishing_case():
-    lines = machine_lines_number_field(synthetic_datum(trace=False))
+    lines = list(machine_lines_number_field(synthetic_datum(trace=False)))
     assert "NONVANISHING\tfails" in lines
     assert not any(line.startswith("CCLASSES") for line in lines)
     assert any(line.startswith("DETECTION\tinconclusive") for line in lines)
@@ -490,6 +492,28 @@ def test_function_field_report_lines():
     lines = machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
     assert "KCLASSES\t1" in lines
     assert any(line.startswith("COMPONENT\t0 shape=MonomialFF r=1") for line in lines)
+
+
+def test_report_checks_run_before_the_lines_are_returned(monkeypatch):
+    # the lines are produced lazily, so every refusal and failed check must
+    # be raised by the call itself, before any line is read
+    from sl2cohom import cohomengine
+
+    datum = load_datum(QZETA23)
+    shape = ComponentRing("Invariant", 11)
+    oversized = Decomposition(shapes=((shape, COMPONENT_BOUND + 1),), nonvanishing=True,
+                              classes=COMPONENT_BOUND + 1)
+    with pytest.raises(ComponentBoundExceeded):
+        machine_lines_number_field(datum, 12, oversized)
+
+    def failing(decomposition, up_to):
+        raise ArithmeticError("injected freeness failure")
+
+    monkeypatch.setattr(cohomengine, "freeness_certificate", failing)
+    with pytest.raises(ArithmeticError, match="injected"):
+        machine_lines_number_field(datum)
+    with pytest.raises(ArithmeticError, match="injected"):
+        machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
 
 
 def test_report_grammar_keys():

@@ -17,6 +17,7 @@ from sl2cohom.abelian import (
     is_prime,
     two_torsion_order,
 )
+from sl2cohom import curve
 from sl2cohom.curve import (
     _cubic_values,
     _point_tally,
@@ -93,6 +94,15 @@ def test_generator_is_the_first_primitive_element():
             continue
         field = get_field(FiniteFieldSpec(*factors[0]))
         assert field.exp[1] == full_walk_generator(field), q
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2)])
+def test_tables_from_a_non_generator_are_refused(monkeypatch, p, e):
+    # with no cofactors to test, the first candidate is taken whatever its
+    # order: 2 in GF(7) (order 3), x in GF(9) (order 4) and in GF(25) (order 8)
+    monkeypatch.setattr(curve, "factorize", lambda n: [])
+    with pytest.raises(ArithmeticError, match="inconsistent exp/log tables"):
+        get_field(FiniteFieldSpec(p, e))
 
 
 def test_field_spec_from_order():
