@@ -83,7 +83,7 @@ def test_criterion_1_cyclotomic23_reproduction():
     with criterion(1, "cyclotomic-23 fixture reproduction"):
         datum = load_datum(FIXTURE)
         start = time.perf_counter()
-        lines = machine_lines_number_field(datum)
+        lines = list(machine_lines_number_field(datum))
         elapsed = time.perf_counter() - start
         assert "CCLASSES\t3" in lines
         assert "KCLASSES\t2" in lines

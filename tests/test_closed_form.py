@@ -165,6 +165,7 @@ def without_indices(lines):
 
 def check_against_enumeration(dec, got, components, want):
     """Shape counts and the line multiset agree; indices follow the grammar."""
+    got = list(got)
     assert Counter({(s.kind, s.rank): n for s, n in dec.shapes}) == Counter(components)
     assert [s.kind in FIXED for s, _ in dec.shapes] == \
         sorted((s.kind in FIXED for s, _ in dec.shapes), reverse=True)

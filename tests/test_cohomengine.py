@@ -489,7 +489,7 @@ def test_number_field_report_vanishing_case():
 
 
 def test_function_field_report_lines():
-    lines = machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
+    lines = list(machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3))
     assert "KCLASSES\t1" in lines
     assert any(line.startswith("COMPONENT\t0 shape=MonomialFF r=1") for line in lines)
 
