@@ -234,6 +234,26 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
 # the arithmetic datum
 # ---------------------------------------------------------------------------
 
+def _check_before_kernel(ell: int, cl_K: FinGenAbGroup, cl_A: FinGenAbGroup,
+                         coker_nm1: FinGenAbGroup, unit_rank_K: int, ker_nm1_rank: int) -> None:
+    """The checks on a datum's prime, groups and ranks, run before ker(nm0)
+    is computed: its Smith form grows with the free ranks."""
+    if ell == 2 or not is_prime(ell):
+        raise DatumConsistencyError("ell_odd_prime", f"ell = {ell} is not an odd prime")
+    if not cl_K.is_finite:
+        raise DatumConsistencyError("cl_K_finite", "class group of the base must be finite")
+    if not cl_A.is_finite:
+        raise DatumConsistencyError("cl_A_finite", "class group of the extension must be finite")
+    if not coker_nm1.is_finite:
+        raise DatumConsistencyError("coker_nm1_finite", "coker(Nm1) must be finite")
+    if unit_rank_K < 0 or ker_nm1_rank < 0:
+        raise DatumConsistencyError("ranks_nonnegative", "unit ranks must be nonnegative")
+    rank = max(unit_rank_K, ker_nm1_rank)
+    if rank > MAX_UNIT_RANK:
+        raise DatumConsistencyError(
+            "unit_rank_bound", f"unit rank {rank} exceeds the unit-rank bound {MAX_UNIT_RANK}")
+
+
 @dataclass(frozen=True)
 class ArithmeticDatum:
     """All arithmetic inputs the cohomology engine needs for one (K, S, ell).
@@ -260,20 +280,8 @@ class ArithmeticDatum:
     ker_nm0: FinGenAbGroup | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.ell == 2 or not is_prime(self.ell):
-            raise DatumConsistencyError("ell_odd_prime", f"ell = {self.ell} is not an odd prime")
-        if not self.cl_K.is_finite:
-            raise DatumConsistencyError("cl_K_finite", "class group of the base must be finite")
-        if not self.cl_A.is_finite:
-            raise DatumConsistencyError("cl_A_finite", "class group of the extension must be finite")
-        if not self.coker_nm1.is_finite:
-            raise DatumConsistencyError("coker_nm1_finite", "coker(Nm1) must be finite")
-        if self.unit_rank_K < 0 or self.ker_nm1_rank < 0:
-            raise DatumConsistencyError("ranks_nonnegative", "unit ranks must be nonnegative")
-        rank = max(self.unit_rank_K, self.ker_nm1_rank)
-        if rank > MAX_UNIT_RANK:
-            raise DatumConsistencyError(
-                "unit_rank_bound", f"unit rank {rank} exceeds the unit-rank bound {MAX_UNIT_RANK}")
+        _check_before_kernel(self.ell, self.cl_K, self.cl_A, self.coker_nm1,
+                             self.unit_rank_K, self.ker_nm1_rank)
         if self.nm0.domain != self.cl_A or self.nm0.codomain != self.cl_K:
             raise DatumConsistencyError("nm0_shape", "nm0 must map cl_A to cl_K")
         try:
@@ -503,6 +511,7 @@ def load_datum(source) -> ArithmeticDatum:
         cl_k.validate_element(steinitz)
     except ValueError as exc:
         raise DatumConsistencyError("steinitz_in_cl_K", str(exc)) from exc
+    _check_before_kernel(ell, cl_k, cl_a, coker, unit_rank, ker_rank)
     ker_group, _ = kernel(nm0)
     sigma_rows = _parse_matrix(sections["sigma"]["matrix"], str(path),
                                ker_group.ngens, ker_group.ngens)

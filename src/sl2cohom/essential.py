@@ -226,28 +226,14 @@ def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
     """True when the element is fixed by all coordinate permutations.
 
     Checked on adjacent transpositions, which generate the full symmetric
-    group: each swaps two entries of every exponent tuple.
+    group.  Each is a bijection on the terms' keys, so it fixes the element
+    exactly when every swapped key carries the same coefficient.
     """
     if element.spec != spec:
         raise ValueError("element does not belong to the given algebra")
-    for i in range(spec.n - 1):
-        swapped = {exps[:i] + (exps[i + 1], exps[i]) + exps[i + 2:]: c
-                   for exps, c in element.terms.items()}
-        if swapped != element.terms:
-            return False
-    return True
-
-
-def regularity_check(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
-    """True when the element acts on the algebra without torsion.
-
-    Every element here lies in the polynomial subring, an integral domain
-    over which the whole algebra is free, so a nonzero one multiplies
-    injectively.
-    """
-    if element.spec != spec:
-        raise ValueError("element does not belong to the given algebra")
-    return not element.is_zero
+    terms = element.terms
+    return all(terms.get(exps[:i] + (exps[i + 1], exps[i]) + exps[i + 2:]) == c
+               for exps, c in terms.items() for i in range(spec.n - 1))
 
 
 def enumerate_proper_subgroups(spec: GradedAlgebraSpec):

@@ -339,25 +339,41 @@ print(proc.wait(), digest.hexdigest(), resource.getrusage(resource.RUSAGE_CHILDR
 """
 
 
-@pytest.fixture(scope="module")
-def large_report():
-    out = subprocess.run([sys.executable, "-c", MEASURE_CHILD, *LARGE_REPORT], env=cli_env(),
+def measure_child(argv):
+    out = subprocess.run([sys.executable, "-c", MEASURE_CHILD, *argv], env=cli_env(),
                          capture_output=True, text=True, timeout=120, check=True)
     code, digest, peak_kib = out.stdout.split()
     return int(code), digest, int(peak_kib)
 
 
+def recorded_digest(name):
+    return (Path(__file__).parent / "golden" / f"{name}.sha256").read_text().split()[0]
+
+
+@pytest.fixture(scope="module")
+def large_report():
+    return measure_child(LARGE_REPORT)
+
+
 def test_large_report_matches_the_recorded_digest(large_report):
     code, digest, _ = large_report
     assert code == 0
-    recorded = (Path(__file__).parent / "golden" / "split_1000_1000.sha256").read_text()
-    assert digest == recorded.split()[0]
+    assert digest == recorded_digest("split_1000_1000")
 
 
 def test_large_report_is_written_as_it_is_produced(large_report):
     code, _, peak_kib = large_report
     assert code == 0
     assert peak_kib < 60 * 1024
+
+
+def test_largest_essential_report():
+    # (3,6), the largest admitted group; a Weyl check that rebuilds the
+    # product's terms once per transposition peaks at 166 MB here
+    code, digest, peak_kib = measure_child(("essential", "--ell", "3", "--rank", "6"))
+    assert code == 0
+    assert digest == recorded_digest("essential_3_6")
+    assert peak_kib < 145 * 1024
 
 
 def test_degree_bound_belongs_to_the_analyze_commands(capsys):
@@ -409,6 +425,25 @@ def test_bad_datum_reports_location(tmp_path, capsys):
     assert code == 1
     assert "ERROR\t" in out
     assert "broken.datum:" in out  # file:line:column prefix
+
+
+def test_datum_sizes_are_checked_before_the_kernel(tmp_path, capsys):
+    # ker(nm0) of a free cl_A of rank 3000 costs seconds and hundreds of MB
+    text = (FIXTURE_DIR / "q_zeta3.datum").read_text()
+    head, tail = text.split("[cl_A]\n")
+    text = head + "[cl_A]\n" + tail.replace("free_rank = 0", "free_rank = 3000", 1)
+    bad = tmp_path / "free_cl_A.datum"
+    bad.write_text(text)
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze-nf", "--datum", str(bad))
+    assert code == 1
+    assert out == ("ERROR\tconsistency violation [cl_A_finite]: "
+                   "class group of the extension must be finite\n")
+    assert time.perf_counter() - start < 1.0
+    # the prime is checked first, as when the datum is built in the program
+    bad.write_text(text.replace("\nell = 3\n", "\nell = 2\n"))
+    assert run(capsys, "analyze-nf", "--datum", str(bad)) == (
+        1, "ERROR\tconsistency violation [ell_odd_prime]: ell = 2 is not an odd prime\n")
 
 
 def test_machine_output_deterministic(capsys):

@@ -12,7 +12,6 @@ from sl2cohom.essential import (
     enumerate_proper_subgroups,
     essential_product,
     line_factors_vanish_on_hyperplanes,
-    regularity_check,
     restrict,
     weyl_invariance,
 )
@@ -262,13 +261,15 @@ def test_weyl_check_matches_permutation_matrices(ell, n):
 
 
 # ---------------------------------------------------------------------------
-# symmetry and regularity
+# symmetry
 # ---------------------------------------------------------------------------
 
 def test_product_is_weyl_invariant():
     for ell, n in [(2, 2), (2, 3), (3, 2)]:
         spec = GradedAlgebraSpec(ell, n)
         assert weyl_invariance(essential_product(spec), spec)
+    with pytest.raises(ValueError):  # an element of another algebra
+        weyl_invariance(essential_product(GradedAlgebraSpec(2, 2)), GradedAlgebraSpec(3, 2))
 
 
 def test_product_fixed_by_every_permutation():
@@ -293,18 +294,6 @@ def test_square_of_mod2_product_is_weyl_invariant():
     spec = GradedAlgebraSpec(2, 3)
     product = essential_product(spec)
     assert weyl_invariance(product * product, spec)
-
-
-def test_regularity():
-    spec32 = GradedAlgebraSpec(3, 2)
-    assert regularity_check(essential_product(spec32), spec32)
-    spec31 = GradedAlgebraSpec(3, 1)
-    assert regularity_check(gen(spec31, 0), spec31)
-    assert not regularity_check(GradedElement.zero(spec31), spec31)
-    spec22 = GradedAlgebraSpec(2, 2)
-    assert regularity_check(essential_product(spec22), spec22)
-    with pytest.raises(ValueError):
-        regularity_check(essential_product(spec22), spec32)
 
 
 def test_coefficients_reduced_mod_ell():
