@@ -18,6 +18,8 @@ it is produced.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 from importlib import resources
@@ -30,6 +32,7 @@ from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
     MAX_DEGREE_BOUND,
     ComponentBoundExceeded,
+    check_component_bound,
     detection_verdict,
     decompose_number_field,
     gate_line,
@@ -96,6 +99,11 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
     except ValueError:
         raise ValueError(f"bad --split-class-group list {text!r}; "
                          "expected comma-separated integers") from None
+    if all(o >= 1 for o in factors):
+        # the components are the orbits of negation on the class group,
+        # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
+        check_component_bound((math.prod(factors)
+                               + math.prod(math.gcd(2, o) for o in factors)) // 2)
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
     return build_split_datum(cl_k, args.unit_rank, args.ell)
 
@@ -202,7 +210,12 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    ``main`` call in the process.  It holds no state between calls:
+    ``parse_args`` returns a new namespace, ``append`` copies its list, and
+    a usage error leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="sl2cohom",
         description="Exact Farrell-Tate cohomology data for rank-one S-arithmetic groups")

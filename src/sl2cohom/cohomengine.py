@@ -58,6 +58,14 @@ class ComponentBoundExceeded(Exception):
     """A report would list more components than ``COMPONENT_BOUND``."""
 
 
+def check_component_bound(count: int) -> None:
+    """Refuse a report of ``count`` components if that is over ``COMPONENT_BOUND``."""
+    if count > COMPONENT_BOUND:
+        raise ComponentBoundExceeded(
+            f"the report would list {count} components, "
+            f"over the component bound {COMPONENT_BOUND}")
+
+
 # ---------------------------------------------------------------------------
 # component rings and graded dimensions
 # ---------------------------------------------------------------------------
@@ -396,10 +404,7 @@ def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
     degrees, line suffixes) is built once per shape, so a line costs only
     its index.
     """
-    if decomposition.count > COMPONENT_BOUND:
-        raise ComponentBoundExceeded(
-            f"the report would list {decomposition.count} components, "
-            f"over the component bound {COMPONENT_BOUND}")
+    check_component_bound(decomposition.count)
     certificate = freeness_certificate(decomposition, bound)
     blocks = []
     start = 0

@@ -386,18 +386,49 @@ def test_degree_bound_belongs_to_the_analyze_commands(capsys):
 
 
 def test_component_bound_refuses_before_any_line(capsys):
+    # an over-bound group is named before a bad --ell or --unit-rank
     for extra in ((), ("--mode", "human"), ("--gate-n", "2"),
-                  ("--gate-n", "2", "--mode", "human")):
+                  ("--gate-n", "2", "--mode", "human"), ("--ell", "4"),
+                  ("--unit-rank", "5000")):
         code, out = run(capsys, "analyze-nf", "--split-class-group", "2000,2000",
                         "--unit-rank", "3", "--ell", "5", *extra)
         assert code == 1
         assert out == ("ERROR\tthe report would list 2000002 components, "
                        "over the component bound 1000000\n"), extra
+    # (|Cl| + |Cl[2]|) / 2 with an odd order, the count the decomposition gives
+    for orders, count in (("2000,1001", 1001001), ("1415,1,1415", 1001113)):
+        code, out = run(capsys, "analyze-nf", "--split-class-group", orders,
+                        "--unit-rank", "3", "--ell", "5")
+        assert (code, out) == (1, f"ERROR\tthe report would list {count} components, "
+                                  "over the component bound 1000000\n"), orders
 
     code, out = run(capsys, "analyze-ff", "--curve", "p1", "--punctures", "3000000",
                     "--q", "7", "--ell", "3")
     assert code == 1
     assert out.startswith("ERROR\t") and "component bound 1000000" in out
+
+
+@pytest.mark.parametrize("factors", [120, 600])
+def test_split_component_count_refuses_before_any_smith_form(factors):
+    # 2^k components, counted from the orders; building the datum first
+    # took 3.5 s at k = 120 and ran past 90 s at k = 600
+    argv = ["analyze-nf", "--split-class-group", ",".join(["2"] * factors),
+            "--unit-rank", "1", "--ell", "3"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "sl2cohom.cli", *argv], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (f"ERROR\tthe report would list {2 ** factors} components, "
+                           "over the component bound 1000000\n")
+
+
+def test_negative_or_zero_orders_keep_their_errors(capsys):
+    for orders, message in (("2,-3", "cyclic orders must be nonnegative"),
+                            ("2,0", "cl_K must be finite")):
+        code, out = run(capsys, "analyze-nf", "--split-class-group", orders,
+                        "--unit-rank", "1", "--ell", "3")
+        assert (code, out) == (1, f"ERROR\t{message}\n")
 
 
 @pytest.mark.parametrize("mode", ["machine", "human"])
@@ -504,3 +535,138 @@ def test_report_lines_conform_to_grammar(capsys):
     for line in out.strip().splitlines():
         key = line.split("\t", 1)[0]
         assert key in allowed
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------------
+
+COUNT_PARSERS_AT_IMPORT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import sl2cohom.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    out = subprocess.run([sys.executable, "-c", COUNT_PARSERS_AT_IMPORT], env=cli_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "0\n"
+
+
+def test_main_calls_reuse_one_parser(monkeypatch, capsys):
+    import argparse
+
+    run(capsys, "essential", "--ell", "2", "--rank", "2")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    calls = [
+        ("analyze-nf", "--datum", "q_zeta3.datum"),
+        ("analyze-nf", "--datum", "q_zeta23.datum", "--gate-n", "2"),
+        ("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"),
+        ("analyze-nf", "--split-class-group", "3", "--unit-rank", "11", "--ell", "23",
+         "--mode", "human"),
+        ("analyze-nf", "--datum", "no_such_file.datum"),
+        ("analyze-ff", "--preset", "p1_minus_infty", "--q", "7", "--ell", "3"),
+        ("analyze-ff", "--preset", "p1_minus_0_infty", "--q", "7", "--ell", "3"),
+        ("analyze-ff", "--curve", "p1", "--punctures", "1,2", "--q", "7", "--ell", "3"),
+        ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1", "--q", "13",
+         "--ell", "3"),
+        ("analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2", "--q", "7",
+         "--ell", "3", "--mode", "human"),
+        ("essential", "--ell", "2", "--rank", "1"),
+        ("essential", "--ell", "2", "--rank", "3"),
+        ("essential", "--ell", "3", "--rank", "2"),
+        ("essential", "--ell", "5", "--rank", "2", "--mode", "human"),
+        ("essential", "--ell", "2", "--rank", "10"),
+        ("verify",),
+        ("analyze-nf", "--datum", "q_zeta3.datum", "--gate-n", "1"),
+        ("analyze-ff", "--preset", "p1_minus_01_infty", "--q", "7", "--ell", "3"),
+        ("essential", "--ell", "7", "--rank", "2"),
+        ("analyze-nf", "--datum", "q_zeta23.datum", "--degree-bound", "3"),
+    ]
+    assert len(calls) == 20 and {argv[0] for argv in calls} == {
+        "analyze-nf", "analyze-ff", "essential", "verify"}
+    for argv in calls:
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    from sl2cohom.cli import build_parser
+
+    parser = build_parser()
+    assert build_parser() is parser
+    argv = ["analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"]
+    first = parser.parse_args(argv + ["--no-gate-s-ell", "--gate-n", "7"])
+    second = parser.parse_args(argv)
+    assert second is not first
+    assert (second.gate_s_ell, second.gate_n) == (True, None)
+
+    # append copies its list: a namespace's list is its own
+    one = parser.parse_args(["verify", "--datum", "a.datum"])
+    one.datum.append("b.datum")
+    assert parser.parse_args(["verify", "--datum", "c.datum"]).datum == ["c.datum"]
+    assert parser.parse_args(["verify"]).datum is None
+
+    # a usage error exits 2 and leaves the parser as it was
+    before = vars(parser.parse_args(argv))
+    for bad in (["essential", "--ell", "2"], ["analyze-nf", "--gate-n", "x"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert vars(parser.parse_args(argv)) == before
+
+
+def alone(argv):
+    """Exit code, stdout and stderr of ``argv`` run in a fresh CLI process."""
+    proc = subprocess.run([sys.executable, "-m", "sl2cohom.cli", *argv], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_golden_or_fresh_runs(tmp_path, monkeypatch, capsys):
+    from test_golden import CASES, GOLDEN
+
+    # argparse wraps usage text to the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    broken = tmp_path / "broken.datum"
+    broken.write_text((FIXTURE_DIR / "q_zeta23.datum").read_text()
+                      .replace("coords = 0", "coords = 5"))
+    no_s_ell = CASES["split_2_4_gate_7_no_s_ell"]
+    sequence = [
+        "q_zeta23_gate_2", "q_zeta23_machine",
+        "split_2_4_gate_7_no_s_ell", [a for a in no_s_ell if a != "--no-gate-s-ell"],
+        "q_zeta23_human", "q_zeta23_machine",
+        "essential_2_4", ["essential", "--ell", "2"], "preset_p1_minus_infty",
+        ["verify", "--datum", str(broken)], "verify_machine",
+    ]
+    gates = []
+    for item in sequence:
+        argv = CASES[item] if isinstance(item, str) else item
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if isinstance(item, str):
+            expected = (0, (GOLDEN / f"{item}.out").read_text(), "")
+        else:
+            expected = alone(argv)
+        assert (code, out, err) == expected, argv
+        gates += [line for line in out.splitlines() if line.startswith("GATE\t")]
+    # the call after --no-gate-s-ell does not inherit it: S holds the places over ell
+    assert gates[1] != gates[2] and "S_contains_places_over_ell" not in gates[2]
