@@ -1,8 +1,8 @@
 """Function-field arithmetic: small finite fields and punctured curves.
 
 Finite fields GF(q) with q <= 2^16 are realized through exp/log tables
-over an irreducible modulus, and GF(p^e) adds through Zech logarithms;
-elements are encoded as integers 0..q-1 in base-p digits.  Curves are
+over an irreducible modulus, walked by lookups, and GF(p^e) adds through
+Zech logarithms; elements are encoded as integers 0..q-1 in base-p digits.  Curves are
 either the projective line minus a set of closed points or a
 short-Weierstrass elliptic curve minus its point at infinity.  Picard
 groups come from divisor-class bookkeeping in the first case; in the
@@ -83,8 +83,9 @@ def _poly_pow_mod(base, exp, modulus, p):
     while exp:
         if exp & 1:
             result = _poly_mul_mod(result, base, modulus, p)
-        base = _poly_mul_mod(base, base, modulus, p)
         exp >>= 1
+        if exp:
+            base = _poly_mul_mod(base, base, modulus, p)
     return result
 
 
@@ -157,11 +158,12 @@ class FiniteField:
             self.modulus = _find_modulus(self.p, self.e)
         self.exp, self.log = self._build_tables()
         if self.e > 1:
-            # 1 + g^n = g^zech[n], or -1 where 1 + g^n = 0; adding 1 changes
+            # 1 + g^n = g^zech[n], or -1 where g^n = -1; adding 1 changes
             # only the constant base-p digit of the encoding
-            one_more = [v - v % self.p + (v + 1) % self.p for v in self.exp]
-            self.zech = [self.log[w] if w else -1 for w in one_more]
-        self._self_check()
+            p, log = self.p, self.log
+            step = [1] * (p - 1) + [1 - p]
+            self.zech = [log[v + step[v % p]] for v in self.exp]
+            self.zech[log[p - 1]] = -1
 
     # -- encoding helpers ---------------------------------------------------
     def _decode(self, code: int):
@@ -190,26 +192,60 @@ class FiniteField:
 
     def _build_tables(self):
         # the first candidate of order q - 1 (no g^((q-1)/r) is 1 for a prime
-        # r | q - 1) generates; walk its powers once, the generator first in
-        # each product because _poly_mul_mod skips its zero digits
+        # r | q - 1) generates; the general product finds it, and its powers
+        # are walked by lookups
         if self.q == 2:
             return [1], [0, 0]
         cofactors = [(self.q - 1) // r for r, _ in factorize(self.q - 1)]
         gen = next(c for c in (range(2, self.q) if self.e == 1 else range(self.p, self.q))
                    if all(self._raw_pow(c, k) != 1 for k in cofactors))
-        exp = [1]
-        while len(exp) < self.q - 1:
-            exp.append(self._raw_mul(gen, exp[-1]))
-        log = [0] * self.q
+        if self.e == 1:
+            p, v, exp = self.p, 1, [1]
+            for _ in range(self.q - 2):
+                v = v * gen % p
+                exp.append(v)
+        else:
+            exp = self._walk_by_halves(gen)
+        # exp must list every unit once, starting from 1: then its q - 1
+        # entries fill every slot of log but the one of 0, each once
+        log = [-1] * self.q
         for i, v in enumerate(exp):
             log[v] = i
+        if exp[0] != 1 or log[0] != -1 or log.count(-1) != 1:
+            raise ArithmeticError("inconsistent exp/log tables")
+        log[0] = 0
         return exp, log
 
-    def _self_check(self):
-        # exp must list every unit once, starting from 1, and log invert it
-        indices = list(map(self.log.__getitem__, self.exp))
-        if self.exp[0] != 1 or indices != list(range(self.q - 1)):
-            raise ArithmeticError("inconsistent exp/log tables")
+    def _walk_by_halves(self, gen: int) -> list[int]:
+        """The powers of gen in GF(p^e), e > 1, one step by four lookups.
+
+        Multiplication by gen is linear on digit vectors.  A code splits at
+        digit h = ceil(e/2) as v = lo + p^h hi, and g v = g lo + (g x^h) hi.
+        Two tables of general products give both terms, their digits spread
+        in base 2p - 1 so that one integer addition sums them digitwise.  A
+        table indexed by a spread half of that sum reduces its digits mod p.
+        """
+        p, e = self.p, self.e
+        h = (e + 1) // 2
+        half = p ** h
+        base = 2 * p - 1
+        spread_half = base ** h
+
+        def spread(code):
+            return sum(d * base ** i for i, d in enumerate(self._decode(code)))
+
+        low = [spread(self._raw_mul(gen, lo)) for lo in range(half)]
+        high = [spread(self._raw_mul(gen, hi * half)) for hi in range(p ** (e - h))]
+        reduced = [0]
+        for i in range(h):
+            reduced = [r + d % p * p ** i for d in range(base) for r in reduced]
+        reduced_high = [half * r for r in reduced]
+        exp, v = [1], 1
+        for _ in range(self.q - 2):
+            s = low[v % half] + high[v // half]
+            v = reduced[s % spread_half] + reduced_high[s // spread_half]
+            exp.append(v)
+        return exp
 
     # -- field operations ----------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -324,10 +360,14 @@ def _check_odd_characteristic(p: int) -> None:
         raise SingularCurveError("y^2 = x^3 + ax + b is singular in characteristic 2")
 
 
+def _check_coefficients(curve: EllipticMinusPoint, q: int) -> None:
+    if not (0 <= curve.a < q and 0 <= curve.b < q):
+        raise ValueError("coefficients must be encoded field elements")
+
+
 def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
     _check_odd_characteristic(field.p)
-    if not (0 <= curve.a < field.q and 0 <= curve.b < field.q):
-        raise ValueError("coefficients must be encoded field elements")
+    _check_coefficients(curve, field.q)
     four_a3 = field.mul(field.from_int(4), field.pow(curve.a, 3)) if curve.a else 0
     t27b2 = field.mul(field.from_int(27), field.mul(curve.b, curve.b)) if curve.b else 0
     if field.add(four_a3, t27b2) == 0:
@@ -341,8 +381,20 @@ def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
     if field.e == 1:
         p = field.p
         return [((x * x + a) * x + b) % p for x in range(p)]
-    add, mul = field.add, field.mul
-    return [add(mul(add(mul(x, x), a), x), b) for x in field.elements()]
+    # on logs, with n = q - 1: x^3 + ax = x (x^2 + a) = g^(3 lx + zech[la - 2 lx]),
+    # or 0 where zech is -1; b is added through zech the same way
+    n, exp, log, zech = field.q - 1, field.exp, field.log, field.zech
+    if a:
+        la = log[a]
+        cubic = [3 * lx + z if (z := zech[(la - 2 * lx) % n]) >= 0 else -1
+                 for lx in log[1:]]
+    else:
+        cubic = [3 * lx for lx in log[1:]]
+    if not b:
+        return [0] + [exp[lc % n] if lc >= 0 else 0 for lc in cubic]
+    lb = log[b]
+    return [b] + [b if lc < 0 else exp[(lc + z) % n] if (z := zech[(lb - lc) % n]) >= 0
+                  else 0 for lc in cubic]
 
 
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
@@ -384,9 +436,11 @@ def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
     #E[2] is the point at infinity plus one point (x, 0) per root of the
     cubic.  Both counts are checked: the Hasse bound
     |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
-    Characteristic 2 is refused before the field's tables are built.
+    Characteristic 2 and coefficients that are not codes 0..q-1 are
+    refused before the field's tables are built.
     """
     _check_odd_characteristic(spec.p)
+    _check_coefficients(curve, spec.q)
     field = get_field(spec)
     order, roots = _point_tally(curve, field)
     if (order - field.q - 1) ** 2 > 4 * field.q:

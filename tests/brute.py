@@ -5,8 +5,9 @@ check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, graded dimensions from blind
 monomial enumeration, class numbers from reduced-form counts, the
 essential product from multiplying out all its linear factors, and
-GF(p^e) arithmetic from the base-p digits of the element encodings, and
-elliptic point counts from Euler's criterion on those digits.
+GF(p^e) arithmetic from the base-p digits of the element encodings,
+elliptic point counts from Euler's criterion on those digits, and the
+field tables from one general product per power.
 """
 
 from __future__ import annotations
@@ -324,3 +325,35 @@ def character_sum_tally(field, a: int, b: int) -> tuple[int, int]:
         total += chi[value]
         roots += value == 0
     return total, roots
+
+
+def general_product_tables(field):
+    """(exp, log, zech) of GF(q) from one general product per power.
+
+    The generator is the first candidate (from 2 in a prime field, from p
+    in GF(p^e)) that no cofactor (q - 1)/r, r a prime divisor of q - 1,
+    sends to 1; its powers are walked by ``field._raw_mul``, the product
+    on digit polynomials.  zech[n] is the log of 1 + g^n, which is g^n with
+    its constant digit raised by 1 mod p, or -1 where that is 0; a prime
+    field gets None.
+    """
+    q, p, n = field.q, field.p, field.q - 1
+    primes, rest, r = [], n, 2
+    while rest > 1:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    gen = next(c for c in (range(2, q) if field.e == 1 else range(p, q))
+               if all(field._raw_pow(c, n // r) != 1 for r in primes))
+    mul, exp = field._raw_mul, [1]
+    for _ in range(n - 1):
+        exp.append(mul(gen, exp[-1]))
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    if field.e == 1:
+        return exp, log, None
+    one_more = (v - v % p + (v + 1) % p for v in exp)
+    return exp, log, [log[w] if w else -1 for w in one_more]

@@ -263,6 +263,25 @@ def test_characteristic_two_is_refused_before_the_field_is_built(capsys):
     assert time.perf_counter() - start < 0.3
 
 
+@pytest.mark.parametrize("a,q,ell,message", [
+    ("59049", "59049", "11", "coefficients must be encoded field elements"),
+    ("-1", "65521", "3", "coefficients must be encoded field elements"),
+    ("70000", "65536", "3", "y^2 = x^3 + ax + b is singular in characteristic 2"),
+])
+def test_out_of_range_coefficients_are_refused_before_the_field_is_built(monkeypatch, capsys,
+                                                                         a, q, ell, message):
+    from sl2cohom import curve
+
+    def refuse(spec):
+        raise AssertionError("the field was built")
+
+    monkeypatch.setattr(curve, "get_field", refuse)
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", a, "--b", "1",
+                    "--q", q, "--ell", ell)
+    assert code == 1
+    assert out == f"ERROR\t{message}\n"
+
+
 def test_elliptic_report_walks_the_field_once(monkeypatch, capsys):
     from sl2cohom import curve
 

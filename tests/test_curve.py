@@ -6,6 +6,7 @@ from brute import (
     character_sum_tally,
     digitwise_add,
     digitwise_neg,
+    general_product_tables,
     structure_from_element_set,
 )
 from sl2cohom.abelian import (
@@ -105,6 +106,36 @@ def test_tables_from_a_non_generator_are_refused(monkeypatch, p, e):
         get_field(FiniteFieldSpec(p, e))
 
 
+def test_lookup_walk_matches_the_general_product_walk():
+    for q in range(3, 2**12 + 1, 2):
+        factors = factorize(q)
+        if len(factors) == 1:
+            field = get_field(FiniteFieldSpec(*factors[0]))
+            tables = (field.exp, field.log, getattr(field, "zech", None))
+            assert tables == general_product_tables(field), q
+
+
+@pytest.mark.parametrize("p,e", [(3, 10), (37, 3)])
+def test_lookup_walk_matches_the_general_product_walk_on_large_fields(p, e):
+    field = get_field(FiniteFieldSpec(p, e))
+    assert (field.exp, field.log, field.zech) == general_product_tables(field)
+
+
+def test_field_build_makes_few_general_products(monkeypatch):
+    # the modulus, the generator and the walk's tables; one product per
+    # power would be 59 047 more
+    calls = []
+    poly_mul_mod = curve._poly_mul_mod
+
+    def counting(*args):
+        calls.append(args)
+        return poly_mul_mod(*args)
+
+    monkeypatch.setattr(curve, "_poly_mul_mod", counting)
+    get_field(FiniteFieldSpec(3, 10))
+    assert len(calls) < 2000
+
+
 def test_field_spec_from_order():
     assert field_spec_from_order(49) == FiniteFieldSpec(7, 2)
     assert field_spec_from_order(7) == FiniteFieldSpec(7, 1)
@@ -183,12 +214,18 @@ def test_character_count_agrees_with_enumeration():
 
 
 def tally_curves():
-    """Every curve over q in {3, 5, 7, 9, 25}, and y^2 = x^3 + x + 1 over GF(3^5)."""
+    """Every curve over q in {3, 5, 7, 9, 25}, y^2 = x^3 + x + 1 over GF(3^5),
+    and seeded curves over GF(27), GF(49) and GF(343) with codes of p or more."""
     for q in (3, 5, 7, 9, 25):
         for a in range(q):
             for b in range(q):
                 yield get_field(field_spec_from_order(q)), EllipticMinusPoint(a, b)
     yield get_field(FiniteFieldSpec(3, 5)), EllipticMinusPoint(1, 1)
+    rng = random.Random(343)
+    for q in (27, 49, 343):
+        field = get_field(field_spec_from_order(q))
+        for _ in range(4):
+            yield field, EllipticMinusPoint(rng.randrange(field.p, q), rng.randrange(field.p, q))
 
 
 def test_cubic_values_and_tally_match_per_point_evaluation():

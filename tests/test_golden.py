@@ -54,6 +54,14 @@ CASES = {
     "coker2": ["analyze-nf", "--datum", str(GOLDEN / "coker2.datum")],
     "elliptic_0_2_q7": ["analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2",
                         "--q", "7", "--ell", "3"],
+    "elliptic_7_1_q25": ["analyze-ff", "--curve", "elliptic", "--a", "7", "--b", "1",
+                         "--q", "25", "--ell", "3"],
+    "elliptic_50_200_q343": ["analyze-ff", "--curve", "elliptic", "--a", "50", "--b", "200",
+                             "--q", "343", "--ell", "19"],
+    "elliptic_1_1_q50653": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                            "--q", "50653", "--ell", "3"],
+    "elliptic_1_1_q59049": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                            "--q", "59049", "--ell", "11"],
     "essential_2_4": ["essential", "--ell", "2", "--rank", "4"],
     "essential_3_3": ["essential", "--ell", "3", "--rank", "3"],
     "essential_5_2_human": ["essential", "--ell", "5", "--rank", "2", "--mode", "human"],
