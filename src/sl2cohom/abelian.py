@@ -23,6 +23,11 @@ TRIAL_DIVISION_BOUND = 10**12
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
+class InputError(ValueError):
+    """An input refused by a check that the command line or a datum file
+    reaches.  Any other ``ValueError`` is a broken internal invariant."""
+
+
 class EnumerationBoundExceeded(Exception):
     """Element listing was requested for a group beyond the allowed bound."""
 
@@ -34,7 +39,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     sqrt(n), so n above ``TRIAL_DIVISION_BOUND`` is refused.
     """
     if n > TRIAL_DIVISION_BOUND:
-        raise ValueError(f"{n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
+        raise InputError(f"{n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
     factors = []
     f = 2
     while f * f <= n:
@@ -241,7 +246,8 @@ class FinGenAbGroup:
         """Canonicalize an arbitrary list of cyclic orders (0 meaning Z)."""
         orders = [int(o) for o in orders]
         if any(o < 0 for o in orders):
-            raise ValueError("cyclic orders must be nonnegative")
+            raise InputError("cyclic orders must be nonnegative")
+        orders = [o for o in orders if o != 1]  # Z/1 is trivial
         n = len(orders)
         if n == 0:
             return cls.trivial()

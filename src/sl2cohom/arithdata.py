@@ -20,6 +20,7 @@ from pathlib import Path
 from .abelian import (
     FinGenAbGroup,
     GroupHom,
+    InputError,
     Involution,
     factorize,
     is_prime,
@@ -31,19 +32,18 @@ from .abelian import (
 # the largest unit rank a datum may carry: a report's component rings have
 # this rank, and its work and output grow with it
 MAX_UNIT_RANK = 2000
+# the most generators a datum's group may have: the Smith form behind
+# ker(nm0) grows with the generator counts of cl_A and cl_K
+MAX_GENERATORS = 64
 
 
-class DatumError(Exception):
-    """Base class for datum-file problems."""
-
-
-class DatumParseError(DatumError):
+class DatumParseError(InputError):
     def __init__(self, path: str, line: int, column: int, message: str):
         self.path, self.line, self.column = path, line, column
         super().__init__(f"{path}:{line}:{column}: {message}")
 
 
-class DatumConsistencyError(DatumError):
+class DatumConsistencyError(InputError):
     def __init__(self, invariant: str, message: str):
         self.invariant = invariant
         super().__init__(f"consistency violation [{invariant}]: {message}")
@@ -236,8 +236,10 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
 
 def _check_before_kernel(ell: int, cl_K: FinGenAbGroup, cl_A: FinGenAbGroup,
                          coker_nm1: FinGenAbGroup, unit_rank_K: int, ker_nm1_rank: int) -> None:
-    """The checks on a datum's prime, groups and ranks, run before ker(nm0)
-    is computed: its Smith form grows with the free ranks."""
+    """The checks on a datum's prime, groups and ranks.  A file runs them
+    as soon as its groups are read, before nm0 is built (its size is the
+    generator counts) and ker(nm0) computed (its Smith form grows with
+    them)."""
     if ell == 2 or not is_prime(ell):
         raise DatumConsistencyError("ell_odd_prime", f"ell = {ell} is not an odd prime")
     if not cl_K.is_finite:
@@ -252,6 +254,11 @@ def _check_before_kernel(ell: int, cl_K: FinGenAbGroup, cl_A: FinGenAbGroup,
     if rank > MAX_UNIT_RANK:
         raise DatumConsistencyError(
             "unit_rank_bound", f"unit rank {rank} exceeds the unit-rank bound {MAX_UNIT_RANK}")
+    for name, group in (("cl_K", cl_K), ("cl_A", cl_A), ("coker_nm1", coker_nm1)):
+        if group.ngens > MAX_GENERATORS:
+            raise DatumConsistencyError(
+                "generator_bound", f"{name} has {group.ngens} generators, "
+                f"over the generator bound {MAX_GENERATORS}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,7 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     of cl_K.
     """
     if not cl_K.is_finite:
-        raise ValueError("cl_K must be finite")
+        raise InputError("cl_K must be finite")
     factors = []
     for d in cl_K.invariant_factors:
         factors.extend((d, d))
@@ -489,8 +496,9 @@ def load_datum(source) -> ArithmeticDatum:
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatumError(f"cannot read datum file {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read datum file {path}: {reason}") from exc
     sections = _parse_sections(text, str(path))
     head = sections["datum"]
     ell = _parse_int(head["ell"], str(path))
@@ -501,6 +509,7 @@ def load_datum(source) -> ArithmeticDatum:
     cl_k = _group_from_section(sections["cl_K"], str(path), "cl_K")
     cl_a = _group_from_section(sections["cl_A"], str(path), "cl_A")
     coker = _group_from_section(sections["coker_nm1"], str(path), "coker_nm1")
+    _check_before_kernel(ell, cl_k, cl_a, coker, unit_rank, ker_rank)
     nm0_rows = _parse_matrix(sections["nm0"]["matrix"], str(path), cl_k.ngens, cl_a.ngens)
     try:
         nm0 = GroupHom(cl_a, cl_k, nm0_rows)
@@ -511,7 +520,6 @@ def load_datum(source) -> ArithmeticDatum:
         cl_k.validate_element(steinitz)
     except ValueError as exc:
         raise DatumConsistencyError("steinitz_in_cl_K", str(exc)) from exc
-    _check_before_kernel(ell, cl_k, cl_a, coker, unit_rank, ker_rank)
     ker_group, _ = kernel(nm0)
     sigma_rows = _parse_matrix(sections["sigma"]["matrix"], str(path),
                                ker_group.ngens, ker_group.ngens)

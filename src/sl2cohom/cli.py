@@ -7,12 +7,12 @@ fixture validation).  Machine mode emits only the line-oriented report
 grammar; human mode adds '#' commentary around the same lines.  Output
 is deterministic: identical inputs give byte-identical reports.
 
-Exit codes: 0 success, 1 input rejected (single ERROR line), 2 oracle or
-fixture verification failure (or an argparse usage error, on stderr), 3
-internal self-check failure (single ERROR line), 141 stdout closed before
-the whole report was written (nothing on stderr).  Every check that can
-refuse or fail runs before the first byte; the report is then written as
-it is produced.
+Exit codes: 0 success, 1 input refused by an ``InputError`` (single ERROR
+line), 2 oracle or fixture verification failure (or an argparse usage
+error, on stderr), 3 a failed self-check or any other ``ValueError``, a
+bug (single ERROR line), 141 stdout closed before the whole report was
+written (nothing on stderr).  Every check that can refuse or fail runs
+before the first byte; the report is then written as it is produced.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from importlib import resources
 from itertools import chain, islice
 from pathlib import Path
 
-from .abelian import FinGenAbGroup
-from .arithdata import ArithmeticDatum, DatumError, build_split_datum, load_datum
+from .abelian import FinGenAbGroup, InputError
+from .arithdata import ArithmeticDatum, build_split_datum, load_datum
 from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
     MAX_DEGREE_BOUND,
-    ComponentBoundExceeded,
     check_component_bound,
     detection_verdict,
     decompose_number_field,
@@ -40,12 +39,7 @@ from .cohomengine import (
     machine_lines_number_field,
     refined_gate,
 )
-from .curve import (
-    EllipticMinusPoint,
-    P1Minus,
-    SingularCurveError,
-    field_spec_from_order,
-)
+from .curve import EllipticMinusPoint, P1Minus, field_spec_from_order
 from .essential import (
     GradedAlgebraSpec,
     enumerate_proper_subgroups,
@@ -61,7 +55,6 @@ CURVE_PRESETS = {
     "p1_minus_01_infty": (1, 1, 1),
 }
 
-_INPUT_ERRORS = (DatumError, SingularCurveError, ComponentBoundExceeded, ValueError)
 # report lines joined into one write; more lines per write raise the peak memory
 EMIT_CHUNK = 256
 
@@ -84,33 +77,35 @@ def resolve_datum_path(name: str) -> Path:
     shipped = resources.files("sl2cohom").joinpath("data", name)
     if shipped.is_file():
         return Path(str(shipped))
-    raise ValueError(f"datum file not found: {name}")
+    raise InputError(f"datum file not found: {name}")
 
 
 def _load_or_build_datum(args) -> ArithmeticDatum:
     if args.datum:
         return load_datum(resolve_datum_path(args.datum))
     if args.split_class_group is None or args.ell is None or args.unit_rank is None:
-        raise ValueError("provide --datum FILE or all of --split-class-group, "
+        raise InputError("provide --datum FILE or all of --split-class-group, "
                          "--unit-rank and --ell")
     text = args.split_class_group.strip()
     try:
-        factors = tuple(int(v) for v in text.split(",") if v != "")
+        factors = tuple(int(v) for v in text.split(",")) if text else ()
     except ValueError:
-        raise ValueError(f"bad --split-class-group list {text!r}; "
+        raise InputError(f"bad --split-class-group list {text!r}; "
                          "expected comma-separated integers") from None
     if all(o >= 1 for o in factors):
         # the components are the orbits of negation on the class group,
         # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
         check_component_bound((math.prod(factors)
                                + math.prod(math.gcd(2, o) for o in factors)) // 2)
+    elif min(factors) == 0:  # a copy of Z, refused before the Smith form of the orders
+        raise InputError("cl_K must be finite")
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
     return build_split_datum(cl_k, args.unit_rank, args.ell)
 
 
 def _degree_bound(args) -> int:
     if not 0 <= args.degree_bound <= MAX_DEGREE_BOUND:
-        raise ValueError(f"--degree-bound {args.degree_bound} is outside "
+        raise InputError(f"--degree-bound {args.degree_bound} is outside "
                          f"[0, {MAX_DEGREE_BOUND}]")
     return args.degree_bound
 
@@ -118,7 +113,7 @@ def _degree_bound(args) -> int:
 def _cmd_analyze_nf(args) -> int:
     bound = _degree_bound(args)
     if args.gate_n is not None and args.gate_n < 1:
-        raise ValueError(f"--gate-n {args.gate_n} must be at least 1")
+        raise InputError(f"--gate-n {args.gate_n} must be at least 1")
     datum = _load_or_build_datum(args)
     decomposition = decompose_number_field(datum)
     detection = detection_verdict(datum, decomposition, bound)
@@ -138,28 +133,28 @@ def _parse_punctures(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(f"bad puncture list {text!r}; expected comma-separated integers")
+        raise InputError(f"bad puncture list {text!r}; expected comma-separated integers")
 
 
 def _cmd_analyze_ff(args) -> int:
     bound = _degree_bound(args)
     if args.preset:
         if args.preset not in CURVE_PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}; "
+            raise InputError(f"unknown preset {args.preset!r}; "
                              f"choose from {', '.join(sorted(CURVE_PRESETS))}")
         curve = P1Minus(CURVE_PRESETS[args.preset])
     elif args.curve == "p1":
         if not args.punctures:
-            raise ValueError("--curve p1 needs --punctures d1,d2,...")
+            raise InputError("--curve p1 needs --punctures d1,d2,...")
         curve = P1Minus(_parse_punctures(args.punctures))
     elif args.curve == "elliptic":
         if args.a is None or args.b is None:
-            raise ValueError("--curve elliptic needs --a and --b")
+            raise InputError("--curve elliptic needs --a and --b")
         curve = EllipticMinusPoint(args.a, args.b)
     else:
-        raise ValueError("choose --curve p1 or --curve elliptic, or a --preset")
+        raise InputError("choose --curve p1 or --curve elliptic, or a --preset")
     if args.q is None or args.ell is None:
-        raise ValueError("analyze-ff needs --q and --ell")
+        raise InputError("analyze-ff needs --q and --ell")
     spec = field_spec_from_order(args.q)
     lines = machine_lines_function_field(curve, spec, args.ell, bound)
     _emit(lines, args.mode, "analyze-ff report")
@@ -188,19 +183,20 @@ def _cmd_essential(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    fixtures = list(args.datum) if args.datum else sorted(
+        f.name for f in resources.files("sl2cohom").joinpath("data").iterdir()
+        if f.name.endswith(".datum"))
+    paths = [resolve_datum_path(name) for name in fixtures]  # before any suite runs
     lines = []
     ok = True
     for result in run_all_suites():
         lines.append(f"SUITE\t{result.name} {'pass' if result.passed else 'fail'} "
                      f"({result.detail})")
         ok = ok and result.passed
-    fixtures = list(args.datum) if args.datum else sorted(
-        f.name for f in resources.files("sl2cohom").joinpath("data").iterdir()
-        if f.name.endswith(".datum"))
-    for name in fixtures:
+    for name, path in zip(fixtures, paths):
         try:
-            load_datum(resolve_datum_path(name))
-        except DatumError as exc:
+            load_datum(path)
+        except InputError as exc:
             lines.append(f"FIXTURE\t{Path(name).name} fail ({exc})")
             ok = False
         else:
@@ -270,11 +266,12 @@ def main(argv=None) -> int:
     try:
         try:
             code = args.func(args)
-        except _INPUT_ERRORS as exc:
+        except InputError as exc:
             print(f"ERROR\t{exc}")
             code = 1
-        except ArithmeticError as exc:
-            # a failed self-check (freeness identity, Hasse bound, 2-torsion, tables)
+        except (ArithmeticError, ValueError) as exc:
+            # a failed self-check (freeness identity, Hasse bound, 2-torsion,
+            # tables) or a broken internal invariant
             print(f"ERROR\tinternal check failed: {exc}")
             code = 3
         sys.stdout.flush()  # a reader that closes early is caught here too

@@ -26,13 +26,14 @@ Component-ring shapes (all over the field with ell elements):
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .abelian import contains_in_image, fixed_subgroup, is_prime, two_torsion_order
+from .abelian import InputError, contains_in_image, fixed_subgroup, is_prime, two_torsion_order
 from .arithdata import ArithmeticDatum
 from .curve import (
     CurveSpec,
@@ -54,16 +55,15 @@ FUNCTION_FIELD_SHAPES = ("UnitsFF", "MonomialFF")
 ALL_SHAPES = FARRELL_TATE_SHAPES + FUNCTION_FIELD_SHAPES
 
 
-class ComponentBoundExceeded(Exception):
-    """A report would list more components than ``COMPONENT_BOUND``."""
-
-
 def check_component_bound(count: int) -> None:
     """Refuse a report of ``count`` components if that is over ``COMPONENT_BOUND``."""
     if count > COMPONENT_BOUND:
-        raise ComponentBoundExceeded(
-            f"the report would list {count} components, "
-            f"over the component bound {COMPONENT_BOUND}")
+        try:
+            shown = str(count)
+        except ValueError:  # more digits than Python writes out
+            shown = f"at least 10^{sys.get_int_max_str_digits()}"
+        raise InputError(f"the report would list {shown} components, "
+                         f"over the component bound {COMPONENT_BOUND}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,9 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     functions), 0 for a once-punctured elliptic curve (constant units only).
     """
     if ell > 2 and (field_spec.q - 1) % ell:
-        raise ValueError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
+        raise InputError(f"ell = {ell} must divide q - 1 = {field_spec.q - 1}")
     if not is_prime(ell) or ell == 2:
-        raise ValueError("ell must be an odd prime")
+        raise InputError("ell must be an odd prime")
     advisories = ()
     if isinstance(curve, P1Minus):
         check_punctures_exist(curve, field_spec.q)

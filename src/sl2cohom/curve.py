@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
-from .abelian import FinGenAbGroup, factorize, is_prime
+from .abelian import FinGenAbGroup, InputError, factorize, is_prime
 
 MAX_FIELD_SIZE = 1 << 16
-
-
-class SingularCurveError(Exception):
-    """The requested Weierstrass model does not define a smooth curve."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +48,12 @@ class FiniteFieldSpec:
 def field_spec_from_order(q: int) -> FiniteFieldSpec:
     """Factor a prime power into (p, e)."""
     if q < 2:
-        raise ValueError("field order must be at least 2")
+        raise InputError("field order must be at least 2")
     if q > MAX_FIELD_SIZE:
-        raise ValueError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
+        raise InputError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
     factors = factorize(q)
     if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise InputError(f"{q} is not a prime power")
     return FiniteFieldSpec(*factors[0])
 
 
@@ -330,9 +326,9 @@ class P1Minus:
         object.__setattr__(self, "puncture_degrees",
                            tuple(int(d) for d in self.puncture_degrees))
         if not self.puncture_degrees:
-            raise ValueError("need at least one puncture (the curve must be affine)")
+            raise InputError("need at least one puncture (the curve must be affine)")
         if any(d < 1 for d in self.puncture_degrees):
-            raise ValueError("puncture degrees must be positive")
+            raise InputError("puncture degrees must be positive")
 
     @property
     def punctures(self) -> int:
@@ -357,12 +353,12 @@ CurveSpec = P1Minus | EllipticMinusPoint
 
 def _check_odd_characteristic(p: int) -> None:
     if p == 2:
-        raise SingularCurveError("y^2 = x^3 + ax + b is singular in characteristic 2")
+        raise InputError("y^2 = x^3 + ax + b is singular in characteristic 2")
 
 
 def _check_coefficients(curve: EllipticMinusPoint, q: int) -> None:
     if not (0 <= curve.a < q and 0 <= curve.b < q):
-        raise ValueError("coefficients must be encoded field elements")
+        raise InputError("coefficients must be encoded field elements")
 
 
 def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
@@ -371,7 +367,7 @@ def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
     four_a3 = field.mul(field.from_int(4), field.pow(curve.a, 3)) if curve.a else 0
     t27b2 = field.mul(field.from_int(27), field.mul(curve.b, curve.b)) if curve.b else 0
     if field.add(four_a3, t27b2) == 0:
-        raise SingularCurveError("discriminant 4a^3 + 27b^2 vanishes")
+        raise InputError("discriminant 4a^3 + 27b^2 vanishes")
 
 
 def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
@@ -547,7 +543,7 @@ def check_punctures_exist(curve: P1Minus, q: int) -> None:
             (-1) ** k * q ** (d // prod(s))
             for k in range(len(primes) + 1) for s in combinations(primes, k)) // d
         if asked > exist:
-            raise ValueError(f"the projective line over F_{q} has {exist} closed points of "
+            raise InputError(f"the projective line over F_{q} has {exist} closed points of "
                              f"degree {d}, fewer than the {asked} punctures of degree {d}")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product as _cartesian
 
-from .abelian import is_prime, smith_normal_form
+from .abelian import InputError, is_prime, smith_normal_form
 
 MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
 MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
@@ -34,9 +34,9 @@ class GradedAlgebraSpec:
 
     def __post_init__(self):
         if not is_prime(self.ell):
-            raise ValueError("ell must be prime")
+            raise InputError("ell must be prime")
         if self.n < 0:
-            raise ValueError("rank must be nonnegative")
+            raise InputError("rank must be nonnegative")
 
 
 # monomial key: the exponent of each polynomial generator
@@ -152,18 +152,18 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     """
     ell, n = spec.ell, spec.n
     if n < 1:
-        raise ValueError("need rank at least 1")
+        raise InputError("need rank at least 1")
     if n > MAX_GROUP_ORDER.bit_length():  # then ell^n >= 2^n is over the bound; not built
-        raise ValueError(f"group order {ell}^{n} exceeds the product bound {MAX_GROUP_ORDER}")
+        raise InputError(f"group order {ell}^{n} exceeds the product bound {MAX_GROUP_ORDER}")
     order = ell ** n
     if order > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {order} exceeds the product bound {MAX_GROUP_ORDER}")
+        raise InputError(f"group order {order} exceeds the product bound {MAX_GROUP_ORDER}")
     count, binomial = 0, 1  # proper subgroups: the Gaussian binomials [n k]_ell, 0 < k < n
     for k in range(1, n):
         binomial = binomial * (ell ** (n - k + 1) - 1) // (ell ** k - 1)
         count += binomial
     if count > MAX_PROPER_SUBGROUPS:
-        raise ValueError(f"the report would list {count} proper subgroups, "
+        raise InputError(f"the report would list {count} proper subgroups, "
                          f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
     moore = GradedElement(spec, {exps: (-1) ** sum(a > b for a, b in combinations(exps, 2))
                                  for exps in permutations([ell ** i for i in range(n)])})

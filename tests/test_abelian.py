@@ -9,6 +9,7 @@ from sl2cohom.abelian import (
     EnumerationBoundExceeded,
     FinGenAbGroup,
     GroupHom,
+    InputError,
     Involution,
     TRIAL_DIVISION_BOUND,
     cokernel,
@@ -56,9 +57,9 @@ def test_factorize_matches_a_sieve():
 
 def test_trial_division_is_bounded():
     assert factorize(TRIAL_DIVISION_BOUND) == ((2, 12), (5, 12))
-    with pytest.raises(ValueError, match="trial-division bound"):
+    with pytest.raises(InputError, match="trial-division bound"):
         factorize(TRIAL_DIVISION_BOUND + 1)
-    with pytest.raises(ValueError, match="trial-division bound"):
+    with pytest.raises(InputError, match="trial-division bound"):
         is_prime(10**18 + 3)
 
 
@@ -165,6 +166,25 @@ def test_from_cyclic_orders_canonicalizes():
     assert FinGenAbGroup.from_cyclic_orders([2, 3]) == FinGenAbGroup(0, (6,))
     assert FinGenAbGroup.from_cyclic_orders([4, 6]) == FinGenAbGroup(0, (2, 12))
     assert FinGenAbGroup.from_cyclic_orders([0, 5, 1]) == FinGenAbGroup(1, (5,))
+    with pytest.raises(InputError, match="cyclic orders must be nonnegative"):
+        FinGenAbGroup.from_cyclic_orders([2, -3])
+
+
+def test_orders_of_one_reach_no_smith_form(monkeypatch):
+    # 600 orders 1 made a 600x600 Smith form, about 5 s
+    from sl2cohom import abelian
+
+    sizes = []
+    smith = abelian.smith_normal_form
+
+    def recording(matrix):
+        sizes.append(len(matrix))
+        return smith(matrix)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    assert FinGenAbGroup.from_cyclic_orders([1] * 600) == FinGenAbGroup.trivial()
+    assert FinGenAbGroup.from_cyclic_orders([1] * 300 + [4, 1, 6]) == FinGenAbGroup(0, (2, 12))
+    assert sizes == [2]
 
 
 def test_enumeration_bound():

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sl2cohom
+from sl2cohom.abelian import is_prime
 from sl2cohom.cli import main
 from sl2cohom.cohomengine import MAX_DEGREE_BOUND
 
@@ -169,11 +171,16 @@ def test_gate_rank_below_one_is_refused_before_the_datum(capsys):
 
 
 def test_bad_split_class_group_names_the_flag(capsys):
-    for text in ("x", "3,x", "2.5"):
+    # an empty entry is refused, as in --punctures; "2,,3" used to run as "2,3"
+    for text in ("x", "3,x", "2.5", "2,,3", "2,", ",2"):
         code, out = run(capsys, "analyze-nf", "--split-class-group", text,
                         "--unit-rank", "1", "--ell", "3")
         assert (code, out) == (1, f"ERROR\tbad --split-class-group list {text!r}; "
                                   "expected comma-separated integers\n")
+    # the empty list is the trivial group
+    code, out = run(capsys, "analyze-nf", "--split-class-group", "", "--unit-rank", "1",
+                    "--ell", "3")
+    assert code == 0 and "CCLASSES\t1\n" in out
 
 
 def test_unit_rank_bound_refuses_up_front(tmp_path, capsys):
@@ -209,6 +216,24 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     assert out.startswith("ERROR\t") and out.count("\n") == 1
     assert "freeness identity failed" in out
+
+
+@pytest.mark.parametrize("mode", ["machine", "human"])
+@pytest.mark.parametrize("module,name,argv", [
+    ("cohomengine", "freeness_certificate", ("analyze-nf", "--datum", "q_zeta23.datum")),
+    ("curve", "get_field", ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                            "--q", "13", "--ell", "3")),
+    ("essential", "restrict", ("essential", "--ell", "3", "--rank", "2")),
+    ("arithdata", "kernel", ("verify",)),  # in the fixture loop, after the suites
+])
+def test_internal_value_error_exits_three(monkeypatch, capsys, module, name, argv, mode):
+    # only an InputError is a refused input; any other ValueError is a bug
+    def broken(*args):
+        raise ValueError("injected invariant failure")
+
+    monkeypatch.setattr(importlib.import_module(f"sl2cohom.{module}"), name, broken)
+    code, out = run(capsys, *argv, "--mode", mode)
+    assert (code, out) == (3, "ERROR\tinternal check failed: injected invariant failure\n")
 
 
 def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
@@ -426,6 +451,13 @@ def test_component_bound_refuses_before_any_line(capsys):
     assert code == 1
     assert out.startswith("ERROR\t") and "component bound 1000000" in out
 
+    # a count longer than Python writes out (4300 digits) is still a refusal
+    huge = "1" + "0" * 2200
+    code, out = run(capsys, "analyze-nf", "--split-class-group", f"{huge},{huge}",
+                    "--unit-rank", "3", "--ell", "5")
+    assert (code, out) == (1, "ERROR\tthe report would list at least 10^4300 components, "
+                              "over the component bound 1000000\n")
+
 
 @pytest.mark.parametrize("factors", [120, 600])
 def test_split_component_count_refuses_before_any_smith_form(factors):
@@ -443,11 +475,26 @@ def test_split_component_count_refuses_before_any_smith_form(factors):
 
 
 def test_negative_or_zero_orders_keep_their_errors(capsys):
+    primes = ",".join(str(p) for p in range(2, 2000) if is_prime(p))  # 303 of them
     for orders, message in (("2,-3", "cyclic orders must be nonnegative"),
-                            ("2,0", "cl_K must be finite")):
-        code, out = run(capsys, "analyze-nf", "--split-class-group", orders,
+                            ("2,0", "cl_K must be finite"),
+                            ("0,-3", "cyclic orders must be nonnegative"),
+                            # the Smith form of the orders ran for minutes here
+                            ("0," + primes, "cl_K must be finite")):
+        start = time.perf_counter()
+        code, out = run(capsys, "analyze-nf", f"--split-class-group={orders}",
                         "--unit-rank", "1", "--ell", "3")
         assert (code, out) == (1, f"ERROR\t{message}\n")
+        assert time.perf_counter() - start < 1.0
+
+
+def test_orders_of_one_are_the_trivial_group(capsys):
+    # 600 orders 1 made a 600x600 Smith form, 4.9 s as a CLI process
+    argv = ("analyze-nf", "--unit-rank", "1", "--ell", "3")
+    _, trivial = run(capsys, *argv, "--split-class-group", "")
+    start = time.perf_counter()
+    assert run(capsys, *argv, "--split-class-group", ",".join(["1"] * 600)) == (0, trivial)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("mode", ["machine", "human"])
@@ -495,6 +542,45 @@ def test_datum_sizes_are_checked_before_the_kernel(tmp_path, capsys):
     assert run(capsys, "analyze-nf", "--datum", str(bad)) == (
         1, "ERROR\tconsistency violation [ell_odd_prime]: ell = 2 is not an odd prime\n")
 
+    # the checks run before nm0 is built: a free rank of 10^13 in cl_A, or in
+    # cl_K beside a trivial cl_A, ended in a MemoryError traceback
+    huge = "10000000000037"
+    for section, invariant in (("[cl_A]\n", "cl_A_finite"), ("[cl_K]\n", "cl_K_finite")):
+        head, tail = (FIXTURE_DIR / "q_zeta3.datum").read_text().split(section)
+        bad.write_text(head + section + tail.replace("free_rank = 0", f"free_rank = {huge}", 1))
+        code, out = run(capsys, "analyze-nf", "--datum", str(bad))
+        assert (code, out.split(":")[0]) == (1, f"ERROR\tconsistency violation [{invariant}]")
+
+    # many generators: cl_K = (Z/2)^k, cl_A = (Z/2)^2k under the sum map.  The
+    # kernel's Smith form took 2.1 s at k = 120, and k = 200 without the trace
+    # 6.3 s for a two-line report
+    too_many = "consistency violation [generator_bound]: {} generators, over the generator bound 64"
+    for k, trace, ell, expected in [
+        (120, True, 3, too_many.format("cl_K has 120")),
+        (200, False, 3, too_many.format("cl_K has 200")),
+        (64, True, 3, too_many.format("cl_A has 128")),
+        # the six earlier checks come first
+        (120, True, 2, "consistency violation [ell_odd_prime]: ell = 2 is not an odd prime"),
+        (32, False, 3, None),  # the largest admitted cl_A: a report
+    ]:
+        rows = " ; ".join(" ".join("1" if j // 2 == i else "0" for j in range(2 * k))
+                          for i in range(k))
+        sigma = " ; ".join(" ".join("1" if j == i else "0" for j in range(k)) for i in range(k))
+        bad.write_text(
+            f"[datum]\nell = {ell}\ntrace_in_K = {str(trace).lower()}\n"
+            "split = false\nunit_rank_K = 1\nker_nm1_rank = 1\n"
+            f"[cl_K]\nfree_rank = 0\ninvariant_factors = {','.join(['2'] * k)}\n"
+            f"[cl_A]\nfree_rank = 0\ninvariant_factors = {','.join(['2'] * 2 * k)}\n"
+            f"[nm0]\nmatrix = {rows}\n[steinitz]\ncoords = {','.join(['0'] * k)}\n"
+            f"[coker_nm1]\nfree_rank = 0\ninvariant_factors =\n[sigma]\nmatrix = {sigma}\n")
+        start = time.perf_counter()
+        code, out = run(capsys, "analyze-nf", "--datum", str(bad))
+        assert time.perf_counter() - start < 1.0, k
+        if expected is None:
+            assert (code, out.splitlines()[0]) == (0, "NONVANISHING\tfails"), k
+        else:
+            assert (code, out) == (1, f"ERROR\t{expected}\n"), k
+
 
 def test_machine_output_deterministic(capsys):
     outputs = set()
@@ -531,6 +617,43 @@ def test_verify_fails_on_corrupted_fixture(tmp_path, capsys):
     assert code == 2
     assert "fail" in out
     assert "steinitz_in_cl_K" in out
+
+
+def test_verify_resolves_every_datum_before_the_suites(monkeypatch, capsys):
+    # a missing file used to be named after all five suites had run (0.6 s)
+    from sl2cohom import cli
+
+    def refuse():
+        raise AssertionError("the suites ran")
+
+    monkeypatch.setattr(cli, "run_all_suites", refuse)
+    code, out = run(capsys, "verify", "--datum", "q_zeta3.datum", "--datum", "nope.datum")
+    assert (code, out) == (1, "ERROR\tdatum file not found: nope.datum\n")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "ell_past_trial_division"])
+def test_a_refused_datum_is_a_failed_fixture(monkeypatch, tmp_path, capsys, kind):
+    # each is the analyze-nf refusal; verify used to abort with exit 1 on the
+    # last two, the second without the path
+    from sl2cohom import cli
+
+    good = (FIXTURE_DIR / "q_zeta23.datum").read_bytes()
+    path = tmp_path / f"{kind}.datum"
+    if kind == "directory":
+        path.mkdir()
+        reason = f"cannot read datum file {path}: Is a directory"
+    elif kind == "not_utf8":
+        path.write_bytes(b"# caf\xe9\n" + good)
+        reason = (f"cannot read datum file {path}: 'utf-8' codec can't decode byte 0xe9 "
+                  "in position 5: invalid continuation byte")
+    else:
+        path.write_bytes(good.replace(b"ell = 23", b"ell = 10000000000037"))
+        reason = "10000000000037 exceeds the trial-division bound 1000000000000"
+    assert run(capsys, "analyze-nf", "--datum", str(path)) == (1, f"ERROR\t{reason}\n")
+    monkeypatch.setattr(cli, "run_all_suites", list)
+    assert run(capsys, "verify", "--datum", "q_zeta3.datum", "--datum", str(path)) == (
+        2, f"FIXTURE\tq_zeta3.datum pass\nFIXTURE\t{kind}.datum fail ({reason})\n"
+           "VERIFY\tfail\n")
 
 
 def test_verify_fails_on_injected_oracle_disagreement(monkeypatch, capsys):

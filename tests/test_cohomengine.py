@@ -3,11 +3,10 @@ from collections import Counter
 
 import pytest
 
-from sl2cohom.abelian import FinGenAbGroup, GroupHom, Involution
+from sl2cohom.abelian import FinGenAbGroup, GroupHom, InputError, Involution
 from sl2cohom.arithdata import ArithmeticDatum, build_split_datum, load_datum
 from sl2cohom.cohomengine import (
     COMPONENT_BOUND,
-    ComponentBoundExceeded,
     ComponentRing,
     Decomposition,
     Verdict,
@@ -503,7 +502,7 @@ def test_report_checks_run_before_the_lines_are_returned(monkeypatch):
     shape = ComponentRing("Invariant", 11)
     oversized = Decomposition(shapes=((shape, COMPONENT_BOUND + 1),), nonvanishing=True,
                               classes=COMPONENT_BOUND + 1)
-    with pytest.raises(ComponentBoundExceeded):
+    with pytest.raises(InputError, match="over the component bound"):
         machine_lines_number_field(datum, 12, oversized)
 
     def failing(decomposition, up_to):

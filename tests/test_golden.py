@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from grammar import VALUES, bad_lines, readme_keys
 from sl2cohom.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,6 +103,24 @@ def test_golden_report(name):
     assert code == 0
     path = golden(name)
     assert stored(path, CASES[name], out) == path.read_text(encoding="utf-8")
+
+
+def test_grammar_table_has_the_readme_keys():
+    assert readme_keys() == list(VALUES)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.out")), ids=lambda path: path.stem)
+def test_golden_lines_follow_the_grammar(path):
+    mode = "human" if "human" in CASES[path.stem] else "machine"
+    assert bad_lines(path.read_text(encoding="utf-8"), mode) == []
+
+
+def test_grammar_refuses_malformed_lines():
+    for line in ("COMPONENT\t0 shape=Bogus d=1 dims[-4..0]=1,0,0,1,1", "CCLASSES\t-1",
+                 "NONVANISHING holds", "ERROR\tbad input", "VERIFY\tpass ", "PRODUCT\tx1 +"):
+        assert bad_lines(line + "\n") == [line]
+    assert bad_lines("VERIFY\tpass") == ["VERIFY\tpass"]  # no final newline
+    assert bad_lines("VERIFY\tpass\n", "human") == ["VERIFY\tpass"]  # no '#' lines
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
