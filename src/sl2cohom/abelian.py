@@ -257,13 +257,6 @@ class FinGenAbGroup:
         factors = tuple(d for d in diag if d > 1)
         return cls(free, factors)
 
-    @classmethod
-    def direct_sum(cls, *groups: "FinGenAbGroup") -> "FinGenAbGroup":
-        orders: list[int] = []
-        for g in groups:
-            orders.extend(g.orders)
-        return cls.from_cyclic_orders(orders)
-
     @cached_property
     def ngens(self) -> int:
         return self.free_rank + len(self.invariant_factors)
@@ -494,22 +487,27 @@ def contains_in_image(f: GroupHom, y) -> bool:
     return True
 
 
-def two_torsion_order(g: FinGenAbGroup) -> int:
-    """Order of the 2-torsion subgroup g[2], read off the invariant factors."""
-    return 2 ** sum(1 for d in g.invariant_factors if d % 2 == 0)
+def two_torsion_order(orders) -> int:
+    """Order of the 2-torsion of the sum of Z/o over the finite cyclic orders o."""
+    return 2 ** sum(1 for o in orders if o % 2 == 0)
 
 
-def fixed_subgroup(s: Involution) -> FinGenAbGroup:
-    """The subgroup ker(s - 1) of points an involution fixes."""
+def fixed_point_count(s: Involution) -> int:
+    """Number of points an involution fixes, |ker(s - 1)| on a finite group.
+
+    An endomorphism of a finite group has kernel and cokernel of one order
+    (though not always one structure), so this is |coker(s - 1)|, read off
+    the map's one Smith form; the kernel would take a second.
+    """
     rows = [[v - (i == j) for j, v in enumerate(row)] for i, row in enumerate(s.hom.matrix)]
-    return kernel(GroupHom(s.group, s.group, rows))[0]
+    return cokernel(GroupHom(s.group, s.group, rows))[0].order
 
 
 def involution_orbits(g: FinGenAbGroup, s: Involution) -> tuple[Orbit, ...]:
     """Orbits of an involution on a finite group, fixed orbits flagged.
 
     This enumerates the group; it is the oracle for the orbit counts that
-    ``fixed_subgroup`` and ``two_torsion_order`` give by Burnside's lemma.
+    ``fixed_point_count`` and ``two_torsion_order`` give by Burnside's lemma.
     Orbits are listed by their lexicographically smallest element, so the
     output order is deterministic.
     """

@@ -131,28 +131,13 @@ def principal_form(d: int) -> QuadraticForm:
     return QuadraticForm(1, k, (k * k - d) // 4)
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int]:
     """Solutions x of a*x = b (mod m) as x = x0 + step*k; m >= 1."""
-    if m == 1:
-        return 0, 1
-    g, u, _ = _egcd(a, m)
+    g = gcd(a, m)
     if b % g:
         raise ArithmeticError("congruence has no solution")
-    return (b // g * u) % m, m // g
+    step = m // g
+    return b // g * pow(a // g, -1, step) % step, step
 
 
 def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
@@ -309,7 +294,7 @@ class ArithmeticDatum:
     def _check_split_case(self, ker_group: FinGenAbGroup):
         if not self.trace_in_K:
             raise DatumConsistencyError("split_implies_trace", "split data have trace in K")
-        if self.cl_A != FinGenAbGroup.direct_sum(self.cl_K, self.cl_K):
+        if self.cl_A != _doubled(self.cl_K):
             raise DatumConsistencyError(
                 "split_cl_A", "in the split case cl_A must be cl_K + cl_K")
         if any(self.steinitz):
@@ -332,6 +317,12 @@ class ArithmeticDatum:
                 "split_sigma_negation", "in the split case sigma negates ker(nm0)")
 
 
+def _doubled(cl_K: FinGenAbGroup) -> FinGenAbGroup:
+    """cl_K + cl_K for a finite cl_K: each invariant factor taken twice,
+    which is again a divisibility chain, so no Smith form is needed."""
+    return FinGenAbGroup(0, tuple(d for d in cl_K.invariant_factors for _ in (0, 1)))
+
+
 def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> ArithmeticDatum:
     """Datum for the case where the ell-th root of unity already lies in K.
 
@@ -343,10 +334,7 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     """
     if not cl_K.is_finite:
         raise InputError("cl_K must be finite")
-    factors = []
-    for d in cl_K.invariant_factors:
-        factors.extend((d, d))
-    cl_A = FinGenAbGroup(0, tuple(factors))
+    cl_A = _doubled(cl_K)
     t = len(cl_K.invariant_factors)
     matrix = [[0] * (2 * t) for _ in range(t)]
     for i in range(t):
@@ -451,14 +439,7 @@ def _parse_int_list(entry, path) -> tuple[int, ...]:
     value, line, col = entry
     if not value:
         return ()
-    out = []
-    for piece in value.split(","):
-        piece = piece.strip()
-        try:
-            out.append(int(piece))
-        except ValueError:
-            raise DatumParseError(path, line, col, f"expected an integer, got {piece!r}") from None
-    return tuple(out)
+    return tuple(_parse_int((piece.strip(), line, col), path) for piece in value.split(","))
 
 
 def _parse_matrix(entry, path, nrows: int, ncols: int) -> tuple[tuple[int, ...], ...]:

@@ -26,7 +26,7 @@ from importlib import resources
 from itertools import chain, islice
 from pathlib import Path
 
-from .abelian import FinGenAbGroup, InputError
+from .abelian import FinGenAbGroup, InputError, two_torsion_order
 from .arithdata import ArithmeticDatum, build_split_datum, load_datum
 from .cohomengine import (
     DEFAULT_DEGREE_BOUND,
@@ -95,8 +95,7 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
     if all(o >= 1 for o in factors):
         # the components are the orbits of negation on the class group,
         # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
-        check_component_bound((math.prod(factors)
-                               + math.prod(math.gcd(2, o) for o in factors)) // 2)
+        check_component_bound((math.prod(factors) + two_torsion_order(factors)) // 2)
     elif min(factors) == 0:  # a copy of Z, refused before the Smith form of the orders
         raise InputError("cl_K must be finite")
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
@@ -117,7 +116,7 @@ def _cmd_analyze_nf(args) -> int:
     datum = _load_or_build_datum(args)
     decomposition = decompose_number_field(datum)
     detection = detection_verdict(datum, decomposition, bound)
-    lines = machine_lines_number_field(datum, bound, decomposition, detection)
+    lines = machine_lines_number_field(decomposition, detection, bound)
     if args.gate_n is not None:
         hypothesis = "fails" if detection.outcome == "fails" else "unknown"
         verdict = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,

@@ -31,10 +31,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import comb
 
-from .abelian import InputError, contains_in_image, fixed_subgroup, is_prime, two_torsion_order
-from .arithdata import ArithmeticDatum
+from .abelian import InputError, contains_in_image, fixed_point_count, is_prime, two_torsion_order
+from .arithdata import MAX_UNIT_RANK, ArithmeticDatum
 from .curve import (
     CurveSpec,
     FiniteFieldSpec,
@@ -93,36 +92,45 @@ class ComponentRing:
 def graded_dimension(component: ComponentRing, n: int) -> int:
     """Dimension of the component ring in cohomological degree n.
 
-    The Laurent shapes are nonzero in negative degrees and 4-periodic,
-    so they are summed once per residue of n mod 4; the
-    ordinary-cohomology shapes vanish below degree 0.
+    It is a sum of binomials C(rank, k) over the k in the classes mod 4
+    that the shape and n select, read off running prefix sums: over
+    all k for the Laurent shapes, which are nonzero in negative degrees
+    and 4-periodic, and over k <= n for the ordinary-cohomology shapes,
+    which vanish below degree 0.  A monomial x_T has |T| = k.
     """
-    if component.is_laurent:
-        return _laurent_dimension(component, n % 4)
-    d = component.rank
-    if n < 0:
+    if n < 0 and not component.is_laurent:
         return 0
-    if component.kind == "UnitsFF":
-        return sum(comb(d, k) for k in range(min(d, n) + 1))
-    # MonomialFF: monomial b^m a^delta x_T with 2m + delta + |T| = n,
-    # kept when m + delta + |T| is even
-    total = 0
-    for k in range(min(d, n) + 1):
-        delta = (n - k) % 2
-        m = (n - k - delta) // 2
-        if m >= 0 and (m + delta + k) % 2 == 0:
-            total += comb(d, k)
-    return total
-
-
-@lru_cache(maxsize=1024)
-def _laurent_dimension(component: ComponentRing, residue: int) -> int:
     d = component.rank
-    if component.kind == "NonInvariant":
-        return sum(comb(d, k) for k in range(d + 1) if (residue - k) % 2 == 0)
-    # Invariant: monomial (degree-2 gen)^m x_T invariant iff m + |T| even,
-    # which for 2m + |T| = n means n + |T| = 0 mod 4
-    return sum(comb(d, k) for k in range(d + 1) if (residue + k) % 4 == 0)
+    sums = _binomial_sums(d)[d if component.is_laurent else min(d, n)]
+    if component.kind == "NonInvariant":  # (degree-2 gen)^m x_T with 2m + k = n
+        return sums[n % 2] + sums[n % 2 + 2]
+    if component.kind == "Invariant":  # kept when m + k is even: n + k = 0 mod 4
+        return sums[-n % 4]
+    if component.kind == "UnitsFF":  # b^m a^delta x_T, one (m, delta) for each k <= n
+        return sum(sums)
+    # MonomialFF: kept when m + delta + k = ceil((n - k) / 2) + k is even,
+    # which is k = -n or 3 - n mod 4
+    return sums[-n % 4] + sums[(3 - n) % 4]
+
+
+@lru_cache(maxsize=16)
+def _binomials(d: int) -> tuple[int, ...]:
+    """C(d, k) for k = 0..d, each from the one before."""
+    row = [1]
+    for k in range(d):
+        row.append(row[-1] * (d - k) // (k + 1))
+    return tuple(row)
+
+
+@lru_cache(maxsize=16)
+def _binomial_sums(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Row j holds the sums of C(d, k) over k <= j, by k mod 4."""
+    rows = []
+    sums = [0, 0, 0, 0]
+    for k, c in enumerate(_binomials(d)):
+        sums[k % 4] += c
+        rows.append(tuple(sums))
+    return tuple(rows)
 
 
 def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], ...]:
@@ -135,16 +143,16 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], .
     polynomial subring on that square.  Sign-fixed shapes keep the basis
     monomials with even total sign weight.
     """
-    d = component.rank
+    binomials = _binomials(component.rank)
     sign_fixed = component.kind in ("Invariant", "MonomialFF")
     counts: dict[int, int] = {}
     for eps in (0, 1):
         for delta in (0,) if component.is_laurent else (0, 1):
-            for k in range(d + 1):
+            for k, c in enumerate(binomials):
                 if sign_fixed and (eps + delta + k) % 2:
                     continue
                 degree = 2 * eps + delta + k
-                counts[degree] = counts.get(degree, 0) + comb(d, k)
+                counts[degree] = counts.get(degree, 0) + c
     return tuple(sorted(counts.items()))
 
 
@@ -212,17 +220,16 @@ def nonvanishing(datum: ArithmeticDatum) -> Verdict:
     return Verdict(outcome="holds")
 
 
-def conjugacy_classes(datum: ArithmeticDatum, verdict: Verdict | None = None) -> int:
+def conjugacy_classes(datum: ArithmeticDatum, verdict: Verdict) -> int:
     """Number of conjugacy classes of order-ell elements, |coker(Nm1)| * |ker(nm0)|.
 
     The class set is an extension of ker(nm0) by coker(Nm1).  Only its
     cardinality and the orbit counts of the order-two symmetry are used,
     so it is modeled as the product of the two groups, counted but never
     listed, and the extension class is left unresolved.  Requires
-    non-vanishing; ``verdict`` is the datum's non-vanishing verdict when
-    the caller already has it.
+    non-vanishing: ``verdict`` is the datum's non-vanishing verdict.
     """
-    if (verdict or nonvanishing(datum)).outcome != "holds":
+    if verdict.outcome != "holds":
         raise ValueError("conjugacy classes require non-vanishing cohomology")
     return datum.coker_nm1.order * datum.ker_nm0.order
 
@@ -244,7 +251,8 @@ def subgroup_classes(datum: ArithmeticDatum,
     coker[2] x ker(sigma - 1), which gives the invariant subgroup classes;
     the other classes pair up into non-invariant ones.
     """
-    fixed = two_torsion_order(datum.coker_nm1) * fixed_subgroup(datum.sigma).order
+    fixed = (two_torsion_order(datum.coker_nm1.invariant_factors)
+             * fixed_point_count(datum.sigma))
     return _orbit_shapes("Invariant", "NonInvariant", datum.ker_nm1_rank, classes, fixed)
 
 
@@ -288,8 +296,12 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
     advisories = ()
     if isinstance(curve, P1Minus):
         check_punctures_exist(curve, field_spec.q)
+        rank = curve.punctures - 1
+        if rank > MAX_UNIT_RANK:
+            raise InputError(f"unit rank {rank} (punctures - 1) exceeds "
+                             f"the unit-rank bound {MAX_UNIT_RANK}")
         pic = pic_p1_minus(curve.puncture_degrees)
-        order, fixed, rank = pic.order, two_torsion_order(pic), curve.punctures - 1
+        order, fixed = pic.order, two_torsion_order(pic.invariant_factors)
         if curve.punctures >= 4:
             advisories = (
                 f"punctures={curve.punctures} threshold=4 "
@@ -312,15 +324,21 @@ def freeness_certificate(decomposition: Decomposition,
 
     For every scanned degree n the dimension of the shape equals the
     number of basis degrees congruent to n mod 4 (for a polynomial base,
-    also at most n).
+    also at most n).  The basis is counted by degree mod 4 as n rises, a
+    degree joining the counts once n reaches it (at once, for a Laurent
+    base), so the check costs the degrees scanned plus the basis degrees.
     """
     certificate = []
     for shape, _ in decomposition.shapes:
         degrees = freeness_basis_degrees(shape)
-        laurent = shape.is_laurent
+        counted = [0, 0, 0, 0]
+        joined = 0
         for n in range(-up_to, up_to + 1):
-            expected = graded_dimension(shape, n)
-            got = sum(m for d, m in degrees if (d - n) % 4 == 0 and (laurent or d <= n))
+            while joined < len(degrees) and (shape.is_laurent or degrees[joined][0] <= n):
+                d, m = degrees[joined]
+                counted[d % 4] += m
+                joined += 1
+            expected, got = graded_dimension(shape, n), counted[n % 4]
             if expected != got:
                 raise ArithmeticError(
                     f"freeness identity failed for shape {shape.kind}({shape.rank}) "
@@ -432,27 +450,19 @@ def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
     return lines()
 
 
-def machine_lines_number_field(datum: ArithmeticDatum,
-                               bound: int = DEFAULT_DEGREE_BOUND,
-                               decomposition: Decomposition | None = None,
-                               detection: Verdict | None = None) -> Iterator[str]:
-    """Report lines, one fact per line, for a number-field analysis.
-
-    ``decomposition`` and ``detection`` are the datum's decomposition and
-    detection verdict (up to ``bound``) when the caller already has them.
+def machine_lines_number_field(decomposition: Decomposition, detection: Verdict,
+                               bound: int) -> Iterator[str]:
+    """Report lines, one fact per line, for a number-field analysis: its
+    decomposition and its detection verdict up to degree ``bound``.
     Every check that can refuse or fail runs before the iterator is
     returned; the lines themselves are produced lazily.
     """
-    if decomposition is None:
-        decomposition = decompose_number_field(datum)
     head = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
     components = ()
     if decomposition.nonvanishing:
         head.append(f"CCLASSES\t{decomposition.classes}")
         head.append(f"KCLASSES\t{decomposition.count}")
         components = _component_lines(decomposition, bound)
-    if detection is None:
-        detection = detection_verdict(datum, decomposition, bound)
     if detection.outcome == "fails":
         tail = [f"DETECTION\tfails witness_degree={detection.witness[0]}"]
     else:

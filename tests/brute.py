@@ -6,8 +6,9 @@ torsion counting on raw element sets, graded dimensions from blind
 monomial enumeration, class numbers from reduced-form counts, the
 essential product from multiplying out all its linear factors, and
 GF(p^e) arithmetic from the base-p digits of the element encodings,
-elliptic point counts from Euler's criterion on those digits, and the
-field tables from one general product per power.
+elliptic point counts from Euler's criterion on those digits, the
+field tables from one general product per power, and linear congruences
+by the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -357,3 +358,17 @@ def general_product_tables(field):
         return exp, log, None
     one_more = (v - v % p + (v + 1) % p for v in exp)
     return exp, log, [log[w] if w else -1 for w in one_more]
+
+
+def congruence_by_extended_euclid(a: int, b: int, m: int) -> tuple[int, int]:
+    """The solutions of a*x = b (mod m), m >= 1, as x0 + step*k, from
+    Bezout coefficients: a*u = gcd(a, m) (mod m)."""
+    old_r, r, old_u, u = a, m, 1, 0
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+    g, u = (-old_r, -old_u) if old_r < 0 else (old_r, old_u)
+    if b % g:
+        raise ArithmeticError("congruence has no solution")
+    return (b // g * u) % m, m // g

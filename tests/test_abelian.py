@@ -15,7 +15,7 @@ from sl2cohom.abelian import (
     cokernel,
     contains_in_image,
     factorize,
-    fixed_subgroup,
+    fixed_point_count,
     involution_orbits,
     is_prime,
     kernel,
@@ -351,7 +351,7 @@ def test_closed_form_fixed_points_match_orbit_enumeration():
             continue
         neg = Involution(GroupHom.negation(g))
         fixed = sum(1 for o in involution_orbits(g, neg) if o.fixed)
-        assert two_torsion_order(g) == fixed_subgroup(neg).order == fixed
+        assert two_torsion_order(g.invariant_factors) == fixed_point_count(neg) == fixed
         involutions = []
         for m in all_hom_matrices(g, g):
             try:
@@ -361,8 +361,28 @@ def test_closed_form_fixed_points_match_orbit_enumeration():
         for s in rng.sample(involutions, min(4, len(involutions))):
             orbits = involution_orbits(g, s)
             fixed = sum(1 for o in orbits if o.fixed)
-            assert fixed_subgroup(s).order == fixed
+            assert fixed_point_count(s) == fixed
             assert len(orbits) == (g.order + fixed) // 2
+
+
+def test_fixed_point_count_matches_enumeration():
+    # Z/4 + Z/2 (coordinates list Z/2 first) with x -> x + 2y on Z/4:
+    # ker(s - 1) = Z/4 and coker(s - 1) = (Z/2)^2 differ in structure,
+    # not in order
+    g = FinGenAbGroup(0, (2, 4))
+    s = Involution(GroupHom(g, g, [[1, 0], [2, 1]]))
+    minus_one = GroupHom(g, g, [[0, 0], [2, 0]])
+    assert kernel(minus_one)[0] == FinGenAbGroup(0, (4,))
+    assert cokernel(minus_one)[0] == FinGenAbGroup(0, (2, 2))
+    assert fixed_point_count(s) == 4
+    for orders in [(), (2,), (4,), (6,), (2, 2), (2, 4), (3, 6), (4, 4), (2, 2, 2)]:
+        g = FinGenAbGroup(0, orders)
+        for m in all_hom_matrices(g, g):
+            try:
+                s = Involution(GroupHom(g, g, m))
+            except ValueError:
+                continue
+            assert fixed_point_count(s) == sum(1 for x in g.elements() if s.apply(x) == x)
 
 
 def test_involution_must_square_to_identity():

@@ -38,6 +38,8 @@ from sl2cohom.cohomengine import (
     ComponentRing,
     Decomposition,
     decompose_function_field,
+    decompose_number_field,
+    detection_verdict,
     freeness_certificate,
     graded_dimension,
     machine_lines_function_field,
@@ -83,7 +85,8 @@ def test_criterion_1_cyclotomic23_reproduction():
     with criterion(1, "cyclotomic-23 fixture reproduction"):
         datum = load_datum(FIXTURE)
         start = time.perf_counter()
-        lines = list(machine_lines_number_field(datum))
+        dec = decompose_number_field(datum)
+        lines = list(machine_lines_number_field(dec, detection_verdict(datum, dec, 12), 12))
         elapsed = time.perf_counter() - start
         assert "CCLASSES\t3" in lines
         assert "KCLASSES\t2" in lines

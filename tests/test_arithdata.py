@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from brute import congruence_by_extended_euclid
+from sl2cohom import arithdata
 from sl2cohom.abelian import FinGenAbGroup, involution_orbits, kernel
 from sl2cohom.arithdata import (
     ArithmeticDatum,
@@ -97,6 +99,33 @@ def test_composition_associative_spot_checks():
         for _ in range(30):
             f, g, h = (forms[rng.randrange(len(forms))] for _ in range(3))
             assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+def test_linear_congruences_match_enumeration():
+    for m in range(1, 25):
+        for a in range(-m, 2 * m):
+            for b in range(-m, m):
+                want = [x for x in range(m) if (a * x - b) % m == 0]
+                for solve in (arithdata._solve_linear_congruence,
+                              congruence_by_extended_euclid):
+                    if not want:
+                        with pytest.raises(ArithmeticError):
+                            solve(a, b, m)
+                        continue
+                    x0, step = solve(a, b, m)
+                    assert 0 <= x0 < m and m % step == 0
+                    assert want == list(range(x0 % step, m, step)), (solve, a, b, m)
+
+
+def test_composition_is_unchanged_by_the_solver(monkeypatch):
+    # the inverse modulo m // g gives other representatives than Bezout
+    # coefficients modulo m; the reduced composite must be the same form
+    discriminants = [d for d in range(-3, -401, -1) if is_fundamental_discriminant(d)]
+    table = {d: [compose(f, g) for f in reduced_forms(d) for g in reduced_forms(d)]
+             for d in discriminants}
+    monkeypatch.setattr(arithdata, "_solve_linear_congruence", congruence_by_extended_euclid)
+    for d in discriminants:
+        assert [compose(f, g) for f in reduced_forms(d) for g in reduced_forms(d)] == table[d]
 
 
 # ---------------------------------------------------------------------------

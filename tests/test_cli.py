@@ -200,6 +200,24 @@ def test_unit_rank_bound_refuses_up_front(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0, argv
 
 
+def test_p1_unit_rank_bound_refuses_before_any_dimension(monkeypatch, capsys):
+    # rank 2001 at --degree-bound 1000 took 22 s before the bound; the
+    # largest admitted P1 report is a golden digest
+    from sl2cohom import cohomengine
+
+    def no_dimensions(*args):
+        raise AssertionError("dimension work before the unit-rank bound")
+
+    monkeypatch.setattr(cohomengine, "graded_dimension", no_dimensions)
+    monkeypatch.setattr(cohomengine, "freeness_basis_degrees", no_dimensions)
+    for punctures in (2002, 10000):
+        code, out = run(capsys, "analyze-ff", "--curve", "p1",
+                        "--punctures", ",".join(["1"] * punctures), "--q", "65521",
+                        "--ell", "3", "--degree-bound", "1000")
+        assert (code, out) == (1, f"ERROR\tunit rank {punctures - 1} (punctures - 1) "
+                                  "exceeds the unit-rank bound 2000\n")
+
+
 def test_degree_bound_range_is_inclusive(capsys):
     for bound in ("0", str(MAX_DEGREE_BOUND)):
         code, out = run(capsys, "analyze-ff", "--preset", "p1_minus_infty",
@@ -486,6 +504,26 @@ def test_negative_or_zero_orders_keep_their_errors(capsys):
                         "--unit-rank", "1", "--ell", "3")
         assert (code, out) == (1, f"ERROR\t{message}\n")
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv,count", [
+    # the orders, the map and the relations of ker(nm0), and coker(sigma - 1)
+    (("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"), 4),
+    (("analyze-nf", "--datum", "q_zeta23.datum"), 3),  # no orders
+    (("verify",), 632),  # the oracle suites and two datum loads
+])
+def test_smith_forms_per_report(monkeypatch, capsys, argv, count):
+    from sl2cohom import abelian
+
+    calls = []
+    snf = abelian._snf
+
+    def counting(matrix, nrows, ncols):
+        calls.append((nrows, ncols))
+        return snf(matrix, nrows, ncols)
+
+    monkeypatch.setattr(abelian, "_snf", counting)
+    assert (run(capsys, *argv)[0], len(calls)) == (0, count)
 
 
 def test_orders_of_one_are_the_trivial_group(capsys):

@@ -29,6 +29,7 @@ from sl2cohom.arithdata import ArithmeticDatum, build_split_datum
 from sl2cohom.cohomengine import (
     decompose_function_field,
     decompose_number_field,
+    detection_verdict,
     machine_lines_function_field,
     machine_lines_number_field,
 )
@@ -241,7 +242,7 @@ def test_non_split_reports_match_enumeration():
         datum = random_non_split_datum(rng, mode)
         components, want = enumerated_number_field(datum)
         dec = decompose_number_field(datum)
-        got = machine_lines_number_field(datum, BOUND, dec)
+        got = machine_lines_number_field(dec, detection_verdict(datum, dec, BOUND), BOUND)
         check_against_enumeration(dec, got, components, want)
         if dec.nonvanishing:
             seen[mode] += 1
@@ -267,7 +268,8 @@ def test_split_reports_match_enumeration():
         datum = build_split_datum(cl, rng.randint(0, 4), rng.choice((3, 5, 7, 11)))
         components, want = enumerated_number_field(datum)
         dec = decompose_number_field(datum)
-        check_against_enumeration(dec, machine_lines_number_field(datum), components, want)
+        got = machine_lines_number_field(dec, detection_verdict(datum, dec, BOUND), BOUND)
+        check_against_enumeration(dec, got, components, want)
 
 
 # ---------------------------------------------------------------------------

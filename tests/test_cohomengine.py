@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -32,6 +33,13 @@ from brute import (
 
 QZETA23 = "src/sl2cohom/data/q_zeta23.datum"
 QZETA3 = "src/sl2cohom/data/q_zeta3.datum"
+
+
+def number_field_lines(datum, bound=12):
+    """The report lines of ``datum`` up to degree ``bound``, as ``analyze-nf``
+    builds them."""
+    dec = decompose_number_field(datum)
+    return machine_lines_number_field(dec, detection_verdict(datum, dec, bound), bound)
 
 
 def synthetic_datum(*, trace=True, cl_K=None, cl_A=None, nm0=None, steinitz=None,
@@ -90,6 +98,23 @@ def test_dimensions_match_blind_enumeration():
             for n in range(-4, 13):
                 assert graded_dimension(comp, n) == \
                     shape_dimension_by_enumeration(kind, rank, n)
+
+
+def test_prefix_sums_match_one_binomial_sum_per_degree():
+    # the monomials of each shape in degree n, counted by |T| = k and
+    # summed with math.comb for every degree
+    def kept(kind, n, k):
+        m2, delta = divmod(n - k, 2)  # 2m + delta = n - k
+        return {"NonInvariant": delta == 0, "Invariant": delta == 0 and (m2 + k) % 2 == 0,
+                "UnitsFF": True, "MonomialFF": (m2 + delta + k) % 2 == 0}[kind]
+
+    for d in (5, 13, 64, 301):
+        for kind in ("NonInvariant", "Invariant", "UnitsFF", "MonomialFF"):
+            laurent = kind in ("NonInvariant", "Invariant")
+            for n in [*range(-9, 20), d - 1, d, d + 1, d + 2, d + 7]:
+                top = d if laurent else min(d, n)
+                want = sum(comb(d, k) for k in range(top + 1) if kept(kind, n, k))
+                assert graded_dimension(ComponentRing(kind, d), n) == want, (kind, d, n)
 
 
 def test_invariant_plus_antiinvariant_equals_full():
@@ -162,13 +187,13 @@ def test_nonvanishing_truth_table_random():
 
 def test_three_conjugacy_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    assert conjugacy_classes(datum) == 3
+    assert conjugacy_classes(datum, nonvanishing(datum)) == 3
     assert decompose_number_field(datum).classes == 3
 
 
 def test_conjugacy_classes_trivial_case():
     datum = build_split_datum(FinGenAbGroup.trivial(), 1, 3)
-    assert conjugacy_classes(datum) == 1
+    assert conjugacy_classes(datum, nonvanishing(datum)) == 1
 
 
 def test_conjugacy_classes_multiplicative():
@@ -176,13 +201,11 @@ def test_conjugacy_classes_multiplicative():
         cl_A=FinGenAbGroup(0, (3,)), cl_K=FinGenAbGroup.trivial(),
         nm0=GroupHom(FinGenAbGroup(0, (3,)), FinGenAbGroup.trivial(), []),
         coker=FinGenAbGroup(0, (2,)))
-    assert conjugacy_classes(datum) == 6
+    assert conjugacy_classes(datum, nonvanishing(datum)) == 6
 
 
 def test_conjugacy_classes_require_nonvanishing():
     datum = synthetic_datum(trace=False)
-    with pytest.raises(ValueError):
-        conjugacy_classes(datum)
     with pytest.raises(ValueError):
         conjugacy_classes(datum, nonvanishing(datum))
     assert decompose_number_field(datum).classes is None
@@ -194,7 +217,7 @@ def test_split_data_have_class_number_many_conjugacy_classes():
         cl = FinGenAbGroup.from_cyclic_orders(
             [rng.randint(1, 6) for _ in range(rng.randint(0, 2))])
         datum = build_split_datum(cl, rng.randint(0, 3), 5)
-        assert conjugacy_classes(datum) == cl.order
+        assert conjugacy_classes(datum, nonvanishing(datum)) == cl.order
 
 
 def shape_counts(shapes):
@@ -203,13 +226,13 @@ def shape_counts(shapes):
 
 def test_two_subgroup_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
     assert shape_counts(shapes) == [("Invariant", 11, 1), ("NonInvariant", 11, 1)]
 
 
 def test_subgroup_classes_on_cyclic5_kernel():
     datum = build_split_datum(FinGenAbGroup(0, (5,)), 2, 7)
-    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
     assert sum(count for _, count in shapes) == 3
     assert shape_counts(shapes) == [("Invariant", 2, 1), ("NonInvariant", 2, 2)]
 
@@ -221,7 +244,7 @@ def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
     datum = synthetic_datum(cl_A=cl_A, nm0=GroupHom.zero(cl_A, FinGenAbGroup.trivial()),
                             coker=FinGenAbGroup(0, (4,)), ker_rank=1,
                             sigma=Involution(GroupHom.identity(cl_A)))
-    shapes = subgroup_classes(datum, conjugacy_classes(datum))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
     assert shape_counts(shapes) == [("Invariant", 1, 6), ("NonInvariant", 1, 3)]
 
 
@@ -329,7 +352,7 @@ def test_certificate_for_fixture_and_ff_cases():
     datum = load_datum(QZETA23)
     dec = decompose_number_field(datum)
     assert freeness_certificate(dec) == [freeness_basis_degrees(s) for s, _ in dec.shapes]
-    lines = list(machine_lines_number_field(datum))
+    lines = list(number_field_lines(datum))
     assert all(line.endswith(" verified_up_to=12")
                for line in lines if line.startswith("FREENESS"))
     assert "CHERN\trestriction=sum_of_squared_degree2_generators non_zero_divisor=true" in lines
@@ -360,6 +383,34 @@ def test_certificate_identity_random_shapes():
                 else:
                     got = sum(m for d, m in basis_degrees if (d - n) % 4 == 0 and d <= n)
                 assert want == got
+
+
+def test_certificate_refuses_what_a_full_recount_refuses(monkeypatch):
+    # a basis with one multiplicity raised or one degree moved: the
+    # certificate's running counts must agree with recounting every basis
+    # degree for every scanned degree
+    from sl2cohom import cohomengine
+
+    true_basis = cohomengine.freeness_basis_degrees
+    refused = 0
+    for kind in ("NonInvariant", "Invariant", "UnitsFF", "MonomialFF"):
+        shape = ComponentRing(kind, 5)
+        dec = Decomposition(shapes=((shape, 1),), nonvanishing=True)
+        basis = true_basis(shape)
+        for i, (d, m) in enumerate(basis):
+            for moved in ((d, m + 1), (d + 1, m), (d + 4, m), (d + 12, m)):
+                forged = tuple(sorted(basis[:i] + (moved,) + basis[i + 1:]))
+                monkeypatch.setattr(cohomengine, "freeness_basis_degrees",
+                                    lambda component, forged=forged: forged)
+                recount = [sum(mult for deg, mult in forged if (deg - n) % 4 == 0
+                               and (shape.is_laurent or deg <= n)) for n in range(-12, 13)]
+                if recount == [graded_dimension(shape, n) for n in range(-12, 13)]:
+                    assert freeness_certificate(dec, 12) == [forged]
+                else:
+                    refused += 1
+                    with pytest.raises(ArithmeticError, match="freeness identity failed"):
+                        freeness_certificate(dec, 12)
+    assert refused > 0
 
 
 def test_empty_decomposition_certificate():
@@ -469,7 +520,7 @@ def test_failing_verdict_requires_witness():
 # ---------------------------------------------------------------------------
 
 def test_number_field_report_lines():
-    lines = list(machine_lines_number_field(load_datum(QZETA23)))
+    lines = list(number_field_lines(load_datum(QZETA23)))
     assert "NONVANISHING\tholds" in lines
     assert "CCLASSES\t3" in lines
     assert "KCLASSES\t2" in lines
@@ -481,7 +532,7 @@ def test_number_field_report_lines():
 
 
 def test_number_field_report_vanishing_case():
-    lines = list(machine_lines_number_field(synthetic_datum(trace=False)))
+    lines = list(number_field_lines(synthetic_datum(trace=False)))
     assert "NONVANISHING\tfails" in lines
     assert not any(line.startswith("CCLASSES") for line in lines)
     assert any(line.startswith("DETECTION\tinconclusive") for line in lines)
@@ -503,14 +554,14 @@ def test_report_checks_run_before_the_lines_are_returned(monkeypatch):
     oversized = Decomposition(shapes=((shape, COMPONENT_BOUND + 1),), nonvanishing=True,
                               classes=COMPONENT_BOUND + 1)
     with pytest.raises(InputError, match="over the component bound"):
-        machine_lines_number_field(datum, 12, oversized)
+        machine_lines_number_field(oversized, Verdict("inconclusive"), 12)
 
     def failing(decomposition, up_to):
         raise ArithmeticError("injected freeness failure")
 
     monkeypatch.setattr(cohomengine, "freeness_certificate", failing)
     with pytest.raises(ArithmeticError, match="injected"):
-        machine_lines_number_field(datum)
+        number_field_lines(datum)
     with pytest.raises(ArithmeticError, match="injected"):
         machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
 
@@ -519,7 +570,7 @@ def test_report_grammar_keys():
     allowed = {"NONVANISHING", "CCLASSES", "KCLASSES", "COMPONENT",
                "FREENESS", "CHERN", "DETECTION", "GATE", "ADVISORY"}
     for lines in (
-            machine_lines_number_field(load_datum(QZETA23)),
+            number_field_lines(load_datum(QZETA23)),
             machine_lines_function_field(P1Minus((1, 1, 1, 1)), FiniteFieldSpec(7), 3)):
         for line in lines:
             key = line.split("\t", 1)[0]

@@ -63,6 +63,10 @@ CASES = {
                             "--q", "50653", "--ell", "3"],
     "elliptic_1_1_q59049": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                             "--q", "59049", "--ell", "11"],
+    # the largest P1 unit rank admitted, 2000, at the largest degree bound
+    "p1_2001_punctures_q65521": ["analyze-ff", "--curve", "p1", "--punctures",
+                                 ",".join(["1"] * 2001), "--q", "65521", "--ell", "3",
+                                 "--degree-bound", "1000"],
     "essential_2_4": ["essential", "--ell", "2", "--rank", "4"],
     "essential_3_3": ["essential", "--ell", "3", "--rank", "3"],
     "essential_5_2_human": ["essential", "--ell", "5", "--rank", "2", "--mode", "human"],
