@@ -55,19 +55,27 @@ CURVE_PRESETS = {
     "p1_minus_01_infty": (1, 1, 1),
 }
 
-# report lines joined into one write; more lines per write raise the peak memory
+# the most report lines, and about the most characters, joined into one
+# write; larger writes raise the peak memory
 EMIT_CHUNK = 256
+EMIT_CHARS = 1 << 14
 
 
 def _emit(lines, mode: str, title: str) -> None:
-    """Write the report as it is produced, ``EMIT_CHUNK`` lines per write."""
+    """Write the report as it is produced.  The first write is one line; each
+    next one at most doubles the line count, up to ``EMIT_CHUNK``, and takes
+    no more lines than the last write's mean line length fits in
+    ``EMIT_CHARS``, so that long lines are written a few at a time."""
     if mode == "human":
         lines = chain((f"# {title}",), lines, ("# end of report",))
     lines = iter(lines)
     write = sys.stdout.write
-    for chunk in iter(lambda: list(islice(lines, EMIT_CHUNK)), []):
+    size = 1
+    while chunk := list(islice(lines, size)):
         chunk.append("")
-        write("\n".join(chunk))
+        text = "\n".join(chunk)
+        write(text)
+        size = min(2 * size, EMIT_CHUNK, max(1, size * EMIT_CHARS // len(text)))
 
 
 def resolve_datum_path(name: str) -> Path:
@@ -160,20 +168,26 @@ def _cmd_analyze_ff(args) -> int:
     return 0
 
 
-def _cmd_essential(args) -> int:
-    spec = GradedAlgebraSpec(args.ell, args.rank)
-    product = essential_product(spec)
+def _restrictions_line(spec: GradedAlgebraSpec) -> str:
+    """The RESTRICTIONS line; the subgroup list is freed before the product prints."""
     subgroups = enumerate_proper_subgroups(spec)
     # every proper subgroup lies in a hyperplane, and restriction is transitive
     all_zero = line_factors_vanish_on_hyperplanes(spec, subgroups)
+    return (f"RESTRICTIONS\tall_proper_zero={'true' if all_zero else 'false'} "
+            f"proper_subgroups={len(subgroups)}")
+
+
+def _cmd_essential(args) -> int:
+    spec = GradedAlgebraSpec(args.ell, args.rank)
+    product = essential_product(spec)
+    restrictions = _restrictions_line(spec)
     # the product lies in the polynomial subring, an integral domain over
     # which the whole algebra is free: if nonzero, it multiplies without torsion
     nonzero = "false" if product.is_zero else "true"
     lines = [
         f"ESSENTIAL\tell={spec.ell} rank={spec.n} degree={product.degree()} nonzero={nonzero}",
         f"PRODUCT\t{product}",
-        f"RESTRICTIONS\tall_proper_zero={'true' if all_zero else 'false'} "
-        f"proper_subgroups={len(subgroups)}",
+        restrictions,
         f"WEYL\tinvariant={'true' if weyl_invariance(product, spec) else 'false'}",
         f"REGULARITY\tnon_zero_divisor={nonzero}",
     ]

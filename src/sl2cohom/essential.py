@@ -4,8 +4,9 @@ For ell = 2 the algebra on a rank-n group is polynomial on degree-1
 generators x1..xn; for odd ell it is polynomial on the degree-2
 Bockstein classes y1..yn tensor an exterior algebra on degree-1
 generators.  Only the polynomial subring F_ell[y1..yn] (all of it for
-ell = 2) is modelled: elements are sparse sums of monomials keyed by
-exponent tuples, with coefficients mod ell, so equality is structural.
+ell = 2) is modelled: elements are sparse sums of monomials, each packed
+into one integer key, with coefficients mod ell, so equality is
+structural.
 
 The distinguished element built here is the product of all nonzero
 degree-1 classes (ell = 2) respectively all nonzero degree-2 classes
@@ -17,9 +18,10 @@ hence acts without torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as _cartesian
+from itertools import combinations, permutations, product as _cartesian, starmap
+from operator import gt, lshift
 
-from .abelian import InputError, is_prime, smith_normal_form
+from .abelian import InputError, is_prime
 
 MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
 MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
@@ -39,23 +41,69 @@ class GradedAlgebraSpec:
             raise InputError("rank must be nonnegative")
 
 
-# monomial key: the exponent of each polynomial generator
+# exponent tuple of a monomial: the exponent of each polynomial generator
 MonomialKey = tuple[int, ...]
 
 
-class GradedElement:
-    """Sparse element of the polynomial subring attached to a spec."""
+def _width(top: int) -> int:
+    """Slot width for terms of total degree at most ``top``: 2^width - 1 > top,
+    so no slot carries and a key mod 2^width - 1 is its term's degree."""
+    return (top + 1).bit_length()
 
-    __slots__ = ("spec", "terms")
+
+def _shifts(n: int, width: int) -> list[int]:
+    """Bit offset of each generator's slot, the first generator's the highest."""
+    return [width * (n - 1 - i) for i in range(n)]
+
+
+def _reduced(terms: dict, ell: int) -> dict:
+    """The terms with coefficients reduced mod ell and no zero term, in place."""
+    for key, c in terms.items():
+        terms[key] = c % ell
+    for key in [key for key, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+def _product(left: dict, right: dict) -> dict:
+    """Product of two packed term dicts of one slot width that holds it,
+    with coefficients not reduced."""
+    out: dict[int, int] = {}
+    get = out.get
+    right = right.items()
+    for k1, c1 in left.items():
+        for k2, c2 in right:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+class GradedElement:
+    """Sparse element of the polynomial subring attached to a spec.
+
+    A monomial is one integer: the exponent of generator i fills slot i of
+    ``width`` bits, the first slot the most significant, so integer order
+    is the order of exponent tuples.  ``top`` bounds the total degree of
+    every term and ``width`` holds it (``_width``), so the product of two
+    monomials is the sum of their keys.  The constructor and ``terms``
+    speak exponent tuples; ``packed`` holds the keys.
+    """
+
+    __slots__ = ("spec", "width", "top", "packed")
 
     def __init__(self, spec: GradedAlgebraSpec, terms: dict[MonomialKey, int] | None = None):
-        self.spec = spec
-        clean: dict[MonomialKey, int] = {}
-        for exps, coeff in (terms or {}).items():
-            coeff %= spec.ell
-            if coeff:
-                clean[tuple(exps)] = coeff
-        self.terms = clean
+        clean = _reduced({tuple(exps): coeff for exps, coeff in (terms or {}).items()}, spec.ell)
+        top = max(map(sum, clean), default=0)
+        self.spec, self.width, self.top = spec, _width(top), top
+        shifts = _shifts(spec.n, self.width)
+        self.packed = {sum(map(lshift, exps, shifts)): c for exps, c in clean.items()}
+
+    @classmethod
+    def _from_packed(cls, spec, width: int, top: int, packed: dict) -> "GradedElement":
+        """An element from reduced terms keyed at ``width`` bits a slot."""
+        element = cls.__new__(cls)
+        element.spec, element.width, element.top, element.packed = spec, width, top, packed
+        return element
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -69,23 +117,44 @@ class GradedElement:
     @classmethod
     def polynomial_linear_form(cls, spec, coeffs) -> "GradedElement":
         """Sum of c_i * (degree-1 gen for ell = 2, degree-2 gen otherwise)."""
-        return cls(spec, {tuple(1 if j == i else 0 for j in range(spec.n)): c
-                          for i, c in enumerate(coeffs)})
+        width = _width(1)
+        return cls._from_packed(spec, width, 1, _reduced(
+            {1 << width * (spec.n - 1 - i): c for i, c in enumerate(coeffs)}, spec.ell))
 
     # -- structure ------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
+
+    def _exponents(self) -> list[MonomialKey]:
+        """The exponent tuple of each packed key, in the order of ``packed``."""
+        mask = (1 << self.width) - 1
+        shifts = _shifts(self.spec.n, self.width)
+        return [tuple([key >> s & mask for s in shifts]) for key in self.packed]
+
+    @property
+    def terms(self) -> dict[MonomialKey, int]:
+        """The terms keyed by exponent tuples."""
+        return dict(zip(self._exponents(), self.packed.values()))
+
+    def _at_width(self, width: int) -> dict:
+        """The packed terms with ``width`` bits a slot (at least ``self.width``)."""
+        if width == self.width:
+            return self.packed
+        shifts = _shifts(self.spec.n, width)
+        return {sum(map(lshift, exps, shifts)): c
+                for exps, c in zip(self._exponents(), self.packed.values())}
 
     def degree(self) -> int | None:
         """Common degree of a homogeneous element (None for zero)."""
         weight = 1 if self.spec.ell == 2 else 2
-        degs = {weight * sum(exps) for exps in self.terms}
+        digit_sum = (1 << self.width) - 1
+        degs = {key % digit_sum for key in self.packed}
         if not degs:
             return None
         if len(degs) > 1:
             raise ValueError("element is not homogeneous")
-        return degs.pop()
+        return weight * degs.pop()
 
     # -- arithmetic -----------------------------------------------------------
     def _require_same_algebra(self, other: "GradedElement"):
@@ -94,22 +163,23 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         self._require_same_algebra(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
+        width = max(self.width, other.width)
+        terms = dict(self._at_width(width))
+        for key, c in other._at_width(width).items():
             terms[key] = terms.get(key, 0) + c
-        return GradedElement(self.spec, terms)
+        return self._from_packed(self.spec, width, max(self.top, other.top),
+                                 _reduced(terms, self.spec.ell))
 
     def scaled(self, c: int) -> "GradedElement":
-        return GradedElement(self.spec, {k: v * c for k, v in self.terms.items()})
+        return self._from_packed(self.spec, self.width, self.top, _reduced(
+            {key: v * c for key, v in self.packed.items()}, self.spec.ell))
 
     def __mul__(self, other: "GradedElement") -> "GradedElement":
         self._require_same_algebra(other)
-        out: dict[MonomialKey, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return GradedElement(self.spec, out)
+        top = self.top + other.top  # repacked when the product outgrows the slots
+        width = max(self.width, other.width, _width(top))
+        return self._from_packed(self.spec, width, top, _reduced(_product(
+            self._at_width(width), other._at_width(width)), self.spec.ell))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
@@ -118,15 +188,17 @@ class GradedElement:
 
     # -- printing -------------------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         name = "x" if self.spec.ell == 2 else "y"
+        mask = (1 << self.width) - 1
+        slots = [(f"{name}{i + 1}", s) for i, s in enumerate(_shifts(self.spec.n, self.width))]
         pieces = []
-        for exps, coeff in sorted(self.terms.items()):
-            factors = [f"{name}{i + 1}" if e == 1 else f"{name}{i + 1}^{e}"
-                       for i, e in enumerate(exps) if e]
-            body = "*".join(factors)
-            if not factors:
+        for key in sorted(self.packed):
+            coeff = self.packed[key]
+            body = "*".join([var if e == 1 else f"{var}^{e}" for var, s in slots
+                             if (e := key >> s & mask)])
+            if not body:
                 pieces.append(str(coeff))
             elif coeff == 1:
                 pieces.append(body)
@@ -165,8 +237,12 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     if count > MAX_PROPER_SUBGROUPS:
         raise InputError(f"the report would list {count} proper subgroups, "
                          f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
-    moore = GradedElement(spec, {exps: (-1) ** sum(a > b for a, b in combinations(exps, 2))
-                                 for exps in permutations([ell ** i for i in range(n)])})
+    # slots that hold the degree of L_n^(ell - 1), ell^n - 1, so no product repacks
+    width = _width(order - 1)
+    shifts = _shifts(n, width)
+    moore = GradedElement._from_packed(spec, width, (order - 1) // (ell - 1), _reduced(
+        {sum(map(lshift, exps, shifts)): (-1) ** sum(starmap(gt, combinations(exps, 2)))
+         for exps in permutations([ell ** i for i in range(n)])}, ell))
     result = moore.scaled((-1) ** n)  # (ell^n - 1)/(ell - 1) has the parity of n, ell odd
     for _ in range(ell - 2):
         result = result * moore
@@ -175,33 +251,55 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     return result
 
 
+def rank_mod(rows, ell: int) -> int:
+    """Rank over F_ell of an integer matrix given by its rows, by elimination."""
+    rest = [[v % ell for v in row] for row in rows]
+    rank = 0
+    for j in range(len(rest[0]) if rest else 0):
+        pivot = next((row for row in rest if row[j]), None)
+        if pivot is None:
+            continue
+        rest.remove(pivot)
+        inverse = pow(pivot[j], -1, ell)
+        rest = [[(a - row[j] * inverse * b) % ell for a, b in zip(row, pivot)] if row[j]
+                else row for row in rest]
+        rank += 1
+    return rank
+
+
 def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     """Image of an element under restriction to a subgroup.
 
     The subgroup of the rank-n group is spanned by the k columns of the
-    matrix (n rows, rank k).  Each generator of the big algebra is
+    matrix (n rows, rank k mod ell).  Each generator of the big algebra is
     substituted by the linear combination of small-algebra generators
-    given by its matrix row.
+    given by its matrix row.  The substitution keeps each term's degree,
+    so the image has the element's degree bound.
     """
     spec = element.spec
-    rows = [tuple(int(v) % spec.ell for v in row) for row in subgroup_matrix]
+    ell = spec.ell
+    rows = [tuple(int(v) % ell for v in row) for row in subgroup_matrix]
     k = len(rows[0]) if rows else 0
     if len(rows) != spec.n or any(len(r) != k for r in rows):
         raise ValueError(f"subgroup matrix needs {spec.n} rows of equal length")
-    if k and sum(1 for d in smith_normal_form(rows)[1] if d % spec.ell) != k:
+    if rank_mod(rows, ell) != k:
         raise ValueError("subgroup matrix must have full column rank")
-    target = GradedAlgebraSpec(spec.ell, k)
-    forms = [GradedElement.polynomial_linear_form(target, row) for row in rows]
-    powers = [[GradedElement.one(target)] for _ in rows]  # powers[i][e] = forms[i]^e
-    total = GradedElement.zero(target)
-    for exps, coeff in element.terms.items():
-        term = GradedElement.one(target).scaled(coeff)
+    width = _width(element.top)
+    shifts = _shifts(k, width)
+    forms = [{1 << s: c for s, c in zip(shifts, row) if c} for row in rows]
+    powers = [[{0: 1}, form] for form in forms]  # powers[i][e] = forms[i]^e, packed
+    total: dict[int, int] = {}
+    for exps, coeff in zip(element._exponents(), element.packed.values()):
+        term = {0: coeff}
         for form, power, e in zip(forms, powers, exps):
-            while len(power) <= e:
-                power.append(power[-1] * form)
-            term = term * power[e]
-        total = total + term
-    return total
+            if e:
+                while len(power) <= e:
+                    power.append(_reduced(_product(power[-1], form), ell))
+                term = _product(term, power[e])
+        for key, c in term.items():
+            total[key] = total.get(key, 0) + c
+    return GradedElement._from_packed(GradedAlgebraSpec(ell, k), width, element.top,
+                                      _reduced(total, ell))
 
 
 def line_factors_vanish_on_hyperplanes(spec: GradedAlgebraSpec, subgroups) -> bool:
@@ -227,13 +325,22 @@ def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
 
     Checked on adjacent transpositions, which generate the full symmetric
     group.  Each is a bijection on the terms' keys, so it fixes the element
-    exactly when every swapped key carries the same coefficient.
+    exactly when every swapped key carries the same coefficient.  Swapping
+    the exponents a, b of the slots at bits s > t adds (b - a)(2^s - 2^t)
+    to a packed key.
     """
     if element.spec != spec:
         raise ValueError("element does not belong to the given algebra")
-    terms = element.terms
-    return all(terms.get(exps[:i] + (exps[i + 1], exps[i]) + exps[i + 2:]) == c
-               for exps, c in terms.items() for i in range(spec.n - 1))
+    terms, mask = element.packed, (1 << element.width) - 1
+    get = terms.get
+    shifts = _shifts(spec.n, element.width)
+    swaps = [(s, t, (1 << s) - (1 << t)) for s, t in zip(shifts, shifts[1:])]
+    for key, c in terms.items():
+        for s, t, step in swaps:
+            move = (key >> t & mask) - (key >> s & mask)
+            if move and get(key + move * step) != c:
+                return False
+    return True
 
 
 def enumerate_proper_subgroups(spec: GradedAlgebraSpec):
@@ -254,4 +361,6 @@ def enumerate_proper_subgroups(spec: GradedAlgebraSpec):
             for values in _cartesian(*(range(ell) for _ in cols)):
                 grown.append(tuple(c + (v,) for c, v in zip(cols, values)))
         partial = grown
-    return [tuple(zip(*cols)) for cols in partial if 0 < len(cols) < n]
+    rows = {}  # each distinct row once, shared by the matrices that have it
+    return [tuple([rows.setdefault(row, row) for row in zip(*cols)])
+            for cols in partial if 0 < len(cols) < n]

@@ -4,7 +4,8 @@ Everything here deliberately avoids the fast code paths it is used to
 check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, graded dimensions from blind
 monomial enumeration, class numbers from reduced-form counts, the
-essential product from multiplying out all its linear factors, and
+essential product from multiplying out all its linear factors on
+exponent tuples, restriction by substituting linear forms into them,
 GF(p^e) arithmetic from the base-p digits of the element encodings,
 elliptic point counts from Euler's criterion on those digits, the
 field tables from one general product per power, and linear congruences
@@ -17,7 +18,6 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup
-from sl2cohom.essential import GradedElement
 
 
 def permanent_style_det(matrix) -> int:
@@ -248,13 +248,60 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def multiplied_out_product(spec) -> GradedElement:
+def tuple_product(left: dict, right: dict, ell: int) -> dict:
+    """Product of two sums of monomials keyed by exponent tuples, mod ell,
+    adding the exponents slot by slot."""
+    out: dict = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c % ell for key, c in out.items() if c % ell}
+
+
+def linear_form(coeffs, ell: int) -> dict:
+    """Sum of c_i times the i-th generator, keyed by exponent tuples."""
+    return {tuple(int(i == j) for j in range(len(coeffs))): c % ell
+            for i, c in enumerate(coeffs) if c % ell}
+
+
+def multiplied_out_product(spec) -> dict:
     """Product of the linear forms of all nonzero vectors, one at a time."""
-    result = GradedElement.one(spec)
+    result = {(0,) * spec.n: 1}
     for vec in cartesian(range(spec.ell), repeat=spec.n):
         if any(vec):
-            result = result * GradedElement.polynomial_linear_form(spec, vec)
+            result = tuple_product(result, linear_form(vec, spec.ell), spec.ell)
     return result
+
+
+def moore_power(spec) -> dict:
+    """(-1)^n L_n^(ell - 1), L_n = det(y_j^(ell^i)) expanded over permutations
+    with the sign read off the inversions, powered on exponent tuples."""
+    ell, n = spec.ell, spec.n
+    moore = {}
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        moore[tuple(ell ** p for p in perm)] = (-1) ** inversions % ell
+    result = {key: (-1) ** n * c % ell for key, c in moore.items()}
+    for _ in range(ell - 2):
+        result = tuple_product(result, moore, ell)
+    return result
+
+
+def substituted(terms: dict, matrix, ell: int) -> dict:
+    """Restriction to the subgroup spanned by the matrix columns: generator i
+    becomes the linear form of row i, multiplied out power by power."""
+    k = len(matrix[0])
+    forms = [linear_form(row, ell) for row in matrix]
+    out: dict = {}
+    for exps, coeff in terms.items():
+        term = {(0,) * k: coeff % ell}
+        for form, e in zip(forms, exps):
+            for _ in range(e):
+                term = tuple_product(term, form, ell)
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c % ell for key, c in out.items() if c % ell}
 
 
 def _digits(code: int, p: int, e: int) -> list[int]:

@@ -3,15 +3,24 @@ from itertools import permutations
 
 import pytest
 
-from brute import column_span, gaussian_binomial, multiplied_out_product, proper_subgroup_spans
+from brute import (
+    column_span,
+    gaussian_binomial,
+    moore_power,
+    multiplied_out_product,
+    proper_subgroup_spans,
+    substituted,
+    tuple_product,
+)
 from sl2cohom import essential
-from sl2cohom.abelian import is_prime
+from sl2cohom.abelian import is_prime, smith_normal_form
 from sl2cohom.essential import (
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
     essential_product,
     line_factors_vanish_on_hyperplanes,
+    rank_mod,
     restrict,
     weyl_invariance,
 )
@@ -88,7 +97,64 @@ MOORE = [(ell, n) for ell in range(2, 82) if is_prime(ell)
 @pytest.mark.parametrize("ell,n", MOORE)
 def test_moore_product_matches_multiplied_out_product(ell, n):
     spec = GradedAlgebraSpec(ell, n)
-    assert essential_product(spec) == multiplied_out_product(spec)
+    assert essential_product(spec).terms == multiplied_out_product(spec)
+
+
+# the benchmark's essential ladder, and larger products with more terms or wider slots
+LADDER = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+          (5, 2), (7, 2), (11, 2), (13, 2), (17, 2), (19, 2), (23, 2)]
+
+
+@pytest.mark.parametrize("ell,n", LADDER + [(5, 4), (7, 3), (2, 7), (3, 5)])
+def test_packed_product_matches_the_tuple_product(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    product = essential_product(spec)
+    expected = moore_power(spec)
+    assert product.terms == expected
+    # integer order of the packed keys is the order of the exponent tuples
+    ordered = GradedElement._from_packed(spec, product.width, product.top,
+                                         dict(sorted(product.packed.items())))
+    assert list(ordered.terms) == sorted(expected)
+
+
+@pytest.mark.parametrize("ell,n", [(2, 3), (3, 2), (5, 3), (7, 1)])
+def test_products_that_outgrow_the_slots_are_repacked(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    rng = random.Random(f"repack:{ell}:{n}")
+    widths = set()
+    for _ in range(20):
+        # degrees at a slot width's edge: 2^w - 2 holds, 2^w - 1 needs another bit
+        left = random_homogeneous(rng, spec, rng.choice([1, 2, 3, 6, 7, 14, 15]), 4)
+        right = random_homogeneous(rng, spec, rng.choice([1, 2, 3, 6, 7, 14, 15]), 4)
+        product = left * right
+        assert product.terms == tuple_product(left.terms, right.terms, ell)
+        assert product == GradedElement(spec, product.terms)
+        # of another degree than left, so the sum has the terms of both
+        assert (left + product).terms == {**left.terms, **product.terms}
+        if not product.is_zero:
+            assert product.degree() == (1 if ell == 2 else 2) * sum(next(iter(product.terms)))
+        widths.add(product.width > max(left.width, right.width))
+    assert widths == {True, False}
+    # a chain of products through several widths
+    chain, expected = GradedElement.one(spec), {(0,) * n: 1}
+    for _ in range(12):
+        factor = random_homogeneous(rng, spec, rng.randrange(1, 4), 3)
+        chain, expected = chain * factor, tuple_product(expected, factor.terms, ell)
+        assert chain.terms == expected
+
+
+def test_sums_and_equality_across_slot_widths():
+    spec = GradedAlgebraSpec(3, 2)
+    y1, y2 = gen(spec, 0), gen(spec, 1)
+    cube = y1 * y1 * y1  # a wider slot than y1's
+    assert cube.width > y1.width
+    assert (cube + y1).terms == {(3, 0): 1, (1, 0): 1}
+    assert (y1 + cube) == (cube + y1)
+    assert GradedElement(spec, {(1, 0): 1}) == y1
+    assert GradedElement(spec, {(1, 0): 4}) == y1  # coefficients mod ell
+    assert cube != y1 * y2 * y2 and cube == GradedElement(spec, {(3, 0): 1})
+    with pytest.raises(ValueError, match="not homogeneous"):
+        (cube + y2).degree()
 
 
 def test_product_size_guard():
@@ -136,6 +202,39 @@ def test_restriction_rank_is_taken_mod_ell():
         restrict(gen(spec, 0), [[1, 2], [2, 1]])  # determinant -3: rank 2 over Z, 1 mod 3
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_rank_mod_ell_matches_the_smith_form(ell):
+    rng = random.Random(f"rank:{ell}")
+    ranks = set()
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        inner = rng.randint(1, 6)  # a product through this many columns has rank <= inner
+        left = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-9, 9) * rng.choice([1, 1, ell]) for _ in range(cols)]
+                 for _ in range(inner)]
+        matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        expected = sum(1 for d in smith_normal_form(matrix)[1] if d % ell)
+        assert rank_mod(matrix, ell) == expected, (ell, matrix)
+        ranks.add(expected < min(rows, cols))
+    assert ranks == {True, False}
+    assert rank_mod([[1, 2], [2, 1]], 3) == 1 and rank_mod([[1, 2], [2, 1]], 5) == 2
+
+
+def test_restriction_matches_substitution_on_random_matrices():
+    rng = random.Random("substitution")
+    for ell, n in [(2, 4), (3, 3), (5, 3), (7, 2), (11, 2)]:
+        spec = GradedAlgebraSpec(ell, n)
+        for _ in range(15):
+            k = rng.randint(1, n)
+            matrix = [[rng.randrange(ell) for _ in range(k)] for _ in range(n)]
+            element = random_homogeneous(rng, spec, rng.randrange(0, 7), rng.randrange(1, 6))
+            if sum(1 for d in smith_normal_form(matrix)[1] if d % ell) < k:
+                with pytest.raises(ValueError, match="full column rank"):
+                    restrict(element, matrix)
+                continue
+            assert restrict(element, matrix).terms == substituted(element.terms, matrix, ell)
+
+
 def test_subgroup_enumeration_counts():
     # rank-1 subspaces of a 2-dim space over GF(3): (9-1)/(3-1) = 4
     assert len(enumerate_proper_subgroups(GradedAlgebraSpec(3, 2))) == 4
@@ -165,6 +264,17 @@ def test_echelon_enumeration_matches_span_sets(ell, n):
 
 def _zero_on(element, matrices):
     return all(restrict(element, m).is_zero for m in matrices)
+
+
+@pytest.mark.parametrize("ell,n", SMALL)
+def test_restriction_matches_substitution_on_every_subgroup(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    rng = random.Random(f"subgroups:{ell}:{n}")
+    elements = [essential_product(spec)] + [
+        random_homogeneous(rng, spec, rng.randrange(1, 6), rng.randrange(1, 5)) for _ in range(3)]
+    for matrix in enumerate_proper_subgroups(spec):
+        for element in elements:
+            assert restrict(element, matrix).terms == substituted(element.terms, matrix, ell)
 
 
 @pytest.mark.parametrize("ell,n", SMALL)

@@ -11,10 +11,10 @@ purpose with
 and document the change.  Regenerating keeps each file's form; to store a
 new case as a digest, create its empty ``.sha256`` file first.
 
-Two digests there are not cases here, and ``--regenerate`` leaves them
-alone: ``essential_3_6.sha256`` and ``split_1000_1000.sha256``.
-``tests/test_cli.py`` runs those reports in a child process, to bound
-their peak memory.  Rewrite them by hand, in the same form, from
+Three digests there are not cases here, and ``--regenerate`` leaves them
+alone: ``essential_3_6.sha256``, ``split_1000_1000.sha256`` and
+``split_100_unit_rank_2000.sha256``.  ``tests/test_cli.py`` runs those
+reports in a child process, to bound their peak memory.  Rewrite them by hand, in the same form, from
 
     PYTHONPATH=src python -m sl2cohom.cli <arguments> | sha256sum
 
@@ -77,6 +77,9 @@ CASES = {
     "essential_2_7": ["essential", "--ell", "2", "--rank", "7"],
     "essential_3_5": ["essential", "--ell", "3", "--rank", "5"],
     "essential_5_4": ["essential", "--ell", "5", "--rank", "4"],
+    # the widest slots a rank-2 product packs: y2^110 and y2^506
+    "essential_11_2": ["essential", "--ell", "11", "--rank", "2"],
+    "essential_23_2": ["essential", "--ell", "23", "--rank", "2"],
     "verify_machine": ["verify"],
     "verify_human": ["verify", "--mode", "human"],
 }
