@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 # the largest group whose elements the oracles may list
@@ -72,14 +72,8 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _matmul(a, b) -> list[list[int]]:
-    if not a:
-        return []
-    inner = len(a[0])
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        out.append([sum(row[k] * b[k][j] for k in range(inner)) for j in range(width)])
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _snf(matrix, nrows: int, ncols: int):
@@ -243,19 +237,20 @@ class FinGenAbGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "FinGenAbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 meaning Z)."""
+        """Canonicalize an arbitrary list of cyclic orders (0 meaning Z): each
+        pair i < j in turn becomes (gcd, lcm), with lcm(0, x) = 0, which
+        leaves a divisibility chain with the zeros last."""
         orders = [int(o) for o in orders]
         if any(o < 0 for o in orders):
             raise InputError("cyclic orders must be nonnegative")
         orders = [o for o in orders if o != 1]  # Z/1 is trivial
         n = len(orders)
-        if n == 0:
-            return cls.trivial()
-        diag_rel = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        _, diag, _ = smith_normal_form(diag_rel)
-        free = sum(1 for d in diag if d == 0)
-        factors = tuple(d for d in diag if d > 1)
-        return cls(free, factors)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = orders[i], orders[j]
+                g = gcd(a, b)
+                orders[i], orders[j] = g, a // g * b if g else 0
+        return cls(orders.count(0), tuple(d for d in orders if d > 1))
 
     @cached_property
     def ngens(self) -> int:

@@ -140,12 +140,8 @@ def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int]:
     return b // g * pow(a // g, -1, step) % step, step
 
 
-def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
-    """Gauss composition of two forms of the same discriminant, reduced."""
-    if f1.discriminant != f2.discriminant:
-        raise ValueError("forms must share a discriminant")
-    a1, b1, c1 = f1.a, f1.b, f1.c
-    a2, b2 = f2.a, f2.b
+def _compose_triples(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, int, int]:
+    """``compose`` on triples; the forms share a discriminant, which fixes c2."""
     g = (b1 + b2) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), g)
@@ -159,7 +155,14 @@ def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
     a3 = st
     b3 = w * u - (k * t + el * s)
     c3 = k * el - w * m
-    return QuadraticForm(*_reduce_triple(a3, b3, c3))
+    return _reduce_triple(a3, b3, c3)
+
+
+def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
+    """Gauss composition of two forms of the same discriminant, reduced."""
+    if f1.discriminant != f2.discriminant:
+        raise ValueError("forms must share a discriminant")
+    return QuadraticForm(*_compose_triples(f1.a, f1.b, f1.c, f2.a, f2.b))
 
 
 def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
@@ -173,14 +176,15 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
         raise ValueError("discriminant must be negative")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    forms = reduced_forms(d)
+    forms = [(f.a, f.b, f.c) for f in reduced_forms(d)]
     index = {f: i for i, f in enumerate(forms)}
     h = len(forms)
 
     def mul(i: int, j: int) -> int:
-        return index[compose(forms[i], forms[j])]
+        return index[_compose_triples(*forms[i], *forms[j][:2])]
 
-    identity = index[reduce_form(principal_form(d))]
+    one = reduce_form(principal_form(d))
+    identity = index[one.a, one.b, one.c]
     reached: dict[int, tuple[int, ...]] = {identity: ()}
     relations: list[list[int]] = []
     ngens = 0

@@ -95,32 +95,32 @@ def _is_irreducible(modulus, p):
     for r, _ in factorize(e):
         power = _poly_pow_mod(x, p ** (e // r), modulus, p)
         diff = [(a - b) % p for a, b in zip(power, x)]
-        if _poly_gcd_is_nontrivial(diff, modulus, p):
+        if _resultant(modulus, diff, p) == 0:
             return False
     return True
 
 
-def _poly_gcd_is_nontrivial(a, b_full, p):
-    a = list(a)
-    b = list(b_full)
-    inv = lambda v: pow(v, p - 2, p)
-
-    def deg(poly):
-        for i in range(len(poly) - 1, -1, -1):
-            if poly[i]:
-                return i
-        return -1
-
+def _resultant(f, g, p):
+    """Res(f, g) mod p for deg f > deg g, coefficients from the constant term,
+    by Res(f, g) = (-1)^(mn) lc(g)^(m-k) Res(g, f mod g) for the degrees m, n
+    and k of f, g and f mod g.  It is 0 exactly when f and g share a factor;
+    for a monic irreducible f it is the norm of g(x) from GF(p)[x]/f to GF(p).
+    """
+    result = 1
     while True:
-        da, db = deg(a), deg(b)
-        if da < 0:
-            return db > 0
-        if da > db:
-            a, b = b, a
-            continue
-        factor = b[db] * inv(a[da]) % p
-        for i in range(da + 1):
-            b[db - da + i] = (b[db - da + i] - factor * a[i]) % p
+        while len(g) > 1 and not g[-1]:
+            g = g[:-1]
+        m, n = len(f) - 1, len(g) - 1
+        if n == 0:
+            return result * pow(g[0], m, p) % p
+        r, inv = list(f), pow(g[-1], -1, p)
+        for i in range(m - n, -1, -1):
+            c = r[i + n] * inv % p
+            for j in range(n + 1):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+        k = max((i for i in range(n) if r[i]), default=0)
+        result = result * (-1) ** (m * n) * pow(g[-1], m - k, p) % p
+        f, g = g, r[:k + 1]
 
 
 def _find_modulus(p, e):
@@ -188,16 +188,25 @@ class FiniteField:
 
     def _build_tables(self):
         # the first candidate of order q - 1 (no g^((q-1)/r) is 1 for a prime
-        # r | q - 1) generates; the general product finds it, and its powers
-        # are walked by lookups
+        # r | q - 1) generates, and its powers are walked by lookups.  For
+        # r | p - 1, g^((q-1)/r) is N(g)^((p-1)/r) with the norm N(g) in GF(p),
+        # which most candidates fail; only the other r take general products
         if self.q == 2:
             return [1], [0, 0]
-        cofactors = [(self.q - 1) // r for r, _ in factorize(self.q - 1)]
-        gen = next(c for c in (range(2, self.q) if self.e == 1 else range(self.p, self.q))
-                   if all(self._raw_pow(c, k) != 1 for k in cofactors))
+        p, q = self.p, self.q
+        primes = [r for r, _ in factorize(q - 1)]
+        by_norm = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+        general = [(q - 1) // r for r in primes if (p - 1) % r]
+
+        def generates(c):
+            n = _resultant(self.modulus, self._decode(c), p) if self.e > 1 else c
+            return (all(pow(n, k, p) != 1 for k in by_norm)
+                    and all(self._raw_pow(c, k) != 1 for k in general))
+
+        gen = next(filter(generates, range(2, q) if self.e == 1 else range(p, q)))
         if self.e == 1:
-            p, v, exp = self.p, 1, [1]
-            for _ in range(self.q - 2):
+            v, exp = 1, [1]
+            for _ in range(q - 2):
                 v = v * gen % p
                 exp.append(v)
         else:
@@ -396,13 +405,14 @@ def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
     """All rational points, point at infinity encoded as None."""
     points = [None]
+    is_square, sqrt, neg = field.is_square, field.sqrt, field.neg
     for x, rhs in enumerate(_cubic_values(curve, field)):
         if rhs == 0:
             points.append((x, 0))
-        elif field.is_square(rhs):
-            y = field.sqrt(rhs)
+        elif is_square(rhs):
+            y = sqrt(rhs)
             points.append((x, y))
-            points.append((x, field.neg(y)))
+            points.append((x, neg(y)))
     return points
 
 

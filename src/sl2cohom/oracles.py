@@ -14,8 +14,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 
 from .abelian import (
     FinGenAbGroup,
@@ -29,6 +31,7 @@ from .abelian import (
     smith_normal_form,
 )
 from .arithdata import (
+    _compose_triples,
     class_group_imaginary_quadratic,
     compose,
     is_fundamental_discriminant,
@@ -156,33 +159,41 @@ def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
     return FinGenAbGroup(0, tuple(sorted(factors)))
 
 
+@lru_cache(maxsize=16)
+def _subset_sizes(rank: int) -> tuple[tuple[int, int], ...]:
+    """(size, number of subsets) over every listed subset of rank generators."""
+    sizes = Counter(len(c) for k in range(rank + 1) for c in combinations(range(rank), k))
+    return tuple(sizes.items())
+
+
 def monomial_count_oracle(kind: str, rank: int, degree: int,
                           laurent_window: int = 40) -> int:
     """Blind monomial enumeration for the four component shapes.
 
-    Every subset of the rank generators is listed, then tallied by size
-    once; the monomials are counted over sizes with their multiplicities.
+    Every subset of the rank generators is listed, once per rank, and
+    tallied by size; for each size the one m with 2m + size (+ delta) =
+    degree counts if the window holds it and it has the shape's parity.
     """
+    laurent = kind in ("NonInvariant", "Invariant")
+    lowest = -laurent_window if laurent else 0
     count = 0
-    sizes = Counter(len(c) for k in range(rank + 1) for c in combinations(range(rank), k))
-    if kind in ("NonInvariant", "Invariant"):
-        for m in range(-laurent_window, laurent_window + 1):
-            for size, subsets in sizes.items():
-                if 2 * m + size != degree:
-                    continue
-                if kind == "Invariant" and (m + size) % 2:
-                    continue
-                count += subsets
-        return count
-    for m in range(0, laurent_window + 1):
-        for delta in (0, 1):
-            for size, subsets in sizes.items():
-                if 2 * m + delta + size != degree:
-                    continue
-                if kind == "MonomialFF" and (m + delta + size) % 2:
-                    continue
-                count += subsets
+    for size, subsets in _subset_sizes(rank):
+        for delta in (0,) if laurent else (0, 1):
+            m, odd = divmod(degree - size - delta, 2)
+            if odd or not lowest <= m <= laurent_window:
+                continue
+            if kind == "Invariant" and (m + size) % 2:
+                continue
+            if kind == "MonomialFF" and (m + delta + size) % 2:
+                continue
+            count += subsets
     return count
+
+
+def _images(f: GroupHom, elements) -> list[tuple[int, ...]]:
+    """f on each element, on raw coordinate tuples; f's codomain is finite."""
+    pairs = tuple(zip(f.matrix, f.codomain.orders))
+    return [tuple(sum(map(mul, row, x)) % o for row, o in pairs) for x in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +232,16 @@ def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> Suit
         domain = random_finite_group(rng)
         codomain = random_finite_group(rng)
         f = random_hom(rng, domain, codomain)
+        dom_orders, cod_orders = domain.orders, codomain.orders
         dom_elements = list(domain.elements())
-        values = [f.apply(x) for x in dom_elements]
+        values = _images(f, dom_elements)
         zero = codomain.zero()
         kernel_set = {x for x, v in zip(dom_elements, values) if v == zero}
         k, incl = kernel(f)
-        image_of_incl = {incl.apply(x) for x in k.elements()}
-        if image_of_incl != kernel_set:
+        if set(_images(incl, k.elements())) != kernel_set:
             return SuiteResult(name, False, f"trial {trial}: kernel set mismatch")
         brute_k = brute_structure_from_elements(
-            kernel_set, lambda x, n: domain.reduce_element([n * v for v in x]),
+            kernel_set, lambda x, n: tuple(n * v % o for v, o in zip(x, dom_orders)),
             domain.zero())
         if brute_k != k:
             return SuiteResult(name, False, f"trial {trial}: kernel structure mismatch")
@@ -241,17 +252,18 @@ def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> Suit
         for y in cod_elements:
             # image is a subgroup, so y + image is the coset of each of its members
             if y not in rep_of:
-                coset = [codomain.add(y, s) for s in image]
+                coset = [tuple((u + v) % o for u, v, o in zip(y, s, cod_orders))
+                         for s in image]
                 rep_of.update(dict.fromkeys(coset, min(coset)))
         reps = sorted(set(rep_of.values()))
         if c.order != len(reps):
             return SuiteResult(name, False, f"trial {trial}: cokernel order mismatch")
         brute_c = brute_structure_from_elements(
-            reps, lambda x, n: rep_of[codomain.reduce_element([n * v for v in x])],
+            reps, lambda x, n: rep_of[tuple(n * v % o for v, o in zip(x, cod_orders))],
             rep_of[zero])
         if brute_c != c:
             return SuiteResult(name, False, f"trial {trial}: cokernel structure mismatch")
-        if {proj.apply(y) for y in cod_elements} != set(c.elements()):
+        if set(_images(proj, cod_elements)) != set(c.elements()):
             return SuiteResult(name, False, f"trial {trial}: projection not onto")
         for y in cod_elements[:20]:
             if contains_in_image(f, y) != (y in image):
@@ -287,9 +299,10 @@ def suite_class_group_forms(limit: int = 400) -> SuiteResult:
         if group.order != len(forms):
             return SuiteResult(name, False, f"{d}: structure order vs form count")
         identity = reduce_form(principal_form(d))
+        triples = [(g.a, g.b, g.c) for g in forms]
         for f in forms:
-            row = [compose(f, g) for g in forms]
-            if sorted(row, key=lambda q: (q.a, q.b)) != list(forms):
+            row = sorted(_compose_triples(f.a, f.b, f.c, a2, b2) for a2, b2, _ in triples)
+            if row != triples:
                 return SuiteResult(name, False, f"{d}: row of {f} is not a permutation")
             if compose(f, identity) != f:
                 return SuiteResult(name, False, f"{d}: identity fails on {f}")

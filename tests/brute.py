@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the fast code paths it is used to
 check: determinants come from permutation expansion, group structure from
-torsion counting on raw element sets, graded dimensions from blind
-monomial enumeration, class numbers from reduced-form counts, the
+torsion counting on raw element sets, canonical forms of cyclic orders
+from the Smith form of their diagonal matrix, graded dimensions from blind
+monomial enumeration and from a scan of the whole exponent window, class
+numbers from reduced-form counts, the
 essential product from multiplying out all its linear factors on
 exponent tuples, restriction by substituting linear forms into them,
 GF(p^e) arithmetic from the base-p digits of the element encodings,
@@ -14,10 +16,11 @@ by the extended Euclidean algorithm.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
-from sl2cohom.abelian import FinGenAbGroup
+from sl2cohom.abelian import FinGenAbGroup, smith_normal_form
 
 
 def permanent_style_det(matrix) -> int:
@@ -96,6 +99,21 @@ def structure_from_element_set(elements, add, zero) -> FinGenAbGroup:
     return FinGenAbGroup(0, tuple(sorted(factors)))
 
 
+def group_by_diagonal_smith_form(orders) -> FinGenAbGroup:
+    """The sum of the Z/o in canonical form from the Smith form of diag(orders).
+
+    Orders 1 are dropped first; 0 stands for Z.  Negative orders are not
+    checked here.
+    """
+    orders = [o for o in orders if o != 1]
+    n = len(orders)
+    if n == 0:
+        return FinGenAbGroup.trivial()
+    _, diag, _ = smith_normal_form([[orders[i] if i == j else 0 for j in range(n)]
+                                    for i in range(n)])
+    return FinGenAbGroup(sum(1 for d in diag if d == 0), tuple(d for d in diag if d > 1))
+
+
 def shape_dimension_by_enumeration(kind: str, rank: int, degree: int,
                                    window: int = 40) -> int:
     """Count monomials of the component shapes degree by degree.
@@ -126,6 +144,36 @@ def shape_dimension_by_enumeration(kind: str, rank: int, degree: int,
                     count += 1
         return count
     raise ValueError(kind)
+
+
+def monomial_count_by_window_scan(kind: str, rank: int, degree: int,
+                                  laurent_window: int = 40) -> int:
+    """The four shapes' monomials by scanning the whole exponent window.
+
+    Every subset of the rank generators is listed and tallied by size; each
+    exponent m of the window is then tried against each size, where
+    ``oracles.monomial_count_oracle`` solves for the one m that fits.
+    """
+    count = 0
+    sizes = Counter(len(c) for k in range(rank + 1) for c in combinations(range(rank), k))
+    if kind in ("NonInvariant", "Invariant"):
+        for m in range(-laurent_window, laurent_window + 1):
+            for size, subsets in sizes.items():
+                if 2 * m + size != degree:
+                    continue
+                if kind == "Invariant" and (m + size) % 2:
+                    continue
+                count += subsets
+        return count
+    for m in range(0, laurent_window + 1):
+        for delta in (0, 1):
+            for size, subsets in sizes.items():
+                if 2 * m + delta + size != degree:
+                    continue
+                if kind == "MonomialFF" and (m + delta + size) % 2:
+                    continue
+                count += subsets
+    return count
 
 
 def antiinvariant_dimension_by_enumeration(rank: int, degree: int,

@@ -25,6 +25,7 @@ from sl2cohom.abelian import (
 from brute import (
     all_hom_matrices,
     apply_matrix,
+    group_by_diagonal_smith_form,
     permanent_style_det,
     structure_from_element_set,
 )
@@ -119,6 +120,24 @@ def test_snf_reconstruction_and_chain(m):
         assert want == got
 
 
+def test_matmul_by_columns_matches_the_entrywise_product():
+    from sl2cohom.abelian import _matmul
+
+    rng = random.Random(3301)
+    shapes = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (4, 1, 1), (1, 1, 4),
+              (3, 3, 3), (2, 6, 5), (6, 2, 3)]
+    for rows, inner, cols in shapes * 3:
+        a = [[rng.randint(-50, 50) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(inner)]
+        assert _matmul(a, b) == matmul(a, b)
+        assert _matmul(tuple(map(tuple, a)), tuple(map(tuple, b))) == matmul(a, b)
+    # shapes the entrywise product cannot take: a zero-column left factor
+    # and empty factors
+    assert _matmul([[], [], []], []) == [[], [], []]
+    assert _matmul([], [[1, 2]]) == []
+    assert _matmul([[1], [2]], [[]]) == [[], []]
+
+
 def test_snf_right_inverse_and_diagonal_form():
     from sl2cohom.abelian import _snf
 
@@ -171,20 +190,33 @@ def test_from_cyclic_orders_canonicalizes():
 
 
 def test_orders_of_one_reach_no_smith_form(monkeypatch):
-    # 600 orders 1 made a 600x600 Smith form, about 5 s
+    # 600 orders 1 made a 600x600 Smith form, about 5 s; the orders are now
+    # put in canonical form by gcds and lcms, with no Smith form at all
     from sl2cohom import abelian
 
     sizes = []
-    smith = abelian.smith_normal_form
+    snf = abelian._snf
 
-    def recording(matrix):
-        sizes.append(len(matrix))
-        return smith(matrix)
+    def recording(matrix, nrows, ncols):
+        sizes.append((nrows, ncols))
+        return snf(matrix, nrows, ncols)
 
-    monkeypatch.setattr(abelian, "smith_normal_form", recording)
+    monkeypatch.setattr(abelian, "_snf", recording)
     assert FinGenAbGroup.from_cyclic_orders([1] * 600) == FinGenAbGroup.trivial()
     assert FinGenAbGroup.from_cyclic_orders([1] * 300 + [4, 1, 6]) == FinGenAbGroup(0, (2, 12))
-    assert sizes == [2]
+    assert FinGenAbGroup.from_cyclic_orders([0, 6, 1, 0, 4, 9]) == FinGenAbGroup(2, (6, 36))
+    assert sizes == []
+
+
+def test_from_cyclic_orders_matches_the_diagonal_smith_form():
+    rng = random.Random(6021)
+    pools = ([0, 1], [1, 2, 3, 5, 7, 11, 13], [2, 4, 8, 16, 3, 9, 27, 25],
+             [0, 1, 2, 4, 6, 12, 15, 30, 36, 60], list(range(13)))
+    for trial in range(400):
+        pool = pools[trial % len(pools)]
+        orders = [rng.choice(pool) for _ in range(rng.randint(0, 20))]
+        assert FinGenAbGroup.from_cyclic_orders(orders) == group_by_diagonal_smith_form(
+            orders), orders
 
 
 def test_enumeration_bound():

@@ -117,6 +117,18 @@ def test_linear_congruences_match_enumeration():
                     assert want == list(range(x0 % step, m, step)), (solve, a, b, m)
 
 
+def test_composing_triples_matches_composing_forms():
+    for d in range(-3, -401, -1):
+        if not is_fundamental_discriminant(d):
+            continue
+        forms = reduced_forms(d)
+        for f in forms:
+            for g in forms:
+                h = compose(f, g)
+                assert h.discriminant == d and h.is_reduced
+                assert arithdata._compose_triples(f.a, f.b, f.c, g.a, g.b) == (h.a, h.b, h.c)
+
+
 def test_composition_is_unchanged_by_the_solver(monkeypatch):
     # the inverse modulo m // g gives other representatives than Bezout
     # coefficients modulo m; the reduced composite must be the same form

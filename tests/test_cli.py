@@ -518,10 +518,11 @@ def test_negative_or_zero_orders_keep_their_errors(capsys):
 
 
 @pytest.mark.parametrize("argv,count", [
-    # the orders, the map and the relations of ker(nm0), and coker(sigma - 1)
-    (("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"), 4),
+    # the map and the relations of ker(nm0), and coker(sigma - 1); the
+    # orders take gcds and lcms, no Smith form
+    (("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"), 3),
     (("analyze-nf", "--datum", "q_zeta23.datum"), 3),  # no orders
-    (("verify",), 632),  # the oracle suites and two datum loads
+    (("verify",), 475),  # the oracle suites and two datum loads
 ])
 def test_smith_forms_per_report(monkeypatch, capsys, argv, count):
     from sl2cohom import abelian

@@ -1,4 +1,5 @@
 import random
+from itertools import product as cartesian
 
 import pytest
 
@@ -95,6 +96,37 @@ def test_generator_is_the_first_primitive_element():
             continue
         field = get_field(FiniteFieldSpec(*factors[0]))
         assert field.exp[1] == full_walk_generator(field), q
+
+
+def test_resultant_is_the_norm_to_the_prime_field():
+    # the generator search decides the primes r | p - 1 on N(a) in GF(p)
+    for q in range(4, 2**9 + 1):
+        factors = factorize(q)
+        if len(factors) != 1 or factors[0][1] == 1:
+            continue
+        field = get_field(FiniteFieldSpec(*factors[0]))
+        p, exponent = field.p, (q - 1) // (field.p - 1)
+        assert [curve._resultant(field.modulus, field._decode(a), p) for a in range(1, q)] == \
+            [field._raw_pow(a, exponent) for a in range(1, q)], q
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
+def test_irreducibility_matches_the_products_of_lower_degrees(p, top):
+    def monic(d):
+        return [list(c) + [1] for c in cartesian(range(p), repeat=d)]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] = (out[i + j] + u * v) % p
+        return tuple(out)
+
+    for e in range(2, top + 1):
+        reducible = {times(a, b) for d in range(1, e // 2 + 1) for a in monic(d)
+                     for b in monic(e - d)}
+        for f in monic(e):
+            assert curve._is_irreducible(f, p) == (tuple(f) not in reducible), f
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2)])

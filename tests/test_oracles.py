@@ -1,13 +1,19 @@
 """The ``verify`` oracles against the test suite's own brute force."""
 
 import random
+from collections import Counter
 from itertools import product as cartesian
 
 import pytest
 
-from brute import shape_dimension_by_enumeration, structure_from_element_set
+from brute import (
+    monomial_count_by_window_scan,
+    shape_dimension_by_enumeration,
+    structure_from_element_set,
+)
 from sl2cohom import oracles
 from sl2cohom.abelian import FinGenAbGroup, kernel, cokernel
+from sl2cohom.arithdata import QuadraticForm
 from sl2cohom.oracles import brute_structure_from_elements, random_finite_group
 
 
@@ -65,3 +71,104 @@ def test_monomial_count_oracle_matches_enumeration(kind):
         for degree in range(-4, 13):
             assert (oracles.monomial_count_oracle(kind, rank, degree)
                     == shape_dimension_by_enumeration(kind, rank, degree)), (rank, degree)
+
+
+@pytest.mark.parametrize("kind", ["NonInvariant", "Invariant", "UnitsFF", "MonomialFF"])
+def test_monomial_count_oracle_matches_the_window_scan(kind):
+    # degrees beyond both edges of the +-40 window, ranks past the suite's 6
+    for rank in range(9):
+        for degree in range(-100, 101):
+            assert (oracles.monomial_count_oracle(kind, rank, degree)
+                    == monomial_count_by_window_scan(kind, rank, degree)), (rank, degree)
+
+
+def test_class_group_suite_catches_a_wrong_row_composition(monkeypatch):
+    # (2, 1, 3) composed with itself is (2, -1, 3) at discriminant -23
+    fast = oracles._compose_triples
+
+    def wrong(a1, b1, c1, a2, b2):
+        if (a1, b1, c1, a2, b2) == (2, 1, 3, 2, 1):
+            return 1, 1, 6
+        return fast(a1, b1, c1, a2, b2)
+
+    monkeypatch.setattr(oracles, "_compose_triples", wrong)
+    result = oracles.suite_class_group_forms()
+    assert not result.passed and result.detail.startswith("-23: row of")
+
+
+def test_class_group_suite_catches_a_wrong_identity_composition(monkeypatch):
+    fast = oracles.compose
+
+    def wrong(f, g):
+        if (f.a, f.b, f.c) == (2, 1, 3):
+            return QuadraticForm(2, -1, 3)
+        return fast(f, g)
+
+    monkeypatch.setattr(oracles, "compose", wrong)
+    result = oracles.suite_class_group_forms()
+    assert not result.passed and result.detail.startswith("-23: identity fails")
+
+
+def test_graded_dimension_suite_catches_one_wrong_degree(monkeypatch):
+    fast = oracles.graded_dimension
+
+    def wrong(comp, n):
+        return fast(comp, n) + (comp.kind == "UnitsFF" and comp.rank == 3 and n == 5)
+
+    monkeypatch.setattr(oracles, "graded_dimension", wrong)
+    result = oracles.suite_graded_dimension_oracle()
+    assert not result.passed and result.detail.startswith("UnitsFF(3) degree 5:")
+
+
+def test_elliptic_suite_catches_one_wrong_count(monkeypatch):
+    fast = oracles.count_points_elliptic
+
+    def wrong(curve, field):
+        return fast(curve, field) + 2 * (field.q == 13 and (curve.a, curve.b) == (1, 1))
+
+    monkeypatch.setattr(oracles, "count_points_elliptic", wrong)
+    result = oracles.suite_elliptic_point_recount()
+    assert not result.passed and result.detail.startswith("q=13 a=1 b=1:")
+
+
+def test_kernel_cokernel_suite_catches_one_wrong_membership(monkeypatch):
+    fast = oracles.contains_in_image
+    calls = []
+
+    def wrong(f, y):
+        calls.append(y)
+        return fast(f, y) != (len(calls) == 300)
+
+    monkeypatch.setattr(oracles, "contains_in_image", wrong)
+    result = oracles.suite_kernel_cokernel_enumeration()
+    assert not result.passed and "membership mismatch" in result.detail
+    assert len(calls) == 300
+
+
+def test_the_suites_do_the_same_work(monkeypatch):
+    # the calls one verify pass made before its suites moved to raw
+    # coordinates and form triples: the table rows and the identity checks
+    # were 7 326 calls of compose, now 6 590 of _compose_triples and 736 of
+    # compose; 320 groups are listed element by element
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("kernel", "cokernel", "contains_in_image", "count_points_elliptic",
+                 "elliptic_points", "graded_dimension", "smith_normal_form", "compose",
+                 "_compose_triples"):
+        counting(oracles, name)
+    counting(FinGenAbGroup, "elements")
+    assert all(result.passed for result in oracles.run_all_suites())
+    assert calls == {
+        "kernel": 80, "cokernel": 80, "contains_in_image": 1167,
+        "count_points_elliptic": 2126, "elliptic_points": 2258,
+        "graded_dimension": 476, "smith_normal_form": 200,
+        "compose": 736, "_compose_triples": 6590, "elements": 320,
+    }
