@@ -71,15 +71,6 @@ class QuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
 
 def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):

@@ -104,7 +104,7 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
         # the components are the orbits of negation on the class group,
         # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
         check_component_bound((math.prod(factors) + two_torsion_order(factors)) // 2)
-    elif min(factors) == 0:  # a copy of Z, refused before the Smith form of the orders
+    elif min(factors) == 0:  # a copy of Z, refused before from_cyclic_orders' O(k^2) loop
         raise InputError("cl_K must be finite")
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
     return build_split_datum(cl_k, args.unit_rank, args.ell)

@@ -403,16 +403,24 @@ def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
 
 
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
-    """All rational points, point at infinity encoded as None."""
+    """All rational points, point at infinity encoded as None.
+
+    Each x^3 + ax + b is evaluated on its own, by integers mod p in a prime
+    field and by the field's ``add`` and ``mul`` otherwise, not read from
+    ``_cubic_values``, so a recount against ``count_points_elliptic``
+    shares no arithmetic with it.
+    """
+    _check_elliptic(curve, field)
     points = [None]
-    is_square, sqrt, neg = field.is_square, field.sqrt, field.neg
-    for x, rhs in enumerate(_cubic_values(curve, field)):
+    a, b, p, prime = curve.a, curve.b, field.p, field.e == 1
+    add, mul, sqrt, neg, append = field.add, field.mul, field.sqrt, field.neg, points.append
+    for x in range(field.q):
+        rhs = (x * x * x + a * x + b) % p if prime else add(mul(add(mul(x, x), a), x), b)
         if rhs == 0:
-            points.append((x, 0))
-        elif is_square(rhs):
-            y = sqrt(rhs)
-            points.append((x, y))
-            points.append((x, neg(y)))
+            append((x, 0))
+        elif (y := sqrt(rhs)) is not None:  # None for a nonsquare, p odd
+            append((x, y))
+            append((x, neg(y)))
     return points
 
 

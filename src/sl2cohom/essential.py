@@ -25,6 +25,10 @@ from .abelian import InputError, is_prime
 
 MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
 MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
+# bits a slot of a packed monomial: every admitted degree ell^n - 1 fits
+WIDTH = (MAX_GROUP_ORDER - 1).bit_length()
+_MASK = (1 << WIDTH) - 1  # one slot; 2^WIDTH = 1 mod _MASK, so a key mod _MASK is its degree
+MAX_DEGREE = _MASK - 1  # the largest total degree of a term an element may hold
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,16 @@ class GradedAlgebraSpec:
 MonomialKey = tuple[int, ...]
 
 
-def _width(top: int) -> int:
-    """Slot width for terms of total degree at most ``top``: 2^width - 1 > top,
-    so no slot carries and a key mod 2^width - 1 is its term's degree."""
-    return (top + 1).bit_length()
-
-
-def _shifts(n: int, width: int) -> list[int]:
+def _shifts(n: int) -> list[int]:
     """Bit offset of each generator's slot, the first generator's the highest."""
-    return [width * (n - 1 - i) for i in range(n)]
+    return [WIDTH * (n - 1 - i) for i in range(n)]
+
+
+def _bounded(top: int) -> int:
+    """``top``, a bound on the total degree of some terms, if no slot can carry."""
+    if top > MAX_DEGREE:
+        raise ValueError(f"total degree {top} exceeds the slot bound {MAX_DEGREE}")
+    return top
 
 
 def _reduced(terms: dict, ell: int) -> dict:
@@ -66,8 +71,8 @@ def _reduced(terms: dict, ell: int) -> dict:
 
 
 def _product(left: dict, right: dict) -> dict:
-    """Product of two packed term dicts of one slot width that holds it,
-    with coefficients not reduced."""
+    """Product of two packed term dicts whose slots hold it, with
+    coefficients not reduced."""
     out: dict[int, int] = {}
     get = out.get
     right = right.items()
@@ -82,44 +87,34 @@ class GradedElement:
     """Sparse element of the polynomial subring attached to a spec.
 
     A monomial is one integer: the exponent of generator i fills slot i of
-    ``width`` bits, the first slot the most significant, so integer order
+    ``WIDTH`` bits, the first slot the most significant, so integer order
     is the order of exponent tuples.  ``top`` bounds the total degree of
-    every term and ``width`` holds it (``_width``), so the product of two
-    monomials is the sum of their keys.  The constructor and ``terms``
-    speak exponent tuples; ``packed`` holds the keys.
+    every term, at most ``MAX_DEGREE``, so no slot carries and the product
+    of two monomials is the sum of their keys; an element or product of
+    higher degree is refused.  The constructor and ``terms`` speak
+    exponent tuples; ``packed`` holds the keys.
     """
 
-    __slots__ = ("spec", "width", "top", "packed")
+    __slots__ = ("spec", "top", "packed")
 
     def __init__(self, spec: GradedAlgebraSpec, terms: dict[MonomialKey, int] | None = None):
         clean = _reduced({tuple(exps): coeff for exps, coeff in (terms or {}).items()}, spec.ell)
-        top = max(map(sum, clean), default=0)
-        self.spec, self.width, self.top = spec, _width(top), top
-        shifts = _shifts(spec.n, self.width)
+        self.spec, self.top = spec, _bounded(max(map(sum, clean), default=0))
+        shifts = _shifts(spec.n)
         self.packed = {sum(map(lshift, exps, shifts)): c for exps, c in clean.items()}
 
     @classmethod
-    def _from_packed(cls, spec, width: int, top: int, packed: dict) -> "GradedElement":
-        """An element from reduced terms keyed at ``width`` bits a slot."""
+    def _from_packed(cls, spec, top: int, packed: dict) -> "GradedElement":
+        """An element from reduced packed terms of total degree at most ``top``."""
         element = cls.__new__(cls)
-        element.spec, element.width, element.top, element.packed = spec, width, top, packed
+        element.spec, element.top, element.packed = spec, top, packed
         return element
-
-    # -- constructors ---------------------------------------------------------
-    @classmethod
-    def zero(cls, spec) -> "GradedElement":
-        return cls(spec, {})
-
-    @classmethod
-    def one(cls, spec) -> "GradedElement":
-        return cls(spec, {(0,) * spec.n: 1})
 
     @classmethod
     def polynomial_linear_form(cls, spec, coeffs) -> "GradedElement":
         """Sum of c_i * (degree-1 gen for ell = 2, degree-2 gen otherwise)."""
-        width = _width(1)
-        return cls._from_packed(spec, width, 1, _reduced(
-            {1 << width * (spec.n - 1 - i): c for i, c in enumerate(coeffs)}, spec.ell))
+        return cls._from_packed(spec, 1, _reduced(
+            {1 << s: c for s, c in zip(_shifts(spec.n), coeffs)}, spec.ell))
 
     # -- structure ------------------------------------------------------------
     @property
@@ -128,28 +123,18 @@ class GradedElement:
 
     def _exponents(self) -> list[MonomialKey]:
         """The exponent tuple of each packed key, in the order of ``packed``."""
-        mask = (1 << self.width) - 1
-        shifts = _shifts(self.spec.n, self.width)
-        return [tuple([key >> s & mask for s in shifts]) for key in self.packed]
+        shifts = _shifts(self.spec.n)
+        return [tuple([key >> s & _MASK for s in shifts]) for key in self.packed]
 
     @property
     def terms(self) -> dict[MonomialKey, int]:
         """The terms keyed by exponent tuples."""
         return dict(zip(self._exponents(), self.packed.values()))
 
-    def _at_width(self, width: int) -> dict:
-        """The packed terms with ``width`` bits a slot (at least ``self.width``)."""
-        if width == self.width:
-            return self.packed
-        shifts = _shifts(self.spec.n, width)
-        return {sum(map(lshift, exps, shifts)): c
-                for exps, c in zip(self._exponents(), self.packed.values())}
-
     def degree(self) -> int | None:
         """Common degree of a homogeneous element (None for zero)."""
         weight = 1 if self.spec.ell == 2 else 2
-        digit_sum = (1 << self.width) - 1
-        degs = {key % digit_sum for key in self.packed}
+        degs = {key % _MASK for key in self.packed}
         if not degs:
             return None
         if len(degs) > 1:
@@ -161,43 +146,31 @@ class GradedElement:
         if self.spec != other.spec:
             raise ValueError("elements live in different algebras")
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._require_same_algebra(other)
-        width = max(self.width, other.width)
-        terms = dict(self._at_width(width))
-        for key, c in other._at_width(width).items():
-            terms[key] = terms.get(key, 0) + c
-        return self._from_packed(self.spec, width, max(self.top, other.top),
-                                 _reduced(terms, self.spec.ell))
-
     def scaled(self, c: int) -> "GradedElement":
-        return self._from_packed(self.spec, self.width, self.top, _reduced(
+        return self._from_packed(self.spec, self.top, _reduced(
             {key: v * c for key, v in self.packed.items()}, self.spec.ell))
 
     def __mul__(self, other: "GradedElement") -> "GradedElement":
         self._require_same_algebra(other)
-        top = self.top + other.top  # repacked when the product outgrows the slots
-        width = max(self.width, other.width, _width(top))
-        return self._from_packed(self.spec, width, top, _reduced(_product(
-            self._at_width(width), other._at_width(width)), self.spec.ell))
+        return self._from_packed(self.spec, _bounded(self.top + other.top), _reduced(
+            _product(self.packed, other.packed), self.spec.ell))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.spec == other.spec and self.packed == other.packed
 
     # -- printing -------------------------------------------------------------
     def __str__(self) -> str:
         if not self.packed:
             return "0"
         name = "x" if self.spec.ell == 2 else "y"
-        mask = (1 << self.width) - 1
-        slots = [(f"{name}{i + 1}", s) for i, s in enumerate(_shifts(self.spec.n, self.width))]
+        slots = [(f"{name}{i + 1}", s) for i, s in enumerate(_shifts(self.spec.n))]
         pieces = []
         for key in sorted(self.packed):
             coeff = self.packed[key]
             body = "*".join([var if e == 1 else f"{var}^{e}" for var, s in slots
-                             if (e := key >> s & mask)])
+                             if (e := key >> s & _MASK)])
             if not body:
                 pieces.append(str(coeff))
             elif coeff == 1:
@@ -237,10 +210,8 @@ def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
     if count > MAX_PROPER_SUBGROUPS:
         raise InputError(f"the report would list {count} proper subgroups, "
                          f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
-    # slots that hold the degree of L_n^(ell - 1), ell^n - 1, so no product repacks
-    width = _width(order - 1)
-    shifts = _shifts(n, width)
-    moore = GradedElement._from_packed(spec, width, (order - 1) // (ell - 1), _reduced(
+    shifts = _shifts(n)
+    moore = GradedElement._from_packed(spec, (order - 1) // (ell - 1), _reduced(
         {sum(map(lshift, exps, shifts)): (-1) ** sum(starmap(gt, combinations(exps, 2)))
          for exps in permutations([ell ** i for i in range(n)])}, ell))
     result = moore.scaled((-1) ** n)  # (ell^n - 1)/(ell - 1) has the parity of n, ell odd
@@ -284,8 +255,7 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
         raise ValueError(f"subgroup matrix needs {spec.n} rows of equal length")
     if rank_mod(rows, ell) != k:
         raise ValueError("subgroup matrix must have full column rank")
-    width = _width(element.top)
-    shifts = _shifts(k, width)
+    shifts = _shifts(k)
     forms = [{1 << s: c for s, c in zip(shifts, row) if c} for row in rows]
     powers = [[{0: 1}, form] for form in forms]  # powers[i][e] = forms[i]^e, packed
     total: dict[int, int] = {}
@@ -298,8 +268,7 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
                 term = _product(term, power[e])
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
-    return GradedElement._from_packed(GradedAlgebraSpec(ell, k), width, element.top,
-                                      _reduced(total, ell))
+    return GradedElement._from_packed(GradedAlgebraSpec(ell, k), element.top, _reduced(total, ell))
 
 
 def line_factors_vanish_on_hyperplanes(spec: GradedAlgebraSpec, subgroups) -> bool:
@@ -331,13 +300,13 @@ def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
     """
     if element.spec != spec:
         raise ValueError("element does not belong to the given algebra")
-    terms, mask = element.packed, (1 << element.width) - 1
+    terms = element.packed
     get = terms.get
-    shifts = _shifts(spec.n, element.width)
+    shifts = _shifts(spec.n)
     swaps = [(s, t, (1 << s) - (1 << t)) for s, t in zip(shifts, shifts[1:])]
     for key, c in terms.items():
         for s, t, step in swaps:
-            move = (key >> t & mask) - (key >> s & mask)
+            move = (key >> t & _MASK) - (key >> s & _MASK)
             if move and get(key + move * step) != c:
                 return False
     return True

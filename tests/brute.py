@@ -5,7 +5,7 @@ check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, canonical forms of cyclic orders
 from the Smith form of their diagonal matrix, graded dimensions from blind
 monomial enumeration and from a scan of the whole exponent window, class
-numbers from reduced-form counts, the
+numbers from reduced-form counts, reducedness from its inequalities, the
 essential product from multiplying out all its linear factors on
 exponent tuples, restriction by substituting linear forms into them,
 GF(p^e) arithmetic from the base-p digits of the element encodings,
@@ -307,6 +307,15 @@ def tuple_product(left: dict, right: dict, ell: int) -> dict:
     return {key: c % ell for key, c in out.items() if c % ell}
 
 
+def term_sum(terms: list[dict], ell: int) -> dict:
+    """Sum of sums of monomials keyed by exponent tuples, mod ell."""
+    out: dict = {}
+    for summand in terms:
+        for key, c in summand.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c % ell for key, c in out.items() if c % ell}
+
+
 def linear_form(coeffs, ell: int) -> dict:
     """Sum of c_i times the i-th generator, keyed by exponent tuples."""
     return {tuple(int(i == j) for j in range(len(coeffs))): c % ell
@@ -453,6 +462,17 @@ def general_product_tables(field):
         return exp, log, None
     one_more = (v - v % p + (v + 1) % p for v in exp)
     return exp, log, [log[w] if w else -1 for w in one_more]
+
+
+def is_reduced(form) -> bool:
+    """Whether a positive definite form is reduced: |b| <= a <= c, with
+    b >= 0 when |b| = a or a = c."""
+    a, b, c = form.a, form.b, form.c
+    if not (abs(b) <= a <= c):
+        return False
+    if b < 0 and (abs(b) == a or a == c):
+        return False
+    return True
 
 
 def congruence_by_extended_euclid(a: int, b: int, m: int) -> tuple[int, int]:

@@ -10,11 +10,15 @@ from brute import (
     multiplied_out_product,
     proper_subgroup_spans,
     substituted,
+    term_sum,
     tuple_product,
 )
 from sl2cohom import essential
 from sl2cohom.abelian import is_prime, smith_normal_form
 from sl2cohom.essential import (
+    MAX_DEGREE,
+    MAX_GROUP_ORDER,
+    WIDTH,
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
@@ -48,6 +52,10 @@ def nonzero_forms(spec):
     return [GradedElement.polynomial_linear_form(spec, v) for v in vectors]
 
 
+def one(spec):
+    return GradedElement(spec, {(0,) * spec.n: 1})
+
+
 def permutation_matrix(perm):
     return [[1 if perm[i] == j else 0 for j in range(len(perm))] for i in range(len(perm))]
 
@@ -64,7 +72,8 @@ def test_product_rank2_mod2():
     spec = GradedAlgebraSpec(2, 2)
     product = essential_product(spec)
     x1, x2 = gen(spec, 0), gen(spec, 1)
-    assert product == x1 * x1 * x2 + x1 * x2 * x2
+    summands = [(x1 * x1 * x2).terms, (x1 * x2 * x2).terms]
+    assert product == GradedElement(spec, term_sum(summands, 2))
     assert product.degree() == 3
 
 
@@ -112,49 +121,67 @@ def test_packed_product_matches_the_tuple_product(ell, n):
     expected = moore_power(spec)
     assert product.terms == expected
     # integer order of the packed keys is the order of the exponent tuples
-    ordered = GradedElement._from_packed(spec, product.width, product.top,
-                                         dict(sorted(product.packed.items())))
+    ordered = GradedElement._from_packed(spec, product.top, dict(sorted(product.packed.items())))
     assert list(ordered.terms) == sorted(expected)
 
 
 @pytest.mark.parametrize("ell,n", [(2, 3), (3, 2), (5, 3), (7, 1)])
-def test_products_that_outgrow_the_slots_are_repacked(ell, n):
+def test_random_products_match_the_tuple_product(ell, n):
     spec = GradedAlgebraSpec(ell, n)
     rng = random.Random(f"repack:{ell}:{n}")
-    widths = set()
     for _ in range(20):
-        # degrees at a slot width's edge: 2^w - 2 holds, 2^w - 1 needs another bit
         left = random_homogeneous(rng, spec, rng.choice([1, 2, 3, 6, 7, 14, 15]), 4)
         right = random_homogeneous(rng, spec, rng.choice([1, 2, 3, 6, 7, 14, 15]), 4)
         product = left * right
         assert product.terms == tuple_product(left.terms, right.terms, ell)
         assert product == GradedElement(spec, product.terms)
-        # of another degree than left, so the sum has the terms of both
-        assert (left + product).terms == {**left.terms, **product.terms}
         if not product.is_zero:
             assert product.degree() == (1 if ell == 2 else 2) * sum(next(iter(product.terms)))
-        widths.add(product.width > max(left.width, right.width))
-    assert widths == {True, False}
-    # a chain of products through several widths
-    chain, expected = GradedElement.one(spec), {(0,) * n: 1}
+    chain, expected = one(spec), {(0,) * n: 1}
     for _ in range(12):
         factor = random_homogeneous(rng, spec, rng.randrange(1, 4), 3)
         chain, expected = chain * factor, tuple_product(expected, factor.terms, ell)
         assert chain.terms == expected
 
 
-def test_sums_and_equality_across_slot_widths():
+def test_equality_of_built_and_multiplied_elements():
     spec = GradedAlgebraSpec(3, 2)
     y1, y2 = gen(spec, 0), gen(spec, 1)
-    cube = y1 * y1 * y1  # a wider slot than y1's
-    assert cube.width > y1.width
-    assert (cube + y1).terms == {(3, 0): 1, (1, 0): 1}
-    assert (y1 + cube) == (cube + y1)
+    cube = y1 * y1 * y1
     assert GradedElement(spec, {(1, 0): 1}) == y1
     assert GradedElement(spec, {(1, 0): 4}) == y1  # coefficients mod ell
     assert cube != y1 * y2 * y2 and cube == GradedElement(spec, {(3, 0): 1})
+    assert cube != GradedElement(GradedAlgebraSpec(5, 2), {(3, 0): 1})
     with pytest.raises(ValueError, match="not homogeneous"):
-        (cube + y2).degree()
+        GradedElement(spec, {(3, 0): 1, (0, 1): 1}).degree()
+
+
+def test_every_admitted_degree_fits_the_slots():
+    # the degree ell^n - 1 of every product the order bound admits, and no spare bit
+    pairs = [(ell, n) for ell in range(2, MAX_GROUP_ORDER + 1) if is_prime(ell)
+             for n in range(1, MAX_GROUP_ORDER.bit_length() + 1) if ell ** n <= MAX_GROUP_ORDER]
+    assert (3, 6) in pairs and (2, 9) in pairs and (727, 1) in pairs
+    assert all(ell ** n - 1 <= MAX_DEGREE for ell, n in pairs)
+    assert MAX_GROUP_ORDER - 1 > (1 << WIDTH - 1) - 2
+
+
+def test_degree_guard_refuses_what_the_slots_cannot_hold():
+    spec = GradedAlgebraSpec(3, 2)
+    edge = GradedElement(spec, {(MAX_DEGREE, 0): 1, (0, MAX_DEGREE): 2})
+    assert edge.degree() == 2 * MAX_DEGREE
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        GradedElement(spec, {(MAX_DEGREE, 1): 1})
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        GradedElement(spec, {(1, 0): 1, (MAX_DEGREE - 5, 6): 2})
+    # slots filled to MAX_DEGREE do not carry into their neighbours
+    half = {(511, 0): 1, (0, 511): 2, (255, 256): 1}
+    square = GradedElement(spec, half) * GradedElement(spec, half)
+    assert square.terms == tuple_product(half, half, 3) and square.degree() == 2 * MAX_DEGREE
+    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        square * gen(spec, 1)
+    largest = essential_product(GradedAlgebraSpec(5, 4))  # terms of total degree 624
+    with pytest.raises(ValueError, match="total degree 1248 exceeds the slot bound 1022"):
+        largest * largest
 
 
 def test_product_size_guard():
@@ -176,7 +203,7 @@ def test_restriction_kills_product_on_all_proper_subgroups():
 
 def test_restriction_along_identity_is_identity():
     spec = GradedAlgebraSpec(3, 2)
-    element = gen(spec, 0) * gen(spec, 1) + gen(spec, 0) * gen(spec, 0).scaled(2)
+    element = GradedElement(spec, {(1, 1): 1, (2, 0): 2})
     identity = [[1, 0], [0, 1]]
     assert restrict(element, identity) == element
 
@@ -284,18 +311,17 @@ def test_hyperplanes_decide_all_proper_subgroups(ell, n):
     hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
     rng = random.Random(f"hyperplanes:{ell}:{n}")
     forms = nonzero_forms(spec)
-    one = GradedElement.one(spec)
     product = essential_product(spec)
-    elements = [product, gen(spec, 0), GradedElement.zero(spec)]
+    elements = [product, gen(spec, 0), GradedElement(spec)]
     for left_out in rng.sample(range(len(forms)), min(4, len(forms))):
         # the product with one factor left out
-        partial = one
+        partial = one(spec)
         for i, form in enumerate(forms):
             if i != left_out:
                 partial = partial * form
         elements.append(partial)
     for _ in range(6):  # products of random sets of factors
-        chosen = one
+        chosen = one(spec)
         for form in rng.sample(forms, rng.randrange(1, len(forms) + 1)):
             chosen = chosen * form
         elements.append(chosen)
@@ -344,7 +370,7 @@ def test_line_factors_decide_the_hyperplanes(monkeypatch, ell, n):
                             element if matrix == spared else restrict(element, matrix))
         assert not line_factors_vanish_on_hyperplanes(spec, subgroups)
         if (ell, n) in SMALL:  # as the product of the other lines' forms does not vanish there
-            partial = GradedElement.one(spec)
+            partial = one(spec)
             for line in normalized_lines(spec) - {restricted[spared]}:
                 partial = partial * GradedElement.polynomial_linear_form(spec, line)
             assert not restrict(partial, spared).is_zero
@@ -360,9 +386,8 @@ def test_weyl_check_matches_permutation_matrices(ell, n):
         element = random_homogeneous(rng, spec, rng.randrange(1, 6), rng.randrange(1, 6))
         # symmetrized over all permutations, over one transposition, or not at all
         orbit = rng.choice([perms, [tuple(range(n)), perms[1]], [tuple(range(n))]])
-        symmetrized = GradedElement.zero(spec)
-        for perm in orbit:
-            symmetrized = symmetrized + restrict(element, permutation_matrix(perm))
+        symmetrized = GradedElement(spec, term_sum(
+            [restrict(element, permutation_matrix(perm)).terms for perm in orbit], ell))
         fixed = all(restrict(symmetrized, permutation_matrix(p)) == symmetrized
                     for p in perms)
         assert weyl_invariance(symmetrized, spec) == fixed, (ell, n, symmetrized)
@@ -397,7 +422,7 @@ def test_single_generator_is_not_weyl_invariant():
 
 def test_symmetric_sum_is_weyl_invariant():
     spec = GradedAlgebraSpec(2, 2)
-    assert weyl_invariance(gen(spec, 0) + gen(spec, 1), spec)
+    assert weyl_invariance(GradedElement.polynomial_linear_form(spec, [1, 1]), spec)
 
 
 def test_square_of_mod2_product_is_weyl_invariant():
@@ -408,11 +433,12 @@ def test_square_of_mod2_product_is_weyl_invariant():
 
 def test_coefficients_reduced_mod_ell():
     spec = GradedAlgebraSpec(3, 1)
-    y1 = gen(spec, 0)
-    assert (y1 + y1 + y1).is_zero
+    assert GradedElement(spec, {(1,): 3}).is_zero
+    assert GradedElement.polynomial_linear_form(spec, [3]).is_zero
+    assert (gen(spec, 0) * gen(spec, 0)).scaled(3).is_zero
 
 
 def test_nonhomogeneous_degree_raises():
     spec = GradedAlgebraSpec(3, 2)
     with pytest.raises(ValueError):
-        (gen(spec, 0) + gen(spec, 0) * gen(spec, 1)).degree()
+        GradedElement(spec, {(1, 0): 1, (1, 1): 1}).degree()

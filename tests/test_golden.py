@@ -77,7 +77,7 @@ CASES = {
     "essential_2_7": ["essential", "--ell", "2", "--rank", "7"],
     "essential_3_5": ["essential", "--ell", "3", "--rank", "5"],
     "essential_5_4": ["essential", "--ell", "5", "--rank", "4"],
-    # the widest slots a rank-2 product packs: y2^110 and y2^506
+    # the largest exponents of the ladder's rank-2 products: y2^110 and y2^506
     "essential_11_2": ["essential", "--ell", "11", "--rank", "2"],
     "essential_23_2": ["essential", "--ell", "23", "--rank", "2"],
     "verify_machine": ["verify"],

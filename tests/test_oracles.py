@@ -11,7 +11,7 @@ from brute import (
     shape_dimension_by_enumeration,
     structure_from_element_set,
 )
-from sl2cohom import oracles
+from sl2cohom import curve, oracles
 from sl2cohom.abelian import FinGenAbGroup, kernel, cokernel
 from sl2cohom.arithdata import QuadraticForm
 from sl2cohom.oracles import brute_structure_from_elements, random_finite_group
@@ -129,6 +129,24 @@ def test_elliptic_suite_catches_one_wrong_count(monkeypatch):
     monkeypatch.setattr(oracles, "count_points_elliptic", wrong)
     result = oracles.suite_elliptic_point_recount()
     assert not result.passed and result.detail.startswith("q=13 a=1 b=1:")
+
+
+def test_elliptic_suite_catches_a_wrong_cubic_evaluation(monkeypatch):
+    # the point tally reads x^3 + ax + b off logs; for b = 0 over GF(p^e) add 2
+    # to each log, with -1 the log of 0 as in _cubic_values: the roots
+    # x^2 = -a turn into nonsquares, which only a recount by field operations sees
+    fast = curve._cubic_values
+
+    def wrong(c, field):
+        values = fast(c, field)
+        if field.e == 1 or c.b:
+            return values
+        n = field.q - 1
+        return [0] + [field.exp[((field.log[v] if v else -1) + 2) % n] for v in values[1:]]
+
+    monkeypatch.setattr(curve, "_cubic_values", wrong)
+    result = oracles.suite_elliptic_point_recount()
+    assert not result.passed and result.detail == "q=9 a=1 b=0: 16 vs 14"
 
 
 def test_kernel_cokernel_suite_catches_one_wrong_membership(monkeypatch):

@@ -39,3 +39,11 @@ def test_wrapped_function_exists(layer, name):
 def test_wrapped_method_exists(layer, cls, name):
     module = importlib.import_module(f"sl2cohom.{layer}")
     assert callable(getattr(getattr(module, cls), name, None)), f"{cls}.{name}"
+
+
+def test_product_terms_count_reads_terms():
+    # the tracer counts essential.product_terms as len(r.terms) on essential_product's result
+    essential = importlib.import_module("sl2cohom.essential")
+    assert isinstance(essential.GradedElement.__dict__.get("terms"), property)
+    product = essential.essential_product(essential.GradedAlgebraSpec(3, 2))
+    assert len(product.terms) == len(product.packed) == 3
