@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 from .abelian import FinGenAbGroup, InputError, two_torsion_order
@@ -55,27 +55,15 @@ CURVE_PRESETS = {
     "p1_minus_01_infty": (1, 1, 1),
 }
 
-# the most report lines, and about the most characters, joined into one
-# write; larger writes raise the peak memory
-EMIT_CHUNK = 256
-EMIT_CHARS = 1 << 14
-
-
-def _emit(lines, mode: str, title: str) -> None:
-    """Write the report as it is produced.  The first write is one line; each
-    next one at most doubles the line count, up to ``EMIT_CHUNK``, and takes
-    no more lines than the last write's mean line length fits in
-    ``EMIT_CHARS``, so that long lines are written a few at a time."""
+def _emit(items, mode: str, title: str) -> None:
+    """Write the report as it is produced: each item, one or more whole
+    lines (see ``cohomengine.ITEM_CHARS``), and a newline."""
     if mode == "human":
-        lines = chain((f"# {title}",), lines, ("# end of report",))
-    lines = iter(lines)
+        items = chain((f"# {title}",), items, ("# end of report",))
     write = sys.stdout.write
-    size = 1
-    while chunk := list(islice(lines, size)):
-        chunk.append("")
-        text = "\n".join(chunk)
-        write(text)
-        size = min(2 * size, EMIT_CHUNK, max(1, size * EMIT_CHARS // len(text)))
+    for item in items:
+        write(item)
+        write("\n")
 
 
 def resolve_datum_path(name: str) -> Path:

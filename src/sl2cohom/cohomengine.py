@@ -48,6 +48,9 @@ DEFAULT_DEGREE_BOUND = 12
 MAX_DEGREE_BOUND = 1000
 # the most components a report may list; larger reports are refused up front
 COMPONENT_BOUND = 10**6
+# about the most characters in one report item (one write), unless the item
+# is a single line; larger items raise the peak memory
+ITEM_CHARS = 1 << 14
 
 FARRELL_TATE_SHAPES = ("NonInvariant", "Invariant")
 FUNCTION_FIELD_SHAPES = ("UnitsFF", "MonomialFF")
@@ -413,14 +416,45 @@ def _dims_field(component: ComponentRing, bound: int) -> str:
     return f"dims[-4..{bound}]={values}"
 
 
+# the index endings of a group of 100 or 10 lines: the last digits of a
+# padded index ("00".."99"), and the whole index in the first group
+_ENDINGS = {size: ([str(size + j)[1:] for j in range(size)], [str(j) for j in range(size)])
+            for size in (100, 10)}
+
+
+def _runs(prefix: str, indices: range, suffix: str) -> Iterator[str]:
+    """The lines ``f"{prefix}{i}{suffix}"`` for i in ``indices``, as items
+    of whole lines joined by newlines.
+
+    An item is a run of indices that share i // size, for a size of 100
+    or 10 lines, the larger that fits the lines in ``ITEM_CHARS``; the
+    run is one join over the table of index endings, so no work is done
+    per line.  Lines too long for 10 in an item go one per item.
+    """
+    if not indices:
+        return
+    width = len(prefix) + len(str(indices[-1])) + len(suffix) + 1
+    size = next((size for size in (100, 10) if size * width <= ITEM_CHARS), None)
+    if size is None:
+        for i in indices:
+            yield f"{prefix}{i}{suffix}"
+        return
+    padded, whole = _ENDINGS[size]
+    for group in range(indices.start // size, (indices.stop - 1) // size + 1):
+        base = group * size
+        lo, hi = max(indices.start - base, 0), min(indices.stop - base, size)
+        head, endings = (f"{prefix}{group}", padded) if group else (prefix, whole)
+        yield head + (suffix + "\n" + head).join(endings[lo:hi]) + suffix
+
+
 def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
-    """COMPONENT, FREENESS and CHERN lines, produced lazily.
+    """COMPONENT, FREENESS and CHERN lines, produced lazily in items of
+    up to 100 lines (see ``_runs``).
 
     A report over ``COMPONENT_BOUND`` components is refused, and the
     freeness certificate is checked, before the iterator is returned.
     Everything that depends on the shape (graded dimensions, basis
-    degrees, line suffixes) is built once per shape, so a line costs only
-    its index.
+    degrees, line suffixes) is built once per shape.
     """
     check_component_bound(decomposition.count)
     certificate = freeness_certificate(decomposition, bound)
@@ -440,11 +474,9 @@ def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
 
     def lines():
         for indices, ring, _ in blocks:
-            for i in indices:
-                yield f"COMPONENT\t{i} {ring}"
+            yield from _runs("COMPONENT\t", indices, f" {ring}")
         for indices, _, basis in blocks:
-            for i in indices:
-                yield f"FREENESS\tcomponent={i} {basis}"
+            yield from _runs("FREENESS\tcomponent=", indices, f" {basis}")
         yield chern
 
     return lines()
@@ -455,7 +487,8 @@ def machine_lines_number_field(decomposition: Decomposition, detection: Verdict,
     """Report lines, one fact per line, for a number-field analysis: its
     decomposition and its detection verdict up to degree ``bound``.
     Every check that can refuse or fail runs before the iterator is
-    returned; the lines themselves are produced lazily.
+    returned; the lines themselves are produced lazily, as items of one
+    or more whole lines joined by newlines.
     """
     head = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
     components = ()
@@ -475,7 +508,8 @@ def machine_lines_number_field(decomposition: Decomposition, detection: Verdict,
 def machine_lines_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec, ell: int,
                                  bound: int = DEFAULT_DEGREE_BOUND) -> Iterator[str]:
     """Report lines for a function-field analysis, produced lazily after
-    every check has run."""
+    every check has run, as items of one or more whole lines joined by
+    newlines."""
     decomposition = decompose_function_field(curve, field_spec, ell)
     return chain((f"KCLASSES\t{decomposition.count}",),
                  _component_lines(decomposition, bound),

@@ -4,8 +4,9 @@ Each suite checks a fast exact algorithm against an independent slow
 route: Smith-form output against reconstruction and fraction-free
 determinants, kernels and cokernels against exhaustive enumeration,
 graded dimensions against blind monomial enumeration, class groups
-against reduced-form counts, and elliptic point counts obtained from the
-quadratic character against full enumeration.  All randomness is seeded,
+against reduced-form counts, elliptic point counts obtained from the
+quadratic character against full enumeration, and the cubic values they
+are read from against field operations.  All randomness is seeded,
 so two runs produce identical results.
 """
 
@@ -42,6 +43,7 @@ from .arithdata import (
 from .cohomengine import ComponentRing, graded_dimension
 from .curve import (
     EllipticMinusPoint,
+    _cubic_values,
     count_points_elliptic,
     elliptic_points,
     field_spec_from_order,
@@ -309,6 +311,17 @@ def suite_class_group_forms(limit: int = 400) -> SuiteResult:
     return SuiteResult(name, True, f"all fundamental discriminants down to -{limit}")
 
 
+def _first_wrong_cubic_value(curve: EllipticMinusPoint, field) -> int | None:
+    """The first x at which ``_cubic_values`` differs from x^3 + ax + b
+    evaluated by field operations, or None.  A fault that keeps every
+    quadratic character, and so every point count, shows here."""
+    add, mul = field.add, field.mul
+    for x, value in zip(field.elements(), _cubic_values(curve, field), strict=True):
+        if value != add(add(mul(mul(x, x), x), mul(curve.a, x)), curve.b):
+            return x
+    return None
+
+
 def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
     name = "elliptic_point_recount"
     q = 3
@@ -332,6 +345,10 @@ def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
                             name, False, f"q={spec.q} a={a} b={b}: {by_enum} vs {by_character}")
                     if (by_enum - spec.q - 1) ** 2 > 4 * spec.q:
                         return SuiteResult(name, False, f"q={spec.q} a={a} b={b}: Hasse violated")
+                    wrong = _first_wrong_cubic_value(curve, field) if a < 3 and b < 3 else None
+                    if wrong is not None:
+                        return SuiteResult(
+                            name, False, f"q={spec.q} a={a} b={b}: cubic value at x={wrong}")
         q += 1
     return SuiteResult(name, True, f"all odd-characteristic fields with q <= {max_q}")
 

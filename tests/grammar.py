@@ -1,6 +1,8 @@
 """The report grammar of README.md as a table: each line key and the form
 of its value.  ``tests/test_golden.py`` checks every ``.out`` golden
-against it, and ``tests/test_property.py`` every report it provokes."""
+against it, and ``tests/test_property.py`` every report it provokes.
+``report_lines`` reads the items of the ``machine_lines_*`` functions
+as lines."""
 
 import re
 from pathlib import Path
@@ -41,6 +43,13 @@ def readme_keys() -> list[str]:
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Report grammar\n", 1)[1].split("\n## ", 1)[0]
     return re.findall(r"^\| `([A-Z]+)", section, flags=re.M)
+
+
+def report_lines(items) -> list[str]:
+    """The report lines of ``machine_lines_number_field`` or
+    ``machine_lines_function_field``: each item is one or more whole
+    lines joined by newlines."""
+    return [line for item in items for line in item.split("\n")]
 
 
 def bad_lines(report: str, mode: str = "machine") -> list[str]:

@@ -67,6 +67,7 @@ from brute import (
     shape_dimension_by_enumeration,
     structure_from_element_set,
 )
+from grammar import report_lines
 
 FIXTURE = "src/sl2cohom/data/q_zeta23.datum"
 
@@ -86,7 +87,8 @@ def test_criterion_1_cyclotomic23_reproduction():
         datum = load_datum(FIXTURE)
         start = time.perf_counter()
         dec = decompose_number_field(datum)
-        lines = list(machine_lines_number_field(dec, detection_verdict(datum, dec, 12), 12))
+        lines = report_lines(
+            machine_lines_number_field(dec, detection_verdict(datum, dec, 12), 12))
         elapsed = time.perf_counter() - start
         assert "CCLASSES\t3" in lines
         assert "KCLASSES\t2" in lines
@@ -319,7 +321,9 @@ def test_criterion_9_freeness_identity_on_random_decompositions():
 
 def test_criterion_10_advisory_for_four_or_more_punctures():
     with criterion(10, "advisory flag on four or more punctures"):
-        lines = machine_lines_function_field(P1Minus((1, 1, 1, 1)), FiniteFieldSpec(7), 3)
+        lines = report_lines(
+            machine_lines_function_field(P1Minus((1, 1, 1, 1)), FiniteFieldSpec(7), 3))
         assert any(line.startswith("ADVISORY\tpunctures=4") for line in lines)
-        lines = machine_lines_function_field(P1Minus((1, 1, 1)), FiniteFieldSpec(7), 3)
+        lines = report_lines(
+            machine_lines_function_field(P1Minus((1, 1, 1)), FiniteFieldSpec(7), 3))
         assert not any(line.startswith("ADVISORY") for line in lines)

@@ -50,6 +50,7 @@ from brute import (
     orbits_on_pairs,
     shape_dimension_by_enumeration,
 )
+from grammar import report_lines
 
 BOUND = 12
 LAURENT = ("NonInvariant", "Invariant")
@@ -171,8 +172,9 @@ def without_indices(lines):
 
 
 def check_against_enumeration(dec, got, components, want):
-    """Shape counts and the line multiset agree; indices follow the grammar."""
-    got = list(got)
+    """Shape counts and the line multiset agree; indices follow the grammar.
+    ``got`` is the report's items, read as lines."""
+    got = report_lines(got)
     assert Counter({(s.kind, s.rank): n for s, n in dec.shapes}) == Counter(components)
     assert [s.kind in FIXED for s, _ in dec.shapes] == \
         sorted((s.kind in FIXED for s, _ in dec.shapes), reverse=True)

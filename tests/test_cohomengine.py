@@ -8,6 +8,7 @@ from sl2cohom.abelian import FinGenAbGroup, GroupHom, InputError, Involution
 from sl2cohom.arithdata import ArithmeticDatum, build_split_datum, load_datum
 from sl2cohom.cohomengine import (
     COMPONENT_BOUND,
+    ITEM_CHARS,
     ComponentRing,
     Decomposition,
     Verdict,
@@ -22,6 +23,7 @@ from sl2cohom.cohomengine import (
     machine_lines_number_field,
     nonvanishing,
     refined_gate,
+    _runs,
     subgroup_classes,
 )
 from sl2cohom.curve import EllipticMinusPoint, FiniteFieldSpec, P1Minus
@@ -30,6 +32,7 @@ from brute import (
     basis_degrees_by_enumeration,
     shape_dimension_by_enumeration,
 )
+from grammar import report_lines
 
 QZETA23 = "src/sl2cohom/data/q_zeta23.datum"
 QZETA3 = "src/sl2cohom/data/q_zeta3.datum"
@@ -39,7 +42,8 @@ def number_field_lines(datum, bound=12):
     """The report lines of ``datum`` up to degree ``bound``, as ``analyze-nf``
     builds them."""
     dec = decompose_number_field(datum)
-    return machine_lines_number_field(dec, detection_verdict(datum, dec, bound), bound)
+    return report_lines(
+        machine_lines_number_field(dec, detection_verdict(datum, dec, bound), bound))
 
 
 def synthetic_datum(*, trace=True, cl_K=None, cl_A=None, nm0=None, steinitz=None,
@@ -360,7 +364,8 @@ def test_certificate_for_fixture_and_ff_cases():
         dec = decompose_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3)
         (shape, _), = dec.shapes
         assert freeness_certificate(dec) == [freeness_basis_degrees(shape)]
-        lines = list(machine_lines_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3))
+        lines = report_lines(
+            machine_lines_function_field(P1Minus(punctures), FiniteFieldSpec(7), 3))
         assert lines[-1].endswith(" non_zero_divisor=true")
 
 
@@ -539,7 +544,7 @@ def test_number_field_report_vanishing_case():
 
 
 def test_function_field_report_lines():
-    lines = list(machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3))
+    lines = report_lines(machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3))
     assert "KCLASSES\t1" in lines
     assert any(line.startswith("COMPONENT\t0 shape=MonomialFF r=1") for line in lines)
 
@@ -560,10 +565,44 @@ def test_report_checks_run_before_the_lines_are_returned(monkeypatch):
         raise ArithmeticError("injected freeness failure")
 
     monkeypatch.setattr(cohomengine, "freeness_certificate", failing)
+    dec = decompose_number_field(datum)
     with pytest.raises(ArithmeticError, match="injected"):
-        number_field_lines(datum)
+        machine_lines_number_field(dec, detection_verdict(datum, dec, 12), 12)
     with pytest.raises(ArithmeticError, match="injected"):
         machine_lines_function_field(P1Minus((1, 1)), FiniteFieldSpec(7), 3)
+
+
+# index ranges across 9 -> 10, 99 -> 100, 999 -> 1000 and 9 999 -> 10 000,
+# ranges that start mid-group, one index and none
+RUN_RANGES = [range(0, 12), range(95, 105), range(990, 1010), range(9990, 10010),
+              range(0, 100), range(100, 200), range(4, 1005), range(123456, 123790),
+              range(7, 8), range(0, 1), range(1000, 1001), range(5, 5)]
+
+
+# suffix lengths that select each group size for indices of 1 to 6 digits
+# (lines of 21 to 26 characters more), next to each edge, and lines longer
+# than the item bound
+@pytest.mark.parametrize("suffix_chars,size", [
+    (20, 100), (137, 100), (143, 10), (1612, 10), (1618, 1), (20000, 1)])
+@pytest.mark.parametrize("indices", RUN_RANGES, ids=lambda r: f"{r.start}-{r.stop}")
+def test_runs_match_the_lines_one_by_one(indices, suffix_chars, size):
+    prefix = "FREENESS\tcomponent="
+    suffix = " " + "x" * (suffix_chars - 1)
+    items = list(_runs(prefix, indices, suffix))
+    assert report_lines(items) == [f"{prefix}{i}{suffix}" for i in indices]
+    # an item is the run of indices that share i // size
+    assert len(items) == len({i // size for i in indices})
+    assert all(len(item) <= ITEM_CHARS for item in items if "\n" in item)
+
+
+@pytest.mark.parametrize("suffix_chars,items", [(139, 2), (140, 11)])
+def test_runs_size_their_groups_by_the_widest_line(suffix_chars, items):
+    # with index 1099, 100 lines of 139 + 24 characters fit in an item and
+    # 100 of 140 + 24 do not, though the lines of 990..999 would
+    suffix = " " + "x" * (suffix_chars - 1)
+    got = list(_runs("FREENESS\tcomponent=", range(990, 1100), suffix))
+    assert len(got) == items
+    assert max(map(len, got)) <= ITEM_CHARS
 
 
 def test_report_grammar_keys():
@@ -571,7 +610,8 @@ def test_report_grammar_keys():
                "FREENESS", "CHERN", "DETECTION", "GATE", "ADVISORY"}
     for lines in (
             number_field_lines(load_datum(QZETA23)),
-            machine_lines_function_field(P1Minus((1, 1, 1, 1)), FiniteFieldSpec(7), 3)):
+            report_lines(machine_lines_function_field(P1Minus((1, 1, 1, 1)),
+                                                      FiniteFieldSpec(7), 3))):
         for line in lines:
             key = line.split("\t", 1)[0]
             assert key in allowed

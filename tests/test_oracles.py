@@ -149,6 +149,23 @@ def test_elliptic_suite_catches_a_wrong_cubic_evaluation(monkeypatch):
     assert not result.passed and result.detail == "q=9 a=1 b=0: 16 vs 14"
 
 
+def test_elliptic_suite_catches_cubic_values_off_by_a_square(monkeypatch):
+    # each nonzero x^3 + ax + b times g^2, in every field: every quadratic
+    # character and so every point count stays right, and only the cubic
+    # values compared with field operations show the fault (GF(3) cannot:
+    # there g^2 = 1)
+    fast = curve._cubic_values
+
+    def wrong(c, field):
+        n = field.q - 1
+        return [field.exp[(field.log[v] + 2) % n] if v else 0 for v in fast(c, field)]
+
+    monkeypatch.setattr(curve, "_cubic_values", wrong)
+    monkeypatch.setattr(oracles, "_cubic_values", wrong)
+    result = oracles.suite_elliptic_point_recount()
+    assert not result.passed and result.detail == "q=5 a=0 b=1: cubic value at x=0"
+
+
 def test_kernel_cokernel_suite_catches_one_wrong_membership(monkeypatch):
     fast = oracles.contains_in_image
     calls = []
