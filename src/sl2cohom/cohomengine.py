@@ -429,7 +429,9 @@ def _runs(prefix: str, indices: range, suffix: str) -> Iterator[str]:
     An item is a run of indices that share i // size, for a size of 100
     or 10 lines, the larger that fits the lines in ``ITEM_CHARS``; the
     run is one join over the table of index endings, so no work is done
-    per line.  Lines too long for 10 in an item go one per item.
+    per line.  Lines too long for 10 in an item go one per item.  Runs of
+    10 keep lines of about 160 to 1 600 characters off that per-line
+    path, which takes half as long again for a report of such lines.
     """
     if not indices:
         return

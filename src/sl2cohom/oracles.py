@@ -40,10 +40,10 @@ from .arithdata import (
     reduce_form,
     reduced_forms,
 )
+from . import curve as curve_module
 from .cohomengine import ComponentRing, graded_dimension
 from .curve import (
     EllipticMinusPoint,
-    _cubic_values,
     count_points_elliptic,
     elliptic_points,
     field_spec_from_order,
@@ -312,11 +312,12 @@ def suite_class_group_forms(limit: int = 400) -> SuiteResult:
 
 
 def _first_wrong_cubic_value(curve: EllipticMinusPoint, field) -> int | None:
-    """The first x at which ``_cubic_values`` differs from x^3 + ax + b
-    evaluated by field operations, or None.  A fault that keeps every
-    quadratic character, and so every point count, shows here."""
+    """The first x at which ``curve._cubic_values``, the values the point
+    tally reads, differs from x^3 + ax + b evaluated by field operations,
+    or None.  A fault that keeps every quadratic character, and so every
+    point count, shows here."""
     add, mul = field.add, field.mul
-    for x, value in zip(field.elements(), _cubic_values(curve, field), strict=True):
+    for x, value in zip(field.elements(), curve_module._cubic_values(curve, field), strict=True):
         if value != add(add(mul(mul(x, x), x), mul(curve.a, x)), curve.b):
             return x
     return None
