@@ -48,6 +48,11 @@ DEFAULT_DEGREE_BOUND = 12
 MAX_DEGREE_BOUND = 1000
 # the most components a report may list; larger reports are refused up front
 COMPONENT_BOUND = 10**6
+# the most bytes the COMPONENT and FREENESS lines of one report may take.
+# 2^30 admits the largest report the rank and component bounds were set
+# for, 442 MB at unit rank 2000 over 1000 classes, and refuses the same
+# rank over 10^6 classes (about 440 GB), which passes both of them
+REPORT_BYTE_BOUND = 1 << 30
 # about the most characters in one report item (one write), unless the item
 # is a single line; larger items raise the peak memory
 ITEM_CHARS = 1 << 14
@@ -66,6 +71,28 @@ def check_component_bound(count: int) -> None:
             shown = f"at least 10^{sys.get_int_max_str_digits()}"
         raise InputError(f"the report would list {shown} components, "
                          f"over the component bound {COMPONENT_BOUND}")
+
+
+def _digits_below(stop: int) -> int:
+    """The digits of the indices 0..stop-1 written out: one each, and one
+    more for each index of at least 10^k, for every k >= 1."""
+    total, power = stop, 10
+    while power < stop:
+        total += stop - power
+        power *= 10
+    return total
+
+
+def check_report_bytes(runs) -> None:
+    """Refuse the report lines ``f"{prefix}{i}{suffix}"`` of the
+    (prefix, indices, suffix) runs if they would take more than
+    ``REPORT_BYTE_BOUND`` bytes, each with its newline, counted exactly."""
+    size = sum((len(prefix) + len(suffix) + 1) * len(indices)
+               + _digits_below(indices.stop) - _digits_below(indices.start)
+               for prefix, indices, suffix in runs)
+    if size > REPORT_BYTE_BOUND:
+        raise InputError(f"the COMPONENT and FREENESS lines would take {size} bytes, "
+                         f"over the report byte bound {REPORT_BYTE_BOUND}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,32 +480,35 @@ def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
     """COMPONENT, FREENESS and CHERN lines, produced lazily in items of
     up to 100 lines (see ``_runs``).
 
-    A report over ``COMPONENT_BOUND`` components is refused, and the
-    freeness certificate is checked, before the iterator is returned.
+    A report over ``COMPONENT_BOUND`` components is refused, the
+    freeness certificate is checked, and lines over ``REPORT_BYTE_BOUND``
+    bytes are refused, before the iterator is returned.
     Everything that depends on the shape (graded dimensions, basis
     degrees, line suffixes) is built once per shape.
     """
     check_component_bound(decomposition.count)
     certificate = freeness_certificate(decomposition, bound)
-    blocks = []
+    component_runs, freeness_runs = [], []
     start = 0
     for (shape, count), basis_degrees in zip(decomposition.shapes, certificate):
         degrees = ",".join(f"{d}:{m}" for d, m in basis_degrees)
         ring = f"shape={shape.kind} {shape.rank_letter}={shape.rank} {_dims_field(shape, bound)}"
         base = "laurent" if shape.is_laurent else "polynomial"
         basis = f"basis_degrees={degrees} base={base} verified_up_to={bound}"
-        blocks.append((range(start, start + count), ring, basis))
+        indices = range(start, start + count)
+        component_runs.append(("COMPONENT\t", indices, f" {ring}"))
+        freeness_runs.append(("FREENESS\tcomponent=", indices, f" {basis}"))
         start += count
+    runs = component_runs + freeness_runs
+    check_report_bytes(runs)
     # c2 restricts to the sum of the components' squared degree-2
     # generators, a non-zero-divisor whenever there is a component
     chern = ("CHERN\trestriction=sum_of_squared_degree2_generators "
              f"non_zero_divisor={'true' if decomposition.shapes else 'false'}")
 
     def lines():
-        for indices, ring, _ in blocks:
-            yield from _runs("COMPONENT\t", indices, f" {ring}")
-        for indices, _, basis in blocks:
-            yield from _runs("FREENESS\tcomponent=", indices, f" {basis}")
+        for run in runs:
+            yield from _runs(*run)
         yield chern
 
     return lines()

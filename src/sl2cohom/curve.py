@@ -6,9 +6,13 @@ Zech logarithms; elements are encoded as integers 0..q-1 in base-p digits.  Curv
 either the projective line minus a set of closed points or a
 short-Weierstrass elliptic curve minus its point at infinity.  Picard
 groups come from divisor-class bookkeeping in the first case; in the
-second a report needs only |Pic| = #E(F_q), from the quadratic-character
-sum, and |Pic[2]| = #E[2], from the roots of the cubic.  The full group
-structure is kept as a slow oracle.
+second a report needs only |Pic| = #E(F_q) and |Pic[2]| = #E[2].  Over a
+prime field above ``MESTRE_BOUND`` they come from the Shanks-Mestre
+method, about 4 sqrt(p) point additions in integers mod p with no field
+built, and the roots of the cubic from x^p mod the cubic; over GF(p^e)
+and smaller primes, from one quadratic-character pass over the field's
+tables, which stays the oracle for the first.  The full group structure
+is kept as a slow oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .abelian import FinGenAbGroup, InputError, factorize, is_prime
 
 MAX_FIELD_SIZE = 1 << 16
+# above this prime, a point of E or of its quadratic twist fixes #E among
+# the orders the Hasse bound allows (Mestre; Cohen, GTM 138, 7.4.3)
+MESTRE_BOUND = 229
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +301,6 @@ class FiniteField:
         """Embed an ordinary integer as a prime-field constant."""
         return n % self.p
 
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        if self.p == 2:
-            return True
-        return self.log[a] % 2 == 0
-
     def sqrt(self, a: int):
         if a == 0:
             return 0
@@ -370,12 +370,19 @@ def _check_coefficients(curve: EllipticMinusPoint, q: int) -> None:
         raise InputError("coefficients must be encoded field elements")
 
 
-def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> None:
+def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField | FiniteFieldSpec) -> None:
+    """Refuse a singular or wrongly encoded curve; a prime field needs only
+    its spec, since 4a^3 + 27b^2 is then taken by integers mod p."""
     _check_odd_characteristic(field.p)
     _check_coefficients(curve, field.q)
-    four_a3 = field.mul(field.from_int(4), field.pow(curve.a, 3)) if curve.a else 0
-    t27b2 = field.mul(field.from_int(27), field.mul(curve.b, curve.b)) if curve.b else 0
-    if field.add(four_a3, t27b2) == 0:
+    a, b = curve.a, curve.b
+    if field.e == 1:
+        vanishes = (4 * a ** 3 + 27 * b * b) % field.p == 0
+    else:
+        four_a3 = field.mul(field.from_int(4), field.pow(a, 3)) if a else 0
+        t27b2 = field.mul(field.from_int(27), field.mul(b, b)) if b else 0
+        vanishes = field.add(four_a3, t27b2) == 0
+    if vanishes:
         raise InputError("discriminant 4a^3 + 27b^2 vanishes")
 
 
@@ -443,21 +450,112 @@ def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:
     return _point_tally(curve, field)[0]
 
 
+def _affine_add(p1, p2, a: int, p: int):
+    """p1 + p2 on y^2 = x^3 + ax + b over GF(p), p odd, by integers mod p;
+    None is the point at infinity."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _affine_multiple(n: int, point, a: int, p: int):
+    """n * point by doubling and adding, through ``_affine_add``."""
+    result = None
+    while n:
+        if n & 1:
+            result = _affine_add(result, point, a, p)
+        n >>= 1
+        if n:
+            point = _affine_add(point, point, a, p)
+    return result
+
+
+def _cubic_root_count(a: int, b: int, p: int) -> int:
+    """The roots of a squarefree f = x^3 + ax + b in GF(p): gcd(f, x^p - x)
+    has one factor per root, and f cannot have exactly two, since the
+    roots sum to 0.  So 3 if x^p = x mod f, and otherwise 1 or 0 as
+    x^p - x mod f does or does not share a factor with f."""
+    f = [b, a, 0, 1]
+    frobenius = _poly_pow_mod([0, 1, 0], p, f, p)
+    frobenius[1] = (frobenius[1] - 1) % p
+    if not any(frobenius):
+        return 3
+    return 1 if _resultant(f, frobenius, p) == 0 else 0
+
+
+def _shanks_mestre_tally(curve: EllipticMinusPoint,
+                         spec: FiniteFieldSpec) -> tuple[int, int]:
+    """(#E, number of roots of the cubic) over GF(p), p > ``MESTRE_BOUND``,
+    from about 4 sqrt(p) point additions and no field tables.
+
+    #E = p + 1 - t with |t| <= isqrt(4p) (Hasse), and the quadratic twist
+    has p + 1 + t points.  For d = x^3 + ax + b != 0, (xd, d^2) lies on
+    y^2 = X^3 + ad^2 X + bd^3, which is E if d is a square (Euler's
+    criterion) and the twist if not; so with chi = chi(d) the point is
+    killed by p + 1 - chi t.  The first such point walks that multiple
+    across the window, one addition a step, and keeps each t that gives
+    the identity; later points test the survivors by scalar
+    multiplication until one is left.  Since the true t always survives
+    and, for p > 229, some point of E or of its twist leaves it alone
+    (Mestre; Cohen, GTM 138, 7.4.3), running out of x is a bug.
+    """
+    _check_elliptic(curve, spec)
+    a, b, p = curve.a, curve.b, spec.p
+    half, width = (p - 1) // 2, isqrt(4 * p)
+    traces = None
+    for x in range(p):
+        d = ((x * x + a) * x + b) % p
+        if not d:
+            continue
+        chi = 1 if pow(d, half, p) == 1 else -1
+        point, a_d = (x * d % p, d * d % p), a * d * d % p
+        if traces is None:
+            multiple, traces = _affine_multiple(p + 1 - width, point, a_d, p), []
+            for n in range(p + 1 - width, p + 2 + width):
+                if multiple is None:
+                    traces.append(chi * (p + 1 - n))
+                multiple = _affine_add(multiple, point, a_d, p)
+        else:
+            traces = [t for t in traces
+                      if _affine_multiple(p + 1 - chi * t, point, a_d, p) is None]
+        if len(traces) <= 1:
+            break
+    if traces is None or len(traces) != 1:
+        raise ArithmeticError(f"the points of E and its twist left traces {traces}")
+    return p + 1 - traces[0], _cubic_root_count(a, b, p)
+
+
 def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
                                    spec: FiniteFieldSpec) -> tuple[int, int]:
     """#E(F_q) and #E[2], the only numbers an elliptic report needs.
 
     #E[2] is the point at infinity plus one point (x, 0) per root of the
-    cubic.  Both counts are checked: the Hasse bound
+    cubic.  A prime field above ``MESTRE_BOUND`` counts by
+    ``_shanks_mestre_tally`` in integers mod p and builds no field; GF(p^e)
+    and p <= ``MESTRE_BOUND`` take the one-pass ``_point_tally`` over the
+    field's tables.  Characteristic 2 and coefficients that are not codes
+    0..q-1 are refused first, then a vanishing discriminant, before any
+    count.  Both counts are checked: the Hasse bound
     |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
-    Characteristic 2 and coefficients that are not codes 0..q-1 are
-    refused before the field's tables are built.
     """
     _check_odd_characteristic(spec.p)
     _check_coefficients(curve, spec.q)
-    field = get_field(spec)
-    order, roots = _point_tally(curve, field)
-    if (order - field.q - 1) ** 2 > 4 * field.q:
+    if spec.e == 1 and spec.p > MESTRE_BOUND:
+        order, roots = _shanks_mestre_tally(curve, spec)
+    else:
+        order, roots = _point_tally(curve, get_field(spec))
+    if (order - spec.q - 1) ** 2 > 4 * spec.q:
         raise ArithmeticError("point count violates the Hasse bound")
     fixed = 1 + roots
     if fixed not in (1, 2, 4) or order % fixed:

@@ -267,6 +267,34 @@ def test_elliptic_report_does_no_scalar_multiplication(monkeypatch, capsys):
     assert "KCLASSES\t12" in out
 
 
+@pytest.mark.parametrize("a,b,expected", [
+    (1, 1, None),
+    (-3 * 5 ** 2 % 241, 2 * 5 ** 3 % 241, "ERROR\tdiscriminant 4a^3 + 27b^2 vanishes\n"),
+])
+def test_elliptic_report_over_a_prime_above_the_mestre_bound_builds_no_field(
+        monkeypatch, capsys, a, b, expected):
+    from sl2cohom import curve
+
+    def refuse(*args):
+        raise AssertionError("the report path built a field or took ec_scalar")
+
+    monkeypatch.setattr(curve, "get_field", refuse)
+    monkeypatch.setattr(curve, "ec_scalar", refuse)
+    q = 241
+    assert q > curve.MESTRE_BOUND
+    code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", str(a), "--b", str(b),
+                    "--q", str(q), "--ell", "3")
+    if expected:  # a = -3t^2, b = 2t^3: x^3 + ax + b = (x - t)^2 (x + 2t)
+        assert (code, out) == (1, expected)
+        return
+    # #E and #E[2] by Euler's criterion: (#E + #E[2]) / 2 classes
+    values = [(x * x * x + a * x + b) % q for x in range(q)]
+    order = q + 1 + sum(0 if v == 0 else 1 if pow(v, (q - 1) // 2, q) == 1 else -1
+                        for v in values)
+    assert code == 0
+    assert f"KCLASSES\t{(order + 1 + values.count(0)) // 2}\n" in out
+
+
 def test_elliptic_report_over_an_extension_field_does_no_digit_coding(monkeypatch, capsys):
     from sl2cohom import curve
 
@@ -486,6 +514,37 @@ def test_component_bound_refuses_before_any_line(capsys):
                     "--unit-rank", "3", "--ell", "5")
     assert (code, out) == (1, "ERROR\tthe report would list at least 10^4300 components, "
                               "over the component bound 1000000\n")
+
+
+def test_report_byte_bound_refuses_before_any_line(capsys):
+    # every other bound admits this input; it wrote about 440 GB with exit 0
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze-nf", "--split-class-group", "1000,1000",
+                    "--unit-rank", "2000", "--ell", "3", "--degree-bound", "0")
+    assert (code, out) == (1, "ERROR\tthe COMPONENT and FREENESS lines would take "
+                              "440897035826 bytes, over the report byte bound 1073741824\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "1", "--ell", "3"),
+    ("analyze-nf", "--split-class-group", "1234", "--unit-rank", "40", "--ell", "3",
+     "--degree-bound", "30"),
+    ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1", "--q", "8011", "--ell", "3"),
+    ("analyze-ff", "--curve", "p1", "--punctures", "1,2,2", "--q", "7", "--ell", "3"),
+])
+def test_report_byte_bound_counts_the_lines_exactly(monkeypatch, capsys, argv):
+    from sl2cohom import cohomengine
+
+    code, out = run(capsys, *argv)
+    assert code == 0
+    size = sum(len(line) + 1 for line in out.splitlines()
+               if line.startswith(("COMPONENT\t", "FREENESS\t")))
+    monkeypatch.setattr(cohomengine, "REPORT_BYTE_BOUND", size)
+    assert run(capsys, *argv) == (0, out)
+    monkeypatch.setattr(cohomengine, "REPORT_BYTE_BOUND", size - 1)
+    assert run(capsys, *argv) == (1, f"ERROR\tthe COMPONENT and FREENESS lines would take "
+                                     f"{size} bytes, over the report byte bound {size - 1}\n")
 
 
 @pytest.mark.parametrize("factors", [120, 600])

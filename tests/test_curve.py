@@ -328,6 +328,59 @@ def test_fast_counts_match_structure_oracle_and_brute_force():
             pass
 
 
+def cubic_with_roots(p, r, rest):
+    """(a, b) of (x - r)(x^2 + rx + c) over GF(p), with r^2 - 4c = rest: the
+    cubic has three roots if rest is a nonzero square and one if it is not."""
+    c = (r * r - rest) * pow(4, -1, p) % p
+    return (c - r * r) % p, -r * c % p
+
+
+def shanks_mestre_cases():
+    """(p, curves): every prime 229 < p <= 1500 with a seeded curve, one of
+    each family a = 0 and b = 0, and cubics built with three roots and with
+    one; then y^2 = x^3 + x + 1 and the two families over 65521."""
+    rng = random.Random(233)
+    for p in range(curve.MESTRE_BOUND + 1, 1501):
+        if not is_prime(p):
+            continue
+        r = rng.randrange(1, p)
+        square = pow(rng.randrange(1, p), 2, p)
+        nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        yield p, [EllipticMinusPoint(rng.randrange(p), rng.randrange(p)),
+                  EllipticMinusPoint(0, rng.randrange(1, p)),
+                  EllipticMinusPoint(rng.randrange(1, p), 0),
+                  EllipticMinusPoint(*cubic_with_roots(p, r, square)),
+                  EllipticMinusPoint(*cubic_with_roots(p, r, nonsquare))]
+    yield 65521, [EllipticMinusPoint(1, 1), EllipticMinusPoint(0, 7), EllipticMinusPoint(5, 0)]
+
+
+def test_shanks_mestre_counts_match_the_tally_and_euler_characters():
+    # the cases start at 233, the first prime the Shanks-Mestre path takes
+    assert curve.MESTRE_BOUND == 229 and [p for p in range(229, 234) if is_prime(p)] == [229, 233]
+    roots, primes = set(), 0
+    for p, curves in shanks_mestre_cases():
+        spec = FiniteFieldSpec(p)
+        field = get_field(spec)
+        # by Euler characters: one curve over 65521, and over every third
+        # smaller field one curve, of each kind in turn
+        by_characters = (curves[0] if p == 65521 else
+                         curves[primes // 3 % len(curves)] if primes % 3 == 0 else None)
+        for c in curves:
+            try:
+                tally = _point_tally(c, field)
+            except InputError:
+                with pytest.raises(InputError, match="discriminant 4a"):
+                    curve._shanks_mestre_tally(c, spec)
+                continue
+            assert curve._shanks_mestre_tally(c, spec) == tally, (p, c)
+            assert elliptic_order_and_two_torsion(c, spec) == (tally[0], 1 + tally[1])
+            if c is by_characters:
+                assert character_sum_tally(field, c.a, c.b) == tally, (p, c)
+            roots.add(tally[1])
+        primes += 1
+    assert primes == 190 and roots == {0, 1, 3}
+
+
 # ---------------------------------------------------------------------------
 # Picard groups
 # ---------------------------------------------------------------------------
