@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product as _cartesian, starmap
-from operator import gt, lshift
+from operator import gt, lshift, mul
 
 from .abelian import InputError, is_prime
 
@@ -244,8 +244,8 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     The subgroup of the rank-n group is spanned by the k columns of the
     matrix (n rows, rank k mod ell).  Each generator of the big algebra is
     substituted by the linear combination of small-algebra generators
-    given by its matrix row.  The substitution keeps each term's degree,
-    so the image has the element's degree bound.
+    given by its matrix row, keeping each term's degree.  No report calls
+    it: it is the tests' oracle for ``restrict_linear_form``, kept for the tracer.
     """
     spec = element.spec
     ell = spec.ell
@@ -271,20 +271,31 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     return GradedElement._from_packed(GradedAlgebraSpec(ell, k), element.top, _reduced(total, ell))
 
 
+def restrict_linear_form(line, matrix, ell: int) -> list[int]:
+    """Coefficients of the form sum line[i] * (generator i) restricted along
+    the columns of ``matrix``: the row line * matrix mod ell."""
+    return [sum(map(mul, line, column)) % ell for column in zip(*matrix)]
+
+
 def line_factors_vanish_on_hyperplanes(spec: GradedAlgebraSpec, subgroups) -> bool:
-    """True when each hyperplane among ``subgroups`` (reduced column-echelon
-    bases M, as ``enumerate_proper_subgroups`` lists them) restricts to zero
-    the form of the line it annihilates: 1 on the row r that is no pivot,
-    -M[r][j] on the pivot row of column j.  No product is restricted: the
-    verdict holds for the essential product through Dickson's factorization
-    of L_n into one such form per line, in an integral domain.
+    """True when each hyperplane among ``subgroups`` restricts to zero the form
+    of the line it annihilates, 1 on the row r that is no pivot and -M[r][j]
+    on the pivot row of column j: every ``restrict_linear_form`` row is zero.
+    That decides the essential product by Dickson's factorization of L_n into
+    one such form per line, in an integral domain.  A basis M must be n rows in
+    reduced column-echelon form, as ``enumerate_proper_subgroups`` lists them
+    (column j's first nonzero 1, on a row 0 elsewhere), or ValueError is raised.
     """
     n = spec.n
     for matrix in (m for m in subgroups if len(m[0]) == n - 1):
-        pivots = [next(i for i, row in enumerate(matrix) if row[j]) for j in range(n - 1)]
-        r = next(i for i in range(n) if i not in pivots)
+        columns = list(zip(*matrix, strict=True))
+        pivots = [next((i for i, v in enumerate(column) if v), 0) for column in columns]
+        if len(matrix) != n or any(column[p] != 1 or matrix[p].count(0) != n - 2
+                                   for column, p in zip(columns, pivots)):
+            raise ValueError("hyperplane basis is not n rows in reduced column-echelon form")
+        r = n * (n - 1) // 2 - sum(pivots)  # the pivots are n - 1 distinct rows
         line = [1 if i == r else -matrix[r][pivots.index(i)] for i in range(n)]
-        if not restrict(GradedElement.polynomial_linear_form(spec, line), matrix).is_zero:
+        if any(restrict_linear_form(line, matrix, spec.ell)):
             return False
     return True
 

@@ -80,22 +80,42 @@ def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, r
     from sl2cohom import essential
 
     widths = []
-    restrict = essential.restrict
+    restrict_linear_form = essential.restrict_linear_form
 
-    def recording(element, matrix):
+    def recording(line, matrix, modulus):
         widths.append(len(matrix[0]))
-        return restrict(element, matrix)
+        return restrict_linear_form(line, matrix, modulus)
 
-    monkeypatch.setattr(essential, "restrict", recording)
+    monkeypatch.setattr(essential, "restrict_linear_form", recording)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert code == 0
     assert widths == [rank - 1] * hyperplanes
     assert (f"RESTRICTIONS\tall_proper_zero=true proper_subgroups={subgroups}\n") in out
 
-    # the verdict is read off the restrictions
-    monkeypatch.setattr(essential, "restrict", lambda element, matrix: element)
+    # the verdict is read off the restricted rows
+    monkeypatch.setattr(essential, "restrict_linear_form",
+                        lambda line, matrix, modulus: [0] * (len(matrix[0]) - 1) + [1])
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert f"all_proper_zero={'true' if rank == 1 else 'false'} " in out
+
+
+@pytest.mark.parametrize("mode", ["machine", "human"])
+@pytest.mark.parametrize("ell,rank", [(2, 4), (3, 3), (23, 2)])
+def test_essential_report_restricts_no_element(monkeypatch, capsys, ell, rank, mode):
+    from sl2cohom import essential
+    from test_golden import GOLDEN
+
+    def refuse(*args):
+        raise AssertionError("the report path restricted an element")
+
+    monkeypatch.setattr(essential, "restrict", refuse)
+    monkeypatch.setattr(essential, "rank_mod", refuse)
+    monkeypatch.setattr(essential.GradedElement, "polynomial_linear_form", refuse)
+    code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank), "--mode", mode)
+    golden = (GOLDEN / f"essential_{ell}_{rank}.out").read_text(encoding="utf-8")
+    if mode == "human":
+        golden = f"# essential report\n{golden}# end of report\n"
+    assert (code, out) == (0, golden)
 
 
 @pytest.mark.parametrize("ell,rank,message", [
@@ -241,7 +261,7 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     ("cohomengine", "freeness_certificate", ("analyze-nf", "--datum", "q_zeta23.datum")),
     ("curve", "get_field", ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                             "--q", "13", "--ell", "3")),
-    ("essential", "restrict", ("essential", "--ell", "3", "--rank", "2")),
+    ("essential", "restrict_linear_form", ("essential", "--ell", "3", "--rank", "2")),
     ("arithdata", "kernel", ("verify",)),  # in the fixture loop, after the suites
 ])
 def test_internal_value_error_exits_three(monkeypatch, capsys, module, name, argv, mode):

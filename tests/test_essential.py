@@ -26,6 +26,7 @@ from sl2cohom.essential import (
     line_factors_vanish_on_hyperplanes,
     rank_mod,
     restrict,
+    restrict_linear_form,
     weyl_invariance,
 )
 
@@ -349,31 +350,88 @@ def test_line_factors_decide_the_hyperplanes(monkeypatch, ell, n):
     spec = GradedAlgebraSpec(ell, n)
     subgroups = enumerate_proper_subgroups(spec)
     hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
-    restricted = {}  # hyperplane -> the normalized line whose form was restricted on it
+    checked, lines = [], []  # each hyperplane checked, and the normalized line of its form
 
-    def recording(element, matrix):
-        line = [element.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
-        scale = pow(next(c for c in line if c), -1, ell)
-        restricted[matrix] = tuple(c * scale % ell for c in line)
-        return restrict(element, matrix)
+    def recording(line, matrix, modulus):
+        assert modulus == ell
+        reduced = [c % ell for c in line]
+        scale = pow(next(c for c in reduced if c), -1, ell)
+        checked.append(matrix)
+        lines.append(tuple(c * scale % ell for c in reduced))
+        return restrict_linear_form(line, matrix, modulus)
 
-    monkeypatch.setattr(essential, "restrict", recording)
+    monkeypatch.setattr(essential, "restrict_linear_form", recording)
     assert line_factors_vanish_on_hyperplanes(spec, subgroups)
     # one factor of the product per hyperplane, and every line's factor once
-    assert sorted(restricted) == sorted(hyperplanes)
-    assert sorted(restricted.values()) == sorted(normalized_lines(spec))
+    assert sorted(checked) == sorted(hyperplanes)
+    assert sorted(lines) == sorted(normalized_lines(spec))
+    line_of = dict(zip(checked, lines))
 
     # a hyperplane on which its form does not vanish makes the verdict false
     rng = random.Random(f"lines:{ell}:{n}")
     for spared in rng.sample(hyperplanes, 3):
-        monkeypatch.setattr(essential, "restrict", lambda element, matrix:
-                            element if matrix == spared else restrict(element, matrix))
+        monkeypatch.setattr(essential, "restrict_linear_form", lambda line, matrix, modulus:
+                            [c % modulus for c in line] if matrix == spared
+                            else restrict_linear_form(line, matrix, modulus))
         assert not line_factors_vanish_on_hyperplanes(spec, subgroups)
         if (ell, n) in SMALL:  # as the product of the other lines' forms does not vanish there
             partial = one(spec)
-            for line in normalized_lines(spec) - {restricted[spared]}:
+            for line in normalized_lines(spec) - {line_of[spared]}:
                 partial = partial * GradedElement.polynomial_linear_form(spec, line)
             assert not restrict(partial, spared).is_zero
+
+
+@pytest.mark.parametrize("bad", [
+    ((1, 1), (0, 0), (0, 0)),  # a repeated column
+    ((0, 0), (1, 0), (0, 0)),  # a zero column
+    ((1, 0), (0, 2), (0, 0)),  # a pivot entry that is not 1
+    ((1, 0), (1, 1), (0, 0)),  # a pivot row with a second nonzero entry
+    ((1, 1), (0, 1), (0, 0)),  # full column rank, not reduced
+    ((1, 0), (0, 1)),  # too few rows
+    ((1, 0), (0, 1), (0,)),  # rows of unequal length
+])
+def test_line_factors_refuse_a_basis_not_in_echelon_form(bad):
+    spec = GradedAlgebraSpec(3, 3)
+    subgroups = enumerate_proper_subgroups(spec)
+    for position in (0, len(subgroups)):
+        with pytest.raises(ValueError):
+            line_factors_vanish_on_hyperplanes(spec, subgroups[:position] + [bad]
+                                               + subgroups[position:])
+
+
+def restricted_row_by_oracle(spec, line, matrix):
+    """The coefficients of the line's form restricted by ``restrict``."""
+    k = len(matrix[0])
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    terms = restrict(GradedElement.polynomial_linear_form(spec, line), matrix).terms
+    assert set(terms) <= set(units)  # a linear form again
+    return [terms.get(unit, 0) for unit in units]
+
+
+@pytest.mark.parametrize("ell,n", SMALL + [(2, 5), (3, 4), (7, 3)])
+def test_restricted_row_matches_restrict_on_every_subgroup(ell, n):
+    spec = GradedAlgebraSpec(ell, n)
+    cases = [(line, matrix) for matrix in enumerate_proper_subgroups(spec)
+             for line in sorted(normalized_lines(spec))]
+    rows = [restrict_linear_form(line, matrix, ell) for line, matrix in cases]
+    assert rows == [restricted_row_by_oracle(spec, line, matrix) for line, matrix in cases]
+    assert any(map(any, rows)) == (n > 1)  # nonzero rows are compared too
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_restricted_row_matches_restrict_on_random_matrices(ell):
+    rng = random.Random(f"rows:{ell}")
+    compared = 0
+    while compared < 200:
+        n = rng.randrange(1, 6)
+        k = rng.randrange(1, n + 1)
+        matrix = [[rng.randrange(-2 * ell, 3 * ell) for _ in range(k)] for _ in range(n)]
+        if rank_mod(matrix, ell) < k:
+            continue
+        line = [rng.randrange(-2 * ell, 3 * ell) for _ in range(n)]
+        assert (restrict_linear_form(line, matrix, ell)
+                == restricted_row_by_oracle(GradedAlgebraSpec(ell, n), line, matrix))
+        compared += 1
 
 
 @pytest.mark.parametrize("ell,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 3)])
