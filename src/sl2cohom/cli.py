@@ -114,12 +114,11 @@ def _cmd_analyze_nf(args) -> int:
     detection = detection_verdict(datum, decomposition, bound)
     lines = machine_lines_number_field(decomposition, detection, bound)
     if args.gate_n is not None:
-        hypothesis = "fails" if detection.outcome == "fails" else "unknown"
-        verdict = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,
-                               s_contains_infinite=args.gate_s_infinite,
-                               s_contains_ell=args.gate_s_ell,
-                               detection_hypothesis=hypothesis)
-        lines = chain(lines, (gate_line(verdict),))
+        violated = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,
+                                s_contains_infinite=args.gate_s_infinite,
+                                s_contains_ell=args.gate_s_ell,
+                                detection_fails=detection is not None)
+        lines = chain(lines, (gate_line(violated),))
     _emit(lines, args.mode, "analyze-nf report")
     return 0
 

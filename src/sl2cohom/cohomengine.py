@@ -187,21 +187,8 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], .
 
 
 # ---------------------------------------------------------------------------
-# decompositions and verdicts
+# decompositions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str  # holds | fails | inconclusive
-    witness: tuple | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.outcome not in ("holds", "fails", "inconclusive"):
-            raise ValueError(f"unknown outcome {self.outcome!r}")
-        if self.outcome == "fails" and self.witness is None:
-            raise ValueError("a failing verdict must carry a witness")
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -209,19 +196,17 @@ class Decomposition:
 
     ``shapes`` pairs each distinct component ring with its multiplicity,
     the fixed-class shape (``Invariant``/``MonomialFF``) first; component
-    indices run consecutively through the shapes in that order.  For a
-    number field ``classes`` is the number of conjugacy classes the
-    components are counted on.
+    indices run consecutively through the shapes in that order.  The
+    class of zero is always a fixed orbit, so the shapes are empty exactly
+    when the cohomology vanishes.  For a number field ``classes`` is the
+    number of conjugacy classes the components are counted on.
     """
 
     shapes: tuple[tuple[ComponentRing, int], ...]
-    nonvanishing: bool
     advisories: tuple[str, ...] = ()
     classes: int | None = None
 
     def __post_init__(self):
-        if not self.nonvanishing and self.shapes:
-            raise ValueError("a vanishing decomposition must have no components")
         if any(count < 1 for _, count in self.shapes):
             raise ValueError("shape multiplicities must be positive")
         if len({shape for shape, _ in self.shapes}) != len(self.shapes):
@@ -237,29 +222,27 @@ class Decomposition:
 # number-field operations
 # ---------------------------------------------------------------------------
 
-def nonvanishing(datum: ArithmeticDatum) -> Verdict:
-    """Cohomology is nonzero iff the trace lies in K and the Steinitz class
-    is a norm."""
-    violated = []
+def nonvanishing(datum: ArithmeticDatum) -> tuple[str, ...]:
+    """The violated conditions for nonzero cohomology, none if it is nonzero:
+    the trace lies in K, and then the Steinitz class is a norm."""
     if not datum.trace_in_K:
-        violated.append("trace_in_K")
-    elif not contains_in_image(datum.nm0, datum.steinitz):
-        violated.append("steinitz_in_image_nm0")
-    if violated:
-        return Verdict(outcome="fails", witness=tuple(violated))
-    return Verdict(outcome="holds")
+        return ("trace_in_K",)
+    if not contains_in_image(datum.nm0, datum.steinitz):
+        return ("steinitz_in_image_nm0",)
+    return ()
 
 
-def conjugacy_classes(datum: ArithmeticDatum, verdict: Verdict) -> int:
+def conjugacy_classes(datum: ArithmeticDatum, violated: tuple[str, ...]) -> int:
     """Number of conjugacy classes of order-ell elements, |coker(Nm1)| * |ker(nm0)|.
 
     The class set is an extension of ker(nm0) by coker(Nm1).  Only its
     cardinality and the orbit counts of the order-two symmetry are used,
     so it is modeled as the product of the two groups, counted but never
     listed, and the extension class is left unresolved.  Requires
-    non-vanishing: ``verdict`` is the datum's non-vanishing verdict.
+    non-vanishing: ``violated`` is what ``nonvanishing`` returns for the
+    datum, and must be empty.
     """
-    if verdict.outcome != "holds":
+    if violated:
         raise ValueError("conjugacy classes require non-vanishing cohomology")
     return datum.coker_nm1.order * datum.ker_nm0.order
 
@@ -288,16 +271,16 @@ def subgroup_classes(datum: ArithmeticDatum,
 
 def decompose_number_field(datum: ArithmeticDatum) -> Decomposition:
     """Direct-sum decomposition indexed by subgroup classes (empty if zero)."""
-    verdict = nonvanishing(datum)
-    if verdict.outcome != "holds":
-        return Decomposition(shapes=(), nonvanishing=False)
+    violated = nonvanishing(datum)
+    if violated:
+        return Decomposition(shapes=())
     advisories = []
     if not datum.coker_nm1.is_trivial:
         advisories.append(
             "extension_model=product coker_nm1_nontrivial=true "
             "orbit_counts_may_shift_under_unresolved_fiber_action")
-    classes = conjugacy_classes(datum, verdict)
-    return Decomposition(shapes=subgroup_classes(datum, classes), nonvanishing=True,
+    classes = conjugacy_classes(datum, violated)
+    return Decomposition(shapes=subgroup_classes(datum, classes),
                          advisories=tuple(advisories), classes=classes)
 
 
@@ -340,7 +323,7 @@ def decompose_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec,
         order, fixed = elliptic_order_and_two_torsion(curve, field_spec)
         rank = 0
     return Decomposition(shapes=_orbit_shapes("MonomialFF", "UnitsFF", rank, order, fixed),
-                         nonvanishing=True, advisories=advisories)
+                         advisories=advisories)
 
 
 # ---------------------------------------------------------------------------
@@ -378,60 +361,43 @@ def freeness_certificate(decomposition: Decomposition,
 
 
 def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
-                      up_to: int = DEFAULT_DEGREE_BOUND) -> Verdict:
+                      up_to: int = DEFAULT_DEGREE_BOUND) -> tuple[int, int, int] | None:
     """Rank comparison against one copy of the diagonal-torus cohomology.
 
     The torus model is the non-invariant shape on the S-unit rank.  If the
-    summed component dimensions exceed the torus dimensions in some degree,
-    restriction to the torus cannot be injective and detection fails; the
-    comparison can never prove detection, so the other outcome is
-    inconclusive.
+    summed component dimensions exceed the torus dimensions in some degree
+    n, restriction to the torus cannot be injective and detection fails:
+    the witness (n, summed dimension, torus dimension) is returned.  The
+    comparison can never prove detection, so otherwise it is inconclusive
+    and gives None, at once for an empty decomposition.
     """
     if not decomposition.shapes:
-        return Verdict(outcome="inconclusive",
-                       note="empty decomposition: nothing to detect")
+        return None
     target = ComponentRing(kind="NonInvariant", rank=datum.unit_rank_K)
     for n in range(-up_to, up_to + 1):
         total = sum(count * graded_dimension(shape, n)
                     for shape, count in decomposition.shapes)
         torus = graded_dimension(target, n)
         if total > torus:
-            return Verdict(outcome="fails", witness=(n, total, torus))
-    return Verdict(outcome="inconclusive",
-                   note=f"no rank excess up to degree {up_to}")
+            return n, total, torus
+    return None
 
 
 def refined_gate(ell: int, n: int, *, zeta_in_K: bool, s_contains_infinite: bool,
-                 s_contains_ell: bool, detection_hypothesis: str) -> Verdict:
-    """Hypothesis gate for the refined freeness conjecture in rank n.
+                 s_contains_ell: bool, detection_fails: bool) -> tuple[str, ...]:
+    """The violated hypotheses of the refined freeness conjecture in rank n,
+    in a fixed order.
 
-    Checks that ell is prime, n < ell, the ell-th root of unity lies in K,
-    S contains the infinite places and the places over ell, and that the
-    detection hypothesis holds; ``detection_hypothesis`` is holds, fails or
-    unknown.  Violations are listed; an unknown detection hypothesis with
-    everything else satisfied is inconclusive.
+    The hypotheses are that ell is prime, n < ell, the ell-th root of
+    unity lies in K, S contains the infinite places and the places over
+    ell, and detection on finite subgroups, which the rank comparison can
+    refute (``detection_fails``) but never prove.
     """
-    if detection_hypothesis not in ("holds", "fails", "unknown"):
-        raise ValueError("detection_hypothesis must be holds, fails or unknown")
-    violated = []
-    if not is_prime(ell):
-        violated.append("ell_prime")
-    if not n < ell:
-        violated.append("n_less_than_ell")
-    if not zeta_in_K:
-        violated.append("zeta_ell_in_K")
-    if not s_contains_infinite:
-        violated.append("S_contains_infinite_places")
-    if not s_contains_ell:
-        violated.append("S_contains_places_over_ell")
-    if detection_hypothesis == "fails":
-        violated.append("detection_on_finite_subgroups")
-    if violated:
-        return Verdict(outcome="fails", witness=tuple(violated))
-    if detection_hypothesis == "unknown":
-        return Verdict(outcome="inconclusive",
-                       note="detection hypothesis unknown")
-    return Verdict(outcome="holds")
+    held = {"ell_prime": is_prime(ell), "n_less_than_ell": n < ell, "zeta_ell_in_K": zeta_in_K,
+            "S_contains_infinite_places": s_contains_infinite,
+            "S_contains_places_over_ell": s_contains_ell,
+            "detection_on_finite_subgroups": not detection_fails}
+    return tuple(name for name, holds in held.items() if not holds)
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +480,25 @@ def _component_lines(decomposition: Decomposition, bound: int) -> Iterator[str]:
     return lines()
 
 
-def machine_lines_number_field(decomposition: Decomposition, detection: Verdict,
+def machine_lines_number_field(decomposition: Decomposition, detection: tuple | None,
                                bound: int) -> Iterator[str]:
     """Report lines, one fact per line, for a number-field analysis: its
-    decomposition and its detection verdict up to degree ``bound``.
-    Every check that can refuse or fail runs before the iterator is
-    returned; the lines themselves are produced lazily, as items of one
-    or more whole lines joined by newlines.
+    decomposition and the witness of ``detection_verdict`` up to degree
+    ``bound``, or None.  Every check that can refuse or fail runs before
+    the iterator is returned; the lines themselves are produced lazily,
+    as items of one or more whole lines joined by newlines.
     """
-    head = [f"NONVANISHING\t{'holds' if decomposition.nonvanishing else 'fails'}"]
+    head = [f"NONVANISHING\t{'holds' if decomposition.shapes else 'fails'}"]
     components = ()
-    if decomposition.nonvanishing:
-        head.append(f"CCLASSES\t{decomposition.classes}")
-        head.append(f"KCLASSES\t{decomposition.count}")
+    if decomposition.shapes:
+        head += [f"CCLASSES\t{decomposition.classes}", f"KCLASSES\t{decomposition.count}"]
         components = _component_lines(decomposition, bound)
-    if detection.outcome == "fails":
-        tail = [f"DETECTION\tfails witness_degree={detection.witness[0]}"]
+    if detection:
+        tail = [f"DETECTION\tfails witness_degree={detection[0]}"]
+    elif decomposition.shapes:
+        tail = [f"DETECTION\tinconclusive note=no_rank_excess_up_to_degree_{bound}"]
     else:
-        note = f" note={detection.note.split(':')[0].replace(' ', '_')}" if detection.note else ""
-        tail = [f"DETECTION\tinconclusive{note}"]
+        tail = ["DETECTION\tinconclusive note=empty_decomposition"]
     tail.extend(f"ADVISORY\t{advisory}" for advisory in decomposition.advisories)
     return chain(head, components, tail)
 
@@ -548,9 +514,7 @@ def machine_lines_function_field(curve: CurveSpec, field_spec: FiniteFieldSpec, 
                  (f"ADVISORY\t{advisory}" for advisory in decomposition.advisories))
 
 
-def gate_line(verdict: Verdict) -> str:
-    if verdict.outcome == "fails":
-        return f"GATE\tfails violated={','.join(verdict.witness)}"
-    if verdict.outcome == "inconclusive":
-        return "GATE\tinconclusive violated="
-    return "GATE\tholds"
+def gate_line(violated: tuple[str, ...]) -> str:
+    """The GATE line of ``refined_gate``'s violations; with none it is
+    inconclusive, as detection is never proved."""
+    return f"GATE\t{'fails' if violated else 'inconclusive'} violated={','.join(violated)}"

@@ -13,6 +13,11 @@ _BOOL = r"(?:true|false)"
 _WORD = r"[A-Za-z0-9_]+"
 _DIMS = rf"dims\[-4\.\.{_N}\]={_N}(?:,{_N})*"
 _MONOMIAL = r"(?:\d+\*)?[xy]\d+(?:\^\d+)?(?:\*[xy]\d+(?:\^\d+)?)*"
+_HYPOTHESES = ("ell_prime", "n_less_than_ell", "zeta_ell_in_K", "S_contains_infinite_places",
+               "S_contains_places_over_ell", "detection_on_finite_subgroups")
+# the violated hypotheses: at least one, each at most once, in the order above,
+# comma-separated (a name follows the '=' or a comma that does not)
+_VIOLATED = "(?=[A-Za-z])" + "".join(rf"(?:(?:(?<==)|(?<!=),){name})?" for name in _HYPOTHESES)
 
 VALUES = {
     "NONVANISHING": r"holds|fails",
@@ -23,8 +28,9 @@ VALUES = {
     "FREENESS": rf"component={_N} basis_degrees={_INT}:{_N}(?:,{_INT}:{_N})* "
                 rf"base=(?:laurent|polynomial) verified_up_to={_N}",
     "CHERN": rf"restriction=sum_of_squared_degree2_generators non_zero_divisor={_BOOL}",
-    "DETECTION": rf"fails witness_degree={_INT}|inconclusive(?: note={_WORD})?",
-    "GATE": rf"holds|inconclusive violated=|fails violated={_WORD}(?:,{_WORD})*",
+    "DETECTION": rf"fails witness_degree={_INT}"
+                 rf"|inconclusive note=(?:no_rank_excess_up_to_degree_{_N}|empty_decomposition)",
+    "GATE": rf"inconclusive violated=|fails violated={_VIOLATED}",
     "ADVISORY": rf"{_WORD}(?:={_WORD})?(?: {_WORD}(?:={_WORD})?)*",
     "ESSENTIAL": rf"ell={_N} rank={_N} degree={_N} nonzero={_BOOL}",
     "PRODUCT": rf"0|{_MONOMIAL}(?: \+ {_MONOMIAL})*",

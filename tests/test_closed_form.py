@@ -15,6 +15,7 @@ import random
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from sl2cohom.abelian import (
@@ -32,6 +33,7 @@ from sl2cohom.cohomengine import (
     detection_verdict,
     machine_lines_function_field,
     machine_lines_number_field,
+    nonvanishing,
 )
 from sl2cohom.curve import (
     EllipticMinusPoint,
@@ -236,17 +238,32 @@ def random_non_split_datum(rng, sigma_mode):
         coker_nm1=FinGenAbGroup(0, rng.choice(COKER)), sigma=sigma)
 
 
-def test_non_split_reports_match_enumeration():
+def non_split_data():
+    """The random non-split data of these tests, each after its sigma mode."""
     rng = random.Random(20261017)
-    seen = Counter()
     for trial in range(90):
         mode = ("negation", "identity", "any")[trial % 3]
-        datum = random_non_split_datum(rng, mode)
+        yield mode, random_non_split_datum(rng, mode)
+
+
+def split_data():
+    """The random split data of these tests, class groups of order at most 64."""
+    rng = random.Random(5)
+    for _ in range(25):
+        cl = FinGenAbGroup.from_cyclic_orders(
+            [rng.randint(1, 8) for _ in range(rng.randint(0, 3))])
+        if cl.order <= 64:
+            yield build_split_datum(cl, rng.randint(0, 4), rng.choice((3, 5, 7, 11)))
+
+
+def test_non_split_reports_match_enumeration():
+    seen = Counter()
+    for mode, datum in non_split_data():
         components, want = enumerated_number_field(datum)
         dec = decompose_number_field(datum)
         got = machine_lines_number_field(dec, detection_verdict(datum, dec, BOUND), BOUND)
         check_against_enumeration(dec, got, components, want)
-        if dec.nonvanishing:
+        if dec.shapes:
             seen[mode] += 1
             seen["coker"] += not datum.coker_nm1.is_trivial
             seen["paired and fixed"] += len(dec.shapes) == 2
@@ -261,13 +278,7 @@ def test_non_split_reports_match_enumeration():
 
 
 def test_split_reports_match_enumeration():
-    rng = random.Random(5)
-    for _ in range(25):
-        cl = FinGenAbGroup.from_cyclic_orders(
-            [rng.randint(1, 8) for _ in range(rng.randint(0, 3))])
-        if cl.order > 64:
-            continue
-        datum = build_split_datum(cl, rng.randint(0, 4), rng.choice((3, 5, 7, 11)))
+    for datum in split_data():
         components, want = enumerated_number_field(datum)
         dec = decompose_number_field(datum)
         got = machine_lines_number_field(dec, detection_verdict(datum, dec, BOUND), BOUND)
@@ -278,31 +289,67 @@ def test_split_reports_match_enumeration():
 # random function-field data
 # ---------------------------------------------------------------------------
 
-def test_punctured_line_reports_match_enumeration():
+P1_SPEC = field_spec_from_order(13)
+
+
+def punctured_lines():
+    """The random punctured projective lines of these tests, over GF(13)."""
     rng = random.Random(11)
-    spec = field_spec_from_order(13)
     for _ in range(30):
-        curve = P1Minus(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
-        components, want = enumerated_function_field(curve, spec)
-        dec = decompose_function_field(curve, spec, 3)
-        got = machine_lines_function_field(curve, spec, 3)
+        yield P1Minus(tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 6))))
+
+
+def elliptic_curves():
+    """The random (curve, field, ell) elliptic cases of these tests."""
+    rng = random.Random(3)
+    fields = {7: 3, 11: 5, 13: 3, 19: 3, 23: 11, 25: 3}
+    for q, ell in fields.items():
+        spec = field_spec_from_order(q)
+        for _ in range(6):
+            yield EllipticMinusPoint(rng.randrange(q), rng.randrange(q)), spec, ell
+
+
+def test_punctured_line_reports_match_enumeration():
+    for curve in punctured_lines():
+        components, want = enumerated_function_field(curve, P1_SPEC)
+        dec = decompose_function_field(curve, P1_SPEC, 3)
+        got = machine_lines_function_field(curve, P1_SPEC, 3)
         check_against_enumeration(dec, got, components, want)
 
 
 def test_elliptic_reports_match_enumeration():
-    rng = random.Random(3)
-    fields = {7: 3, 11: 5, 13: 3, 19: 3, 23: 11, 25: 3}
     checked = 0
-    for q, ell in fields.items():
-        spec = field_spec_from_order(q)
-        for _ in range(6):
-            curve = EllipticMinusPoint(rng.randrange(q), rng.randrange(q))
-            try:
-                components, want = enumerated_function_field(curve, spec)
-            except InputError:
-                continue
-            dec = decompose_function_field(curve, spec, ell)
-            got = machine_lines_function_field(curve, spec, ell)
-            check_against_enumeration(dec, got, components, want)
-            checked += 1
+    for curve, spec, ell in elliptic_curves():
+        try:
+            components, want = enumerated_function_field(curve, spec)
+        except InputError:
+            continue
+        dec = decompose_function_field(curve, spec, ell)
+        got = machine_lines_function_field(curve, spec, ell)
+        check_against_enumeration(dec, got, components, want)
+        checked += 1
     assert checked >= 25
+
+
+# ---------------------------------------------------------------------------
+# the empty decomposition
+# ---------------------------------------------------------------------------
+
+def test_shapes_are_empty_exactly_when_the_cohomology_vanishes():
+    # the report reads non-vanishing off the shapes: the class of zero is
+    # always a fixed orbit, so nonzero cohomology has a component
+    seen = Counter()
+    for datum in chain((datum for _, datum in non_split_data()), split_data()):
+        vanishes = bool(nonvanishing(datum))
+        assert (decompose_number_field(datum).shapes == ()) == vanishes
+        seen[vanishes] += 1
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+    for curve, spec, ell in chain(((curve, P1_SPEC, 3) for curve in punctured_lines()),
+                                  elliptic_curves()):
+        try:
+            dec = decompose_function_field(curve, spec, ell)
+        except InputError:  # a singular curve
+            continue
+        assert dec.shapes != ()
+        seen["function field"] += 1
+    assert seen["function field"] >= 55, seen

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from math import comb
@@ -11,13 +12,13 @@ from sl2cohom.cohomengine import (
     ITEM_CHARS,
     ComponentRing,
     Decomposition,
-    Verdict,
     conjugacy_classes,
     decompose_function_field,
     decompose_number_field,
     detection_verdict,
     freeness_basis_degrees,
     freeness_certificate,
+    gate_line,
     graded_dimension,
     machine_lines_function_field,
     machine_lines_number_field,
@@ -32,7 +33,7 @@ from brute import (
     basis_degrees_by_enumeration,
     shape_dimension_by_enumeration,
 )
-from grammar import report_lines
+from grammar import bad_lines, report_lines
 
 QZETA23 = "src/sl2cohom/data/q_zeta23.datum"
 QZETA3 = "src/sl2cohom/data/q_zeta3.datum"
@@ -143,21 +144,17 @@ def test_laurent_shapes_four_periodic():
 # ---------------------------------------------------------------------------
 
 def test_nonvanishing_for_split_fixture():
-    assert nonvanishing(load_datum(QZETA23)).outcome == "holds"
+    assert nonvanishing(load_datum(QZETA23)) == ()
 
 
 def test_nonvanishing_fails_without_trace():
-    verdict = nonvanishing(synthetic_datum(trace=False))
-    assert verdict.outcome == "fails"
-    assert verdict.witness == ("trace_in_K",)
+    assert nonvanishing(synthetic_datum(trace=False)) == ("trace_in_K",)
 
 
 def test_nonvanishing_fails_when_steinitz_not_a_norm():
     cl_K = FinGenAbGroup(0, (2,))
     datum = synthetic_datum(cl_K=cl_K, steinitz=(1,))
-    verdict = nonvanishing(datum)
-    assert verdict.outcome == "fails"
-    assert verdict.witness == ("steinitz_in_image_nm0",)
+    assert nonvanishing(datum) == ("steinitz_in_image_nm0",)
 
 
 def test_nonvanishing_truth_table_random():
@@ -182,7 +179,7 @@ def test_nonvanishing_truth_table_random():
                                 steinitz=steinitz)
         image = {nm0.apply(x) for x in cl_A.elements()}
         expected = trace and steinitz in image
-        assert (nonvanishing(datum).outcome == "holds") == expected
+        assert (not nonvanishing(datum)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def test_decomposition_of_cyclotomic_fixture():
 
 def test_decomposition_empty_when_vanishing():
     dec = decompose_number_field(synthetic_datum(trace=False))
-    assert dec.shapes == () and dec.count == 0 and not dec.nonvanishing
+    assert dec.shapes == () and dec.count == 0 and dec.classes is None
 
 
 def test_decomposition_of_small_split_fixture():
@@ -271,11 +268,9 @@ def test_decomposition_of_small_split_fixture():
 def test_decomposition_rejects_repeated_or_empty_shapes():
     comp = ComponentRing("Invariant", 1)
     with pytest.raises(ValueError):
-        Decomposition(shapes=((comp, 1), (comp, 2)), nonvanishing=True)
+        Decomposition(shapes=((comp, 1), (comp, 2)))
     with pytest.raises(ValueError):
-        Decomposition(shapes=((comp, 0),), nonvanishing=True)
-    with pytest.raises(ValueError):
-        Decomposition(shapes=((comp, 1),), nonvanishing=False)
+        Decomposition(shapes=((comp, 0),))
 
 
 def test_nontrivial_coker_emits_advisory():
@@ -376,7 +371,7 @@ def test_certificate_identity_random_shapes():
         comps = tuple(
             ComponentRing(rng.choice(kinds), rng.randint(0, 6))
             for _ in range(rng.randint(1, 4)))
-        dec = Decomposition(shapes=tuple(Counter(comps).items()), nonvanishing=True)
+        dec = Decomposition(shapes=tuple(Counter(comps).items()))
         cert = freeness_certificate(dec)
         assert len(cert) == len(Counter(comps))
         for comp, basis_degrees in zip(Counter(comps), cert):
@@ -400,7 +395,7 @@ def test_certificate_refuses_what_a_full_recount_refuses(monkeypatch):
     refused = 0
     for kind in ("NonInvariant", "Invariant", "UnitsFF", "MonomialFF"):
         shape = ComponentRing(kind, 5)
-        dec = Decomposition(shapes=((shape, 1),), nonvanishing=True)
+        dec = Decomposition(shapes=((shape, 1),))
         basis = true_basis(shape)
         for i, (d, m) in enumerate(basis):
             for moved in ((d, m + 1), (d + 1, m), (d + 4, m), (d + 12, m)):
@@ -419,7 +414,7 @@ def test_certificate_refuses_what_a_full_recount_refuses(monkeypatch):
 
 
 def test_empty_decomposition_certificate():
-    dec = Decomposition(shapes=(), nonvanishing=False)
+    dec = Decomposition(shapes=())
     assert freeness_certificate(dec) == []
 
 
@@ -429,9 +424,7 @@ def test_empty_decomposition_certificate():
 
 def test_detection_fails_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    verdict = detection_verdict(datum, decompose_number_field(datum))
-    assert verdict.outcome == "fails"
-    degree, total, torus = verdict.witness
+    degree, total, torus = detection_verdict(datum, decompose_number_field(datum))
     assert total > torus
     assert -12 <= degree <= 12
 
@@ -442,15 +435,15 @@ def test_detection_inconclusive_for_balanced_decomposition():
     # single component on the same rank as the torus would be needed for
     # equality; the split datum with trivial class group gives the invariant
     # shape, whose dimensions never exceed the torus
-    verdict = detection_verdict(datum, dec)
-    assert verdict.outcome == "inconclusive"
+    assert detection_verdict(datum, dec) is None
+    lines = number_field_lines(datum)
+    assert lines[-1] == "DETECTION\tinconclusive note=no_rank_excess_up_to_degree_12"
 
 
 def test_detection_inconclusive_on_empty_decomposition():
     datum = synthetic_datum(trace=False)
-    verdict = detection_verdict(datum, decompose_number_field(datum))
-    assert verdict.outcome == "inconclusive"
-    assert "empty" in verdict.note
+    assert detection_verdict(datum, decompose_number_field(datum)) is None
+    assert number_field_lines(datum)[-1] == "DETECTION\tinconclusive note=empty_decomposition"
 
 
 def test_detection_never_holds():
@@ -459,65 +452,74 @@ def test_detection_never_holds():
         cl = FinGenAbGroup.from_cyclic_orders(
             [rng.randint(1, 5) for _ in range(rng.randint(0, 2))])
         datum = build_split_datum(cl, rng.randint(0, 4), 7)
-        verdict = detection_verdict(datum, decompose_number_field(datum))
-        assert verdict.outcome in ("fails", "inconclusive")
+        witness = detection_verdict(datum, decompose_number_field(datum))
+        # a witness refutes detection; nothing can prove it
+        assert witness is None or witness[1] > witness[2]
 
 
 # ---------------------------------------------------------------------------
 # hypothesis gate
 # ---------------------------------------------------------------------------
 
-def gate(ell, n, detection_hypothesis, **flags):
+# the gate's hypotheses, in the order the GATE line names their violations
+GATE_HYPOTHESES = ("ell_prime", "n_less_than_ell", "zeta_ell_in_K",
+                   "S_contains_infinite_places", "S_contains_places_over_ell",
+                   "detection_on_finite_subgroups")
+
+
+def gate(ell, n, detection_fails, **flags):
     """The gate with every place and root-of-unity flag true unless given."""
     flags = {"zeta_in_K": True, "s_contains_infinite": True, "s_contains_ell": True, **flags}
-    return refined_gate(ell, n, detection_hypothesis=detection_hypothesis, **flags)
-
-
-def test_gate_holds_with_all_hypotheses():
-    verdict = gate(23, 2, "holds")
-    assert verdict.outcome == "holds"
+    return refined_gate(ell, n, detection_fails=detection_fails, **flags)
 
 
 def test_gate_rejects_rank_not_less_than_ell():
-    verdict = gate(3, 3, "holds")
-    assert verdict.outcome == "fails"
-    assert "n_less_than_ell" in verdict.witness
+    assert gate(3, 3, False) == ("n_less_than_ell",)
 
 
 def test_gate_rejects_failing_detection():
-    verdict = gate(23, 2, "fails")
-    assert verdict.outcome == "fails"
-    assert "detection_on_finite_subgroups" in verdict.witness
+    assert gate(23, 2, True) == ("detection_on_finite_subgroups",)
 
 
 def test_gate_inconclusive_on_unknown_detection():
-    verdict = gate(23, 2, "unknown")
-    assert verdict.outcome == "inconclusive"
-
-
-def test_gate_refuses_an_unknown_detection_hypothesis():
-    with pytest.raises(ValueError, match="holds, fails or unknown"):
-        gate(23, 2, "maybe")
+    # detection is never proved, so a gate with no violation is inconclusive
+    assert gate(23, 2, False) == ()
+    assert gate_line(gate(23, 2, False)) == "GATE\tinconclusive violated="
 
 
 def test_gate_flags_are_keyword_only():
     with pytest.raises(TypeError):
-        refined_gate(23, 2, True, True, True, "holds")
+        refined_gate(23, 2, True, True, True, False)
 
 
 def test_gate_lists_all_violations():
-    verdict = gate(9, 9, "fails", zeta_in_K=False, s_contains_infinite=False,
-                   s_contains_ell=False)
-    assert verdict.outcome == "fails"
-    assert set(verdict.witness) == {
-        "ell_prime", "n_less_than_ell", "zeta_ell_in_K",
-        "S_contains_infinite_places", "S_contains_places_over_ell",
-        "detection_on_finite_subgroups"}
+    # all 64 combinations of the hypotheses, ell prime or 9
+    for held in itertools.product((True, False), repeat=6):
+        ell_prime, n_below_ell, zeta_in_K, s_infinite, s_ell, detected = held
+        ell = 7 if ell_prime else 9
+        violated = refined_gate(ell, 2 if n_below_ell else ell, zeta_in_K=zeta_in_K,
+                                s_contains_infinite=s_infinite, s_contains_ell=s_ell,
+                                detection_fails=not detected)
+        names = ",".join(name for name, h in zip(GATE_HYPOTHESES, held) if not h)
+        outcome = "fails" if names else "inconclusive"
+        assert gate_line(violated) == f"GATE\t{outcome} violated={names}", held
+        assert bad_lines(gate_line(violated) + "\n") == []
 
 
 def test_failing_verdict_requires_witness():
-    with pytest.raises(ValueError):
-        Verdict(outcome="fails")
+    # a failing detection verdict is its witness, and is printed with its degree
+    rng = random.Random(17)
+    for _ in range(40):
+        cl = FinGenAbGroup.from_cyclic_orders(
+            [rng.randint(1, 5) for _ in range(rng.randint(0, 2))])
+        datum = build_split_datum(cl, rng.randint(0, 4), 7)
+        witness = detection_verdict(datum, decompose_number_field(datum))
+        detection, = (line for line in number_field_lines(datum)
+                      if line.startswith("DETECTION\t"))
+        if witness is None:
+            assert detection == "DETECTION\tinconclusive note=no_rank_excess_up_to_degree_12"
+        else:
+            assert detection == f"DETECTION\tfails witness_degree={witness[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +558,10 @@ def test_report_checks_run_before_the_lines_are_returned(monkeypatch):
 
     datum = load_datum(QZETA23)
     shape = ComponentRing("Invariant", 11)
-    oversized = Decomposition(shapes=((shape, COMPONENT_BOUND + 1),), nonvanishing=True,
+    oversized = Decomposition(shapes=((shape, COMPONENT_BOUND + 1),),
                               classes=COMPONENT_BOUND + 1)
     with pytest.raises(InputError, match="over the component bound"):
-        machine_lines_number_field(oversized, Verdict("inconclusive"), 12)
+        machine_lines_number_field(oversized, None, 12)
 
     def failing(decomposition, up_to):
         raise ArithmeticError("injected freeness failure")

@@ -53,6 +53,12 @@ CASES = {
                                   "--unit-rank", "3", "--ell", "5", "--gate-n", "7",
                                   "--no-gate-s-ell"],
     "coker2": ["analyze-nf", "--datum", str(GOLDEN / "coker2.datum")],
+    # a vanishing report: no components, and a detection note with no bound
+    "coker2_no_trace_gate_1": ["analyze-nf", "--datum", str(GOLDEN / "coker2_no_trace.datum"),
+                               "--gate-n", "1", "--degree-bound", "5"],
+    # the detection note carries the degree bound
+    "q_zeta3_gate_1_bound_0": ["analyze-nf", "--datum", "q_zeta3.datum", "--degree-bound", "0",
+                               "--gate-n", "1"],
     "elliptic_0_2_q7": ["analyze-ff", "--curve", "elliptic", "--a", "0", "--b", "2",
                         "--q", "7", "--ell", "3"],
     "elliptic_7_1_q25": ["analyze-ff", "--curve", "elliptic", "--a", "7", "--b", "1",
@@ -124,7 +130,12 @@ def test_golden_lines_follow_the_grammar(path):
 
 def test_grammar_refuses_malformed_lines():
     for line in ("COMPONENT\t0 shape=Bogus d=1 dims[-4..0]=1,0,0,1,1", "CCLASSES\t-1",
-                 "NONVANISHING holds", "ERROR\tbad input", "VERIFY\tpass ", "PRODUCT\tx1 +"):
+                 "NONVANISHING holds", "ERROR\tbad input", "VERIFY\tpass ", "PRODUCT\tx1 +",
+                 "DETECTION\tinconclusive", "DETECTION\tinconclusive note=maybe", "GATE\tholds",
+                 "GATE\tfails violated=", "GATE\tfails violated=,ell_prime",
+                 "GATE\tfails violated=ell_prime,", "GATE\tfails violated=ell_primezeta_ell_in_K",
+                 "GATE\tfails violated=zeta_ell_in_K,ell_prime",
+                 "GATE\tfails violated=ell_prime,ell_prime", "GATE\tinconclusive violated=ell_prime"):
         assert bad_lines(line + "\n") == [line]
     assert bad_lines("VERIFY\tpass") == ["VERIFY\tpass"]  # no final newline
     assert bad_lines("VERIFY\tpass\n", "human") == ["VERIFY\tpass"]  # no '#' lines
