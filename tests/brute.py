@@ -20,7 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
-from sl2cohom.abelian import FinGenAbGroup, smith_normal_form
+from sl2cohom.abelian import FinGenAbGroup, factorize, smith_normal_form
 
 
 def permanent_style_det(matrix) -> int:
@@ -96,6 +96,53 @@ def structure_from_element_set(elements, add, zero) -> FinGenAbGroup:
                 value *= p ** lam[s]
         if value > 1:
             factors.append(value)
+    return FinGenAbGroup(0, tuple(sorted(factors)))
+
+
+def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
+    """Invariant factors of a finite abelian group given as a raw element set.
+
+    Uses only torsion counting: for each prime p the numbers of elements
+    killed by p^j determine the partition of the p-part.  ``times(x, n)``
+    is n*x; the p^j multiples are the p^(j-1) multiples times p, and a
+    multiple that reaches zero stays there, so it is dropped.
+    """
+    size = len(elements)
+    if size == 1:
+        return FinGenAbGroup.trivial()
+    primes = [p for p, _ in factorize(size)]
+
+    exponents_by_prime = {}
+    for p in primes:
+        counts = [1]
+        live = [x for x in elements if x != zero]
+        while True:
+            live = [y for y in (times(x, p) for x in live) if y != zero]
+            c = size - len(live)
+            if c == counts[-1]:
+                break
+            counts.append(c)
+        # m_j = #{i : lambda_i >= j}; partition recovered as its conjugate
+        logs = []
+        for j in range(1, len(counts)):
+            ratio = counts[j] // counts[j - 1]
+            m_j = 0
+            while p ** m_j < ratio:
+                m_j += 1
+            logs.append(m_j)
+        lam = []
+        for i in range(max(logs, default=0)):
+            lam.append(sum(1 for m_j in logs if m_j > i))
+        exponents_by_prime[p] = sorted(lam, reverse=True)
+    slots = max((len(v) for v in exponents_by_prime.values()), default=0)
+    factors = []
+    for s in range(slots):
+        value = 1
+        for p, lam in exponents_by_prime.items():
+            if s < len(lam):
+                value *= p ** lam[s]
+        factors.append(value)
+    factors = [v for v in factors if v > 1]
     return FinGenAbGroup(0, tuple(sorted(factors)))
 
 

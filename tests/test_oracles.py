@@ -7,14 +7,15 @@ from itertools import product as cartesian
 import pytest
 
 from brute import (
+    brute_structure_from_elements,
     monomial_count_by_window_scan,
     shape_dimension_by_enumeration,
     structure_from_element_set,
 )
 from sl2cohom import curve, oracles
-from sl2cohom.abelian import FinGenAbGroup, kernel, cokernel
+from sl2cohom.abelian import FinGenAbGroup, GroupHom, InputError, kernel, cokernel
 from sl2cohom.arithdata import QuadraticForm
-from sl2cohom.oracles import brute_structure_from_elements, random_finite_group
+from sl2cohom.oracles import random_finite_group, random_hom
 
 
 def test_torsion_counts_match_brute_force_on_groups():
@@ -22,9 +23,10 @@ def test_torsion_counts_match_brute_force_on_groups():
     for _ in range(40):
         group = random_finite_group(rng)
         elements = list(group.elements())
-        fast = brute_structure_from_elements(
+        by_multiples = brute_structure_from_elements(
             elements, lambda x, n: group.reduce_element([n * v for v in x]), group.zero())
-        assert fast == structure_from_element_set(elements, group.add, group.zero()) == group
+        by_sums = structure_from_element_set(elements, group.add, group.zero())
+        assert by_multiples == by_sums == group
 
 
 def test_torsion_counts_match_brute_force_on_quotients():
@@ -39,12 +41,60 @@ def test_torsion_counts_match_brute_force_on_quotients():
             rep_of[x, y] = min(((x + s) % a, (y + t) % b) for s, t in subgroup)
         reps = sorted(set(rep_of.values()))
         zero = rep_of[0, 0]
-        fast = brute_structure_from_elements(
+        by_multiples = brute_structure_from_elements(
             reps, lambda u, n: rep_of[n * u[0] % a, n * u[1] % b], zero)
-        slow = structure_from_element_set(
+        by_sums = structure_from_element_set(
             reps, lambda u, v: rep_of[(u[0] + v[0]) % a, (u[1] + v[1]) % b], zero)
-        assert fast == slow
-        assert fast.order * len(subgroup) == a * b
+        assert by_multiples == by_sums
+        assert by_multiples.order * len(subgroup) == a * b
+
+
+def all_three_structures(elements, orders, add, zero):
+    """The structure read from the element orders, by repeated multiples and
+    by repeated sums."""
+    def times(x, n):
+        acc = zero
+        for _ in range(n):
+            acc = add(acc, x)
+        return acc
+
+    return (oracles.structure_from_element_orders(orders),
+            brute_structure_from_elements(elements, times, zero),
+            structure_from_element_set(elements, add, zero))
+
+
+@pytest.mark.parametrize("orders", [(4, 2, 9), (8,), (2, 2, 2), (7,), (61,), (), None])
+def test_structure_from_element_orders_matches_both_references(orders):
+    # a group (random for None), and the kernels and the quotients by the
+    # images of a random map and of multiplication by 0..3.  In Z/8 modulo
+    # its doubles, the coset of 1 has order 2: ord(1) = 8 is divided by 2 twice
+    rng = random.Random(31)
+    for _ in range(8 if orders is None else 1):
+        group = random_finite_group(rng) if orders is None \
+            else FinGenAbGroup.from_cyclic_orders(orders)
+        elements = list(group.elements())
+        assert all_three_structures(
+            elements, [oracles.element_order(x, group.orders) for x in elements],
+            group.add, group.zero()) == (group,) * 3
+        n = group.ngens
+        for f in [random_hom(rng, group, random_finite_group(rng))] + [
+                GroupHom(group, group, [[m * (i == j) for j in range(n)] for i in range(n)])
+                for m in range(4)]:
+            target = f.codomain
+            kernel_set = [x for x in elements if f.apply(x) == target.zero()]
+            k = all_three_structures(
+                kernel_set, [oracles.element_order(x, group.orders) for x in kernel_set],
+                group.add, group.zero())
+            assert k[0] == k[1] == k[2], (group, f.matrix)
+            image = {f.apply(x) for x in elements}
+            rep_of = {y: min(target.add(y, s) for s in image) for y in target.elements()}
+            reps = sorted(set(rep_of.values()))
+            c = all_three_structures(
+                reps, [oracles.coset_order(y, target.orders, image) for y in reps],
+                lambda u, v: rep_of[target.add(u, v)], rep_of[target.zero()])
+            assert c[0] == c[1] == c[2], (group, target, f.matrix)
+            assert k[0].order * len(image) == group.order
+            assert c[0].order * len(image) == target.order
 
 
 def bumped(group):
@@ -165,6 +215,33 @@ def test_elliptic_suite_catches_cubic_values_off_by_a_square(monkeypatch):
     assert not result.passed and result.detail == "q=5 a=0 b=1: cubic value at x=0"
 
 
+def test_elliptic_suite_takes_no_square_root_and_lists_no_points(monkeypatch):
+    # the recount reads square roots from a table of y*y, so it shares
+    # neither sqrt nor the tally's log parity with count_points_elliptic
+    def refuse(*args):
+        raise AssertionError("the recount must not call this")
+
+    monkeypatch.setattr(curve.FiniteField, "sqrt", refuse)
+    monkeypatch.setattr(curve, "elliptic_points", refuse)
+    result = oracles.suite_elliptic_point_recount()
+    assert result.passed, result.detail
+
+
+def test_elliptic_suite_fails_when_a_nonsingular_curve_is_refused(monkeypatch):
+    # 4 * 2^3 + 27 * 3^2 = 275 is 2 mod 7: the suite, not the fast path,
+    # decides which curves are singular
+    fast = oracles.count_points_elliptic
+
+    def refusing(c, field):
+        if field.q == 7 and (c.a, c.b) == (2, 3):
+            raise InputError("discriminant 4a^3 + 27b^2 vanishes")
+        return fast(c, field)
+
+    monkeypatch.setattr(oracles, "count_points_elliptic", refusing)
+    result = oracles.suite_elliptic_point_recount()
+    assert not result.passed and result.detail.startswith("q=7 a=2 b=3: refused")
+
+
 def test_kernel_cokernel_suite_catches_one_wrong_membership(monkeypatch):
     fast = oracles.contains_in_image
     calls = []
@@ -183,7 +260,8 @@ def test_the_suites_do_the_same_work(monkeypatch):
     # the calls one verify pass made before its suites moved to raw
     # coordinates and form triples: the table rows and the identity checks
     # were 7 326 calls of compose, now 6 590 of _compose_triples and 736 of
-    # compose; 320 groups are listed element by element
+    # compose; 320 groups are listed element by element.  The point recount
+    # reads square roots from a table per field, so it lists no points
     calls = Counter()
 
     def counting(owner, name):
@@ -195,14 +273,14 @@ def test_the_suites_do_the_same_work(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("kernel", "cokernel", "contains_in_image", "count_points_elliptic",
-                 "elliptic_points", "graded_dimension", "smith_normal_form", "compose",
-                 "_compose_triples"):
+                 "graded_dimension", "smith_normal_form", "compose", "_compose_triples"):
         counting(oracles, name)
+    counting(curve, "elliptic_points")
     counting(FinGenAbGroup, "elements")
     assert all(result.passed for result in oracles.run_all_suites())
-    assert calls == {
+    assert calls == Counter({
         "kernel": 80, "cokernel": 80, "contains_in_image": 1167,
-        "count_points_elliptic": 2126, "elliptic_points": 2258,
+        "count_points_elliptic": 2126, "elliptic_points": 0,
         "graded_dimension": 476, "smith_normal_form": 200,
         "compose": 736, "_compose_triples": 6590, "elements": 320,
-    }
+    })
