@@ -4,16 +4,15 @@ Groups are stored in invariant-factor form, homomorphisms as integer
 matrices, and every computation (Smith normal form, kernels, cokernels,
 image membership) runs over Python's arbitrary-precision integers, so
 intermediate entries can grow without wrapping.  All values are immutable
-after construction and all operations are pure functions.
+after construction (see ``Record``) and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
-from operator import mul
+from operator import attrgetter, mul
 
 # the largest group whose elements the oracles may list
 ENUMERATION_BOUND = 10**6
@@ -30,6 +29,43 @@ class InputError(ValueError):
 
 class EnumerationBoundExceeded(Exception):
     """Element listing was requested for a group beyond the allowed bound."""
+
+
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  Two records are equal when
+    they are of one class and their field tuples are equal, and a record
+    hashes as its field tuple.  Other assignment or deletion raises
+    ``AttributeError``; ``cached_property`` writes ``__dict__`` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # attrgetter runs in C, and GradedElement compares specs on every product;
+        # of one name it returns the bare value, not a 1-tuple
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -201,8 +237,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
 # groups and homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinGenAbGroup:
+class FinGenAbGroup(Record):
     """A finitely generated abelian group Z^free_rank + sum Z/d_i.
 
     Canonical form: every invariant factor is >= 2 and divides the next,
@@ -210,14 +245,14 @@ class FinGenAbGroup:
     free generators first, then the torsion generators.
     """
 
-    free_rank: int = 0
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(int(d) for d in self.invariant_factors))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, invariant_factors: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        factors = tuple(int(d) for d in invariant_factors)
+        object.__setattr__(self, "invariant_factors", factors)
+        if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        factors = self.invariant_factors
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2 (drop factor-1 entries)")
@@ -309,25 +344,24 @@ class FinGenAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """Homomorphism given by an integer matrix (codomain gens x domain gens).
 
     The matrix is stored reduced modulo the codomain relations, so two
     matrices describing the same map compare equal.
     """
 
-    domain: FinGenAbGroup
-    codomain: FinGenAbGroup
-    matrix: IntMatrix
+    _fields = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        m, n = self.codomain.ngens, self.domain.ngens
-        rows = _freeze(self.matrix)
+    def __init__(self, domain: FinGenAbGroup, codomain: FinGenAbGroup, matrix: IntMatrix):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        m, n = codomain.ngens, domain.ngens
+        rows = _freeze(matrix)
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError(f"matrix must be {m}x{n}")
-        dom_orders = self.domain.orders
-        cod_orders = self.codomain.orders
+        dom_orders = domain.orders
+        cod_orders = codomain.orders
         for i in range(m):
             p = cod_orders[i]
             for j in range(n):
@@ -385,16 +419,16 @@ class GroupHom:
         return self.domain == self.codomain and self == GroupHom.identity(self.domain)
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Record):
     """A self-inverse endomorphism of a group."""
 
-    hom: GroupHom
+    _fields = ("hom",)
 
-    def __post_init__(self):
-        if self.hom.domain != self.hom.codomain:
+    def __init__(self, hom: GroupHom):
+        object.__setattr__(self, "hom", hom)
+        if hom.domain != hom.codomain:
             raise ValueError("an involution needs equal domain and codomain")
-        if not self.hom.compose(self.hom).is_identity():
+        if not hom.compose(hom).is_identity():
             raise ValueError("map composed with itself is not the identity")
 
     @property
@@ -405,10 +439,12 @@ class Involution:
         return self.hom.apply(x)
 
 
-@dataclass(frozen=True)
-class Orbit:
-    elements: tuple[tuple[int, ...], ...]
-    fixed: bool
+class Orbit(Record):
+    _fields = ("elements", "fixed")
+
+    def __init__(self, elements: tuple[tuple[int, ...], ...], fixed: bool):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "fixed", fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ validated text file or given on the command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .abelian import (
     GroupHom,
     InputError,
     Involution,
+    Record,
     factorize,
     is_prime,
     kernel,
@@ -53,16 +53,16 @@ class DatumConsistencyError(InputError):
 # binary quadratic forms and imaginary-quadratic class groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Positive definite integral binary quadratic form a x^2 + b xy + c y^2."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a <= 0:
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        if a <= 0:
             raise ValueError("form must be positive definite (a > 0)")
         if self.discriminant >= 0:
             raise ValueError("form must have negative discriminant")
@@ -241,8 +241,7 @@ def _check_before_kernel(ell: int, cl_K: FinGenAbGroup, cl_A: FinGenAbGroup,
                 f"over the generator bound {MAX_GENERATORS}")
 
 
-@dataclass(frozen=True)
-class ArithmeticDatum:
+class ArithmeticDatum(Record):
     """All arithmetic inputs the cohomology engine needs for one (K, S, ell).
 
     ``nm0`` is the norm map between class groups of the quadratic extension
@@ -250,23 +249,21 @@ class ArithmeticDatum:
     acting on ker(nm0); ``coker_nm1`` is the (finite) cokernel of the norm
     map on units and ``ker_nm1_rank`` the free rank of its kernel.
     ``ker_nm0`` is computed from ``nm0`` on construction unless the caller
-    passes the kernel it has already computed.
+    passes the kernel it has already computed; it takes no part in
+    equality or repr.
     """
 
-    ell: int
-    trace_in_K: bool
-    split: bool
-    cl_K: FinGenAbGroup
-    cl_A: FinGenAbGroup
-    nm0: GroupHom
-    steinitz: tuple[int, ...]
-    unit_rank_K: int
-    ker_nm1_rank: int
-    coker_nm1: FinGenAbGroup
-    sigma: Involution
-    ker_nm0: FinGenAbGroup | None = field(default=None, compare=False, repr=False)
+    _fields = ("ell", "trace_in_K", "split", "cl_K", "cl_A", "nm0", "steinitz",
+               "unit_rank_K", "ker_nm1_rank", "coker_nm1", "sigma")
 
-    def __post_init__(self):
+    def __init__(self, ell: int, trace_in_K: bool, split: bool, cl_K: FinGenAbGroup,
+                 cl_A: FinGenAbGroup, nm0: GroupHom, steinitz: tuple[int, ...],
+                 unit_rank_K: int, ker_nm1_rank: int, coker_nm1: FinGenAbGroup,
+                 sigma: Involution, ker_nm0: FinGenAbGroup | None = None):
+        values = (ell, trace_in_K, split, cl_K, cl_A, nm0, steinitz, unit_rank_K,
+                  ker_nm1_rank, coker_nm1, sigma, ker_nm0)
+        for name, value in zip(self._fields + ("ker_nm0",), values, strict=True):
+            object.__setattr__(self, name, value)
         _check_before_kernel(self.ell, self.cl_K, self.cl_A, self.coker_nm1,
                              self.unit_rank_K, self.ker_nm1_rank)
         if self.nm0.domain != self.cl_A or self.nm0.codomain != self.cl_K:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .abelian import InputError, contains_in_image, fixed_point_count, is_prime, two_torsion_order
+from .abelian import (InputError, Record, contains_in_image, fixed_point_count, is_prime,
+                      two_torsion_order)
 from .arithdata import MAX_UNIT_RANK, ArithmeticDatum
 from .curve import (
     CurveSpec,
@@ -99,15 +99,15 @@ def check_report_bytes(runs) -> None:
 # component rings and graded dimensions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentRing:
-    kind: str
-    rank: int
+class ComponentRing(Record):
+    _fields = ("kind", "rank")
 
-    def __post_init__(self):
-        if self.kind not in ALL_SHAPES:
-            raise ValueError(f"unknown component shape {self.kind!r}")
-        if self.rank < 0:
+    def __init__(self, kind: str, rank: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
+        if kind not in ALL_SHAPES:
+            raise ValueError(f"unknown component shape {kind!r}")
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
 
     @property
@@ -190,8 +190,7 @@ def freeness_basis_degrees(component: ComponentRing) -> tuple[tuple[int, int], .
 # decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The direct-sum decomposition, stored as a count per component shape.
 
     ``shapes`` pairs each distinct component ring with its multiplicity,
@@ -202,14 +201,16 @@ class Decomposition:
     number of conjugacy classes the components are counted on.
     """
 
-    shapes: tuple[tuple[ComponentRing, int], ...]
-    advisories: tuple[str, ...] = ()
-    classes: int | None = None
+    _fields = ("shapes", "advisories", "classes")
 
-    def __post_init__(self):
-        if any(count < 1 for _, count in self.shapes):
+    def __init__(self, shapes: tuple[tuple[ComponentRing, int], ...],
+                 advisories: tuple[str, ...] = (), classes: int | None = None):
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "advisories", advisories)
+        object.__setattr__(self, "classes", classes)
+        if any(count < 1 for _, count in shapes):
             raise ValueError("shape multiplicities must be positive")
-        if len({shape for shape, _ in self.shapes}) != len(self.shapes):
+        if len({shape for shape, _ in shapes}) != len(shapes):
             raise ValueError("each shape is listed once, with its multiplicity")
 
     @property

@@ -18,11 +18,10 @@ is kept as a slow oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, prod
 
-from .abelian import FinGenAbGroup, InputError, factorize, is_prime
+from .abelian import FinGenAbGroup, InputError, Record, factorize, is_prime
 
 MAX_FIELD_SIZE = 1 << 16
 # above this prime, a point of E or of its quadratic twist fixes #E among
@@ -34,15 +33,15 @@ MESTRE_BOUND = 229
 # finite fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteFieldSpec:
-    p: int
-    e: int = 1
+class FiniteFieldSpec(Record):
+    _fields = ("p", "e")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1:
+    def __init__(self, p: int, e: int = 1):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1:
             raise ValueError("extension degree must be positive")
         if self.q > MAX_FIELD_SIZE:
             raise ValueError(f"field size {self.q} exceeds {MAX_FIELD_SIZE}")
@@ -325,15 +324,13 @@ def get_field(spec: FiniteFieldSpec) -> FiniteField:
 # curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class P1Minus:
+class P1Minus(Record):
     """The projective line minus closed points of the given degrees."""
 
-    puncture_degrees: tuple[int, ...]
+    _fields = ("puncture_degrees",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "puncture_degrees",
-                           tuple(int(d) for d in self.puncture_degrees))
+    def __init__(self, puncture_degrees: tuple[int, ...]):
+        object.__setattr__(self, "puncture_degrees", tuple(int(d) for d in puncture_degrees))
         if not self.puncture_degrees:
             raise InputError("need at least one puncture (the curve must be affine)")
         if any(d < 1 for d in self.puncture_degrees):
@@ -344,8 +341,7 @@ class P1Minus:
         return len(self.puncture_degrees)
 
 
-@dataclass(frozen=True)
-class EllipticMinusPoint:
+class EllipticMinusPoint(Record):
     """y^2 = x^3 + a x + b minus the rational point at infinity.
 
     Coefficients are field-element encodings for the field the curve is
@@ -353,8 +349,11 @@ class EllipticMinusPoint:
     checked once the field is known.
     """
 
-    a: int
-    b: int
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 CurveSpec = P1Minus | EllipticMinusPoint

@@ -17,11 +17,10 @@ hence acts without torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations, product as _cartesian, starmap
 from operator import gt, lshift, mul
 
-from .abelian import InputError, is_prime
+from .abelian import InputError, Record, is_prime
 
 MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
 MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
@@ -31,17 +30,17 @@ _MASK = (1 << WIDTH) - 1  # one slot; 2^WIDTH = 1 mod _MASK, so a key mod _MASK 
 MAX_DEGREE = _MASK - 1  # the largest total degree of a term an element may hold
 
 
-@dataclass(frozen=True)
-class GradedAlgebraSpec:
+class GradedAlgebraSpec(Record):
     """Cohomology algebra of the rank-n elementary abelian ell-group."""
 
-    ell: int
-    n: int
+    _fields = ("ell", "n")
 
-    def __post_init__(self):
-        if not is_prime(self.ell):
+    def __init__(self, ell: int, n: int):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "n", n)
+        if not is_prime(ell):
             raise InputError("ell must be prime")
-        if self.n < 0:
+        if n < 0:
             raise InputError("rank must be nonnegative")
 
 

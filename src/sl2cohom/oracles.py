@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -25,6 +24,7 @@ from .abelian import (
     FinGenAbGroup,
     GroupHom,
     InputError,
+    Record,
     _matmul,
     contains_in_image,
     cokernel,
@@ -46,11 +46,13 @@ from .cohomengine import ComponentRing, graded_dimension
 from .curve import EllipticMinusPoint, count_points_elliptic, field_spec_from_order, get_field
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+class SuiteResult(Record):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 # ---------------------------------------------------------------------------

@@ -831,6 +831,25 @@ def test_import_builds_no_parser():
     assert out.stdout == "0\n"
 
 
+# the modules a CLI process loads for set-up, minus those the interpreter
+# (and any site hook of the host) loaded before it
+NEW_MODULES_AT_SETUP = """
+import sys
+before = set(sys.modules)
+from sl2cohom import cli, oracles
+cli.build_parser()
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_setup_imports_neither_dataclasses_nor_inspect():
+    out = subprocess.run([sys.executable, "-c", NEW_MODULES_AT_SETUP], env=cli_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(out.stdout.split())
+    assert "sl2cohom.oracles" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_main_calls_reuse_one_parser(monkeypatch, capsys):
     import argparse
 
