@@ -1,5 +1,6 @@
-"""Exact arithmetic of finitely generated abelian groups.
+"""Exact arithmetic of finite abelian groups.
 
+Unit groups enter the reports only as ranks, so every group here is finite.
 Groups are stored in invariant-factor form, homomorphisms as integer
 matrices, and every computation (Smith normal form, kernels, cokernels,
 image membership) runs over Python's arbitrary-precision integers, so
@@ -238,21 +239,18 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
 # ---------------------------------------------------------------------------
 
 class FinGenAbGroup(Record):
-    """A finitely generated abelian group Z^free_rank + sum Z/d_i.
+    """A finite abelian group, the sum of the Z/d_i over its invariant factors.
 
     Canonical form: every invariant factor is >= 2 and divides the next,
-    which makes equality testing structural.  Element coordinates list the
-    free generators first, then the torsion generators.
+    which makes equality testing structural.  An element's coordinates are
+    its residues modulo the invariant factors, in their order.
     """
 
-    _fields = ("free_rank", "invariant_factors")
+    _fields = ("invariant_factors",)
 
-    def __init__(self, free_rank: int = 0, invariant_factors: tuple[int, ...] = ()):
-        object.__setattr__(self, "free_rank", free_rank)
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
         factors = tuple(int(d) for d in invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
-        if free_rank < 0:
-            raise ValueError("free_rank must be nonnegative")
         for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2 (drop factor-1 entries)")
@@ -262,51 +260,35 @@ class FinGenAbGroup(Record):
 
     @classmethod
     def trivial(cls) -> "FinGenAbGroup":
-        return cls(0, ())
-
-    @classmethod
-    def cyclic(cls, d: int) -> "FinGenAbGroup":
-        if d == 0:
-            return cls(1, ())
-        return cls(0, ()) if d == 1 else cls(0, (d,))
+        return cls()
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "FinGenAbGroup":
-        """Canonicalize an arbitrary list of cyclic orders (0 meaning Z): each
-        pair i < j in turn becomes (gcd, lcm), with lcm(0, x) = 0, which
-        leaves a divisibility chain with the zeros last."""
+        """Canonicalize an arbitrary list of positive cyclic orders: each
+        pair i < j in turn becomes (gcd, lcm), which leaves a divisibility
+        chain."""
         orders = [int(o) for o in orders]
-        if any(o < 0 for o in orders):
-            raise InputError("cyclic orders must be nonnegative")
+        if any(o < 1 for o in orders):
+            raise ValueError("cyclic orders must be positive")
         orders = [o for o in orders if o != 1]  # Z/1 is trivial
         n = len(orders)
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = orders[i], orders[j]
                 g = gcd(a, b)
-                orders[i], orders[j] = g, a // g * b if g else 0
-        return cls(orders.count(0), tuple(d for d in orders if d > 1))
+                orders[i], orders[j] = g, a // g * b
+        return cls(tuple(d for d in orders if d > 1))
 
     @cached_property
     def ngens(self) -> int:
-        return self.free_rank + len(self.invariant_factors)
-
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        return (0,) * self.free_rank + self.invariant_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
+        return len(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
-        return self.ngens == 0
+        return not self.invariant_factors
 
     @property
     def order(self) -> int:
-        if not self.is_finite:
-            raise ValueError("group is infinite")
         return prod(self.invariant_factors)
 
     def zero(self) -> tuple[int, ...]:
@@ -316,15 +298,15 @@ class FinGenAbGroup(Record):
         coords = tuple(map(int, coords))
         if len(coords) != self.ngens:
             raise ValueError(f"element needs {self.ngens} coordinates, got {len(coords)}")
-        return tuple(c % o if o else c for c, o in zip(coords, self.orders))
+        return tuple(c % d for c, d in zip(coords, self.invariant_factors))
 
     def validate_element(self, coords) -> tuple[int, ...]:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.ngens:
             raise ValueError(f"element needs {self.ngens} coordinates, got {len(coords)}")
-        for c, o in zip(coords, self.orders):
-            if o and not 0 <= c < o:
-                raise ValueError(f"coordinate {c} not reduced modulo {o}")
+        for c, d in zip(coords, self.invariant_factors):
+            if not 0 <= c < d:
+                raise ValueError(f"coordinate {c} not reduced modulo {d}")
         return coords
 
     def add(self, x, y) -> tuple[int, ...]:
@@ -332,16 +314,13 @@ class FinGenAbGroup(Record):
 
     def elements(self):
         """Iterate all elements in lexicographic coordinate order."""
-        if not self.is_finite:
-            raise EnumerationBoundExceeded("cannot enumerate an infinite group")
         if self.order > ENUMERATION_BOUND:
             raise EnumerationBoundExceeded(
                 f"group order {self.order} exceeds enumeration bound {ENUMERATION_BOUND}")
         return _cartesian(*(range(d) for d in self.invariant_factors))
 
     def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"Z/{d}" for d in self.invariant_factors) or "0"
 
 
 class GroupHom(Record):
@@ -360,21 +339,17 @@ class GroupHom(Record):
         rows = _freeze(matrix)
         if len(rows) != m or any(len(r) != n for r in rows):
             raise ValueError(f"matrix must be {m}x{n}")
-        dom_orders = domain.orders
-        cod_orders = codomain.orders
+        dom_orders = domain.invariant_factors
+        cod_orders = codomain.invariant_factors
         for i in range(m):
             p = cod_orders[i]
             for j in range(n):
                 o = dom_orders[j]
-                if o:
-                    v = o * rows[i][j]
-                    if (p == 0 and v != 0) or (p != 0 and v % p):
-                        raise ValueError(
-                            f"matrix entry ({i},{j}) does not define a homomorphism: "
-                            f"order-{o} generator must map to an order-dividing image")
-        reduced = tuple(
-            tuple(v if cod_orders[i] == 0 else v % cod_orders[i] for v in rows[i])
-            for i in range(m))
+                if o * rows[i][j] % p:
+                    raise ValueError(
+                        f"matrix entry ({i},{j}) does not define a homomorphism: "
+                        f"order-{o} generator must map to an order-dividing image")
+        reduced = tuple(tuple(v % p for v in row) for row, p in zip(rows, cod_orders))
         object.__setattr__(self, "matrix", reduced)
 
     @classmethod
@@ -394,7 +369,7 @@ class GroupHom(Record):
         if len(x) != self.domain.ngens:
             raise ValueError("element has wrong length for the domain")
         sums = [sum(map(mul, row, x)) for row in self.matrix]
-        return tuple(s % o if o else s for s, o in zip(sums, self.codomain.orders))
+        return tuple(s % p for s, p in zip(sums, self.codomain.invariant_factors))
 
     @cached_property
     def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix, IntMatrix]:
@@ -403,11 +378,10 @@ class GroupHom(Record):
         ``kernel``, ``cokernel`` and ``contains_in_image`` all read this one
         Smith form; its parts are tuples, so no reader can change them.
         """
-        orders = self.codomain.orders
-        torsion = [i for i, p in enumerate(orders) if p > 0]
-        rows = [list(row) + [orders[i] if i == k else 0 for k in torsion]
+        orders = self.codomain.invariant_factors
+        rows = [list(row) + [orders[i] if i == k else 0 for k in range(len(orders))]
                 for i, row in enumerate(self.matrix)]
-        return _snf(rows, len(rows), self.domain.ngens + len(torsion))
+        return _snf(rows, len(rows), self.domain.ngens + len(orders))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self after other."""
@@ -451,47 +425,46 @@ class Orbit(Record):
 # kernels, cokernels, image membership
 # ---------------------------------------------------------------------------
 
-def _diagonal_quotient(diag, size: int) -> tuple[FinGenAbGroup, list[int]]:
-    """Z^size modulo diag (padded with zeros) in canonical form, with the
-    indices of its generators: free ones first, factors 1 dropped."""
-    orders = list(diag) + [0] * (size - len(diag))
-    keep = [i for i, o in enumerate(orders) if o == 0] + [i for i, o in enumerate(orders) if o > 1]
-    return FinGenAbGroup(orders.count(0), tuple(o for o in orders if o > 1)), keep
+def _diagonal_quotient(diag) -> tuple[FinGenAbGroup, list[int]]:
+    """Z^len(diag) modulo a nonsingular diagonal in canonical form, with the
+    indices of its generators: factors 1 dropped."""
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    return FinGenAbGroup(tuple(diag[i] for i in keep)), keep
 
 
 def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Kernel subgroup in canonical form with its inclusion into the domain.
 
-    With A = [matrix | codomain relations], the null columns of the shared
-    transform ``right``, cut to the domain rows, are a basis B of the lattice
-    L of integer vectors that f sends to the codomain relations: projecting
-    ker A onto the domain is injective, as the relation columns are nonzero
-    on distinct rows.  The kernel is L modulo the domain relations; their
-    coordinates in B are read off ``right_inv``, and one Smith form of that
-    relation matrix (none for a free domain) puts the quotient in canonical
-    form (Cohen, GTM 138, section 2.4).
+    A = [matrix | codomain relations] has full row rank m, as every codomain
+    generator has finite order, so the null columns of the shared transform
+    ``right`` are its last n, one per domain generator.  Cut to the domain
+    rows, they are a basis B of the lattice L of integer vectors that f
+    sends to the codomain relations: projecting ker A onto the domain is
+    injective, as the relation columns are nonzero on distinct rows.  The
+    kernel is L modulo the domain relations; their coordinates in B are
+    read off ``right_inv``, and one Smith form of that square, nonsingular
+    relation matrix puts the quotient in canonical form (Cohen, GTM 138,
+    section 2.4).  A trivial domain is its own kernel and needs no form.
     """
     g = f.domain
     n = g.ngens
+    if not n:
+        return g, GroupHom.identity(g)
     _, diag, right, right_inv = f._smith
-    null = [j for j in range(len(right)) if j >= len(diag) or diag[j] == 0]
-    basis = [[right[i][j] for j in null] for i in range(n)]
-    torsion = [(j, o) for j, o in enumerate(g.orders) if o]
-    if not torsion:
-        k = FinGenAbGroup(len(null), ())
-        return k, GroupHom(k, g, basis)
+    m = len(diag)
+    basis = [row[m:] for row in right[:n]]
     # the relation o*e_j lifts to (o*e_j, -o*M[i][j]/p_i) in ker A; the
     # division is exact because f is a homomorphism
-    cod_torsion = [(i, p) for i, p in enumerate(f.codomain.orders) if p]
+    cod_orders = f.codomain.invariant_factors
     rel = []
-    for j, o in torsion:
-        lift = [0] * n + [-o * f.matrix[i][j] // p for i, p in cod_torsion]
+    for j, o in enumerate(g.invariant_factors):
+        lift = [0] * n + [-o * row[j] // p for row, p in zip(f.matrix, cod_orders)]
         lift[j] = o
-        rel.append([sum(map(mul, right_inv[c], lift)) for c in null])
+        rel.append([sum(map(mul, row, lift)) for row in right_inv[m:]])
     # rel is (domain relations) x (basis B); with L' rel R' = D', the rows of
     # R'^-1 give the canonical generators in B
-    _, diag2, _, gens = _snf(rel, len(rel), len(null))
-    k, keep = _diagonal_quotient(diag2, len(null))
+    _, diag2, _, gens = _snf(rel, n, n)
+    k, keep = _diagonal_quotient(diag2)
     incl = [[sum(map(mul, row, gens[c])) for c in keep] for row in basis]
     return k, GroupHom(k, g, incl)
 
@@ -499,7 +472,7 @@ def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
 def cokernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Cokernel in canonical form with the projection from the codomain."""
     left, diag, _, _ = f._smith
-    c, keep = _diagonal_quotient(diag, f.codomain.ngens)
+    c, keep = _diagonal_quotient(diag)
     return c, GroupHom(f.codomain, c, [left[i] for i in keep])
 
 
@@ -508,14 +481,7 @@ def contains_in_image(f: GroupHom, y) -> bool:
     y = f.codomain.validate_element(y)
     left, diag, _, _ = f._smith
     c = [sum(map(mul, row, y)) for row in left]
-    for i in range(len(c)):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] % d:
-            return False
-    return True
+    return all(ci % d == 0 for ci, d in zip(c, diag))
 
 
 def two_torsion_order(orders) -> int:

@@ -204,7 +204,7 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
     if ngens == 0:
         return FinGenAbGroup.trivial()
     _, diag, _ = smith_normal_form(relations)
-    group = FinGenAbGroup(0, tuple(e for e in diag if e > 1))
+    group = FinGenAbGroup(tuple(e for e in diag if e > 1))
     if group.order != h:
         raise ArithmeticError("structure computation disagrees with the class count")
     return group
@@ -214,19 +214,22 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
 # the arithmetic datum
 # ---------------------------------------------------------------------------
 
-def _check_before_kernel(ell: int, cl_K: FinGenAbGroup, cl_A: FinGenAbGroup,
-                         coker_nm1: FinGenAbGroup, unit_rank_K: int, ker_nm1_rank: int) -> None:
+def _check_before_kernel(ell: int, free_ranks: tuple[int, int, int], cl_K: FinGenAbGroup,
+                         cl_A: FinGenAbGroup, coker_nm1: FinGenAbGroup, unit_rank_K: int,
+                         ker_nm1_rank: int) -> None:
     """The checks on a datum's prime, groups and ranks.  A file runs them
     as soon as its groups are read, before nm0 is built (its size is the
     generator counts) and ker(nm0) computed (its Smith form grows with
-    them)."""
+    them).  ``free_ranks`` are the file's free_rank keys of cl_K, cl_A and
+    coker(Nm1); a datum built in the program has finite groups, so zeros."""
     if ell == 2 or not is_prime(ell):
         raise DatumConsistencyError("ell_odd_prime", f"ell = {ell} is not an odd prime")
-    if not cl_K.is_finite:
+    cl_K_free, cl_A_free, coker_nm1_free = free_ranks
+    if cl_K_free:
         raise DatumConsistencyError("cl_K_finite", "class group of the base must be finite")
-    if not cl_A.is_finite:
+    if cl_A_free:
         raise DatumConsistencyError("cl_A_finite", "class group of the extension must be finite")
-    if not coker_nm1.is_finite:
+    if coker_nm1_free:
         raise DatumConsistencyError("coker_nm1_finite", "coker(Nm1) must be finite")
     if unit_rank_K < 0 or ker_nm1_rank < 0:
         raise DatumConsistencyError("ranks_nonnegative", "unit ranks must be nonnegative")
@@ -264,7 +267,7 @@ class ArithmeticDatum(Record):
                   ker_nm1_rank, coker_nm1, sigma, ker_nm0)
         for name, value in zip(self._fields + ("ker_nm0",), values, strict=True):
             object.__setattr__(self, name, value)
-        _check_before_kernel(self.ell, self.cl_K, self.cl_A, self.coker_nm1,
+        _check_before_kernel(self.ell, (0, 0, 0), self.cl_K, self.cl_A, self.coker_nm1,
                              self.unit_rank_K, self.ker_nm1_rank)
         if self.nm0.domain != self.cl_A or self.nm0.codomain != self.cl_K:
             raise DatumConsistencyError("nm0_shape", "nm0 must map cl_A to cl_K")
@@ -310,9 +313,9 @@ class ArithmeticDatum(Record):
 
 
 def _doubled(cl_K: FinGenAbGroup) -> FinGenAbGroup:
-    """cl_K + cl_K for a finite cl_K: each invariant factor taken twice,
-    which is again a divisibility chain, so no Smith form is needed."""
-    return FinGenAbGroup(0, tuple(d for d in cl_K.invariant_factors for _ in (0, 1)))
+    """cl_K + cl_K: each invariant factor taken twice, which is again a
+    divisibility chain, so no Smith form is needed."""
+    return FinGenAbGroup(tuple(d for d in cl_K.invariant_factors for _ in (0, 1)))
 
 
 def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> ArithmeticDatum:
@@ -324,8 +327,6 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     symmetry swaps the two copies, which is negation on ker(nm0), a copy
     of cl_K.
     """
-    if not cl_K.is_finite:
-        raise InputError("cl_K must be finite")
     cl_A = _doubled(cl_K)
     t = len(cl_K.invariant_factors)
     matrix = [[0] * (2 * t) for _ in range(t)]
@@ -455,11 +456,14 @@ def _parse_matrix(entry, path, nrows: int, ncols: int) -> tuple[tuple[int, ...],
     return tuple(rows)
 
 
-def _group_from_section(sec, path, name: str) -> FinGenAbGroup:
+def _group_from_section(sec, path, name: str) -> tuple[FinGenAbGroup, int]:
+    """The section's group and its free_rank key, which must be 0."""
     free = _parse_int(sec["free_rank"], path)
     factors = _parse_int_list(sec["invariant_factors"], path)
+    if free < 0:
+        raise DatumConsistencyError(f"{name}_canonical", "free_rank must be nonnegative")
     try:
-        return FinGenAbGroup(free, factors)
+        return FinGenAbGroup(factors), free
     except ValueError as exc:
         raise DatumConsistencyError(f"{name}_canonical", str(exc)) from exc
 
@@ -479,10 +483,11 @@ def load_datum(source) -> ArithmeticDatum:
     split = _parse_bool(head["split"], str(path))
     unit_rank = _parse_int(head["unit_rank_K"], str(path))
     ker_rank = _parse_int(head["ker_nm1_rank"], str(path))
-    cl_k = _group_from_section(sections["cl_K"], str(path), "cl_K")
-    cl_a = _group_from_section(sections["cl_A"], str(path), "cl_A")
-    coker = _group_from_section(sections["coker_nm1"], str(path), "coker_nm1")
-    _check_before_kernel(ell, cl_k, cl_a, coker, unit_rank, ker_rank)
+    cl_k, cl_k_free = _group_from_section(sections["cl_K"], str(path), "cl_K")
+    cl_a, cl_a_free = _group_from_section(sections["cl_A"], str(path), "cl_A")
+    coker, coker_free = _group_from_section(sections["coker_nm1"], str(path), "coker_nm1")
+    _check_before_kernel(ell, (cl_k_free, cl_a_free, coker_free), cl_k, cl_a, coker,
+                         unit_rank, ker_rank)
     nm0_rows = _parse_matrix(sections["nm0"]["matrix"], str(path), cl_k.ngens, cl_a.ngens)
     try:
         nm0 = GroupHom(cl_a, cl_k, nm0_rows)

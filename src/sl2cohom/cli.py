@@ -88,12 +88,13 @@ def _load_or_build_datum(args) -> ArithmeticDatum:
     except ValueError:
         raise InputError(f"bad --split-class-group list {text!r}; "
                          "expected comma-separated integers") from None
-    if all(o >= 1 for o in factors):
-        # the components are the orbits of negation on the class group,
-        # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
-        check_component_bound((math.prod(factors) + two_torsion_order(factors)) // 2)
-    elif min(factors) == 0:  # a copy of Z, refused before from_cyclic_orders' O(k^2) loop
+    if any(o < 0 for o in factors):
+        raise InputError("cyclic orders must be nonnegative")
+    if 0 in factors:  # a copy of Z, refused before from_cyclic_orders' O(k^2) loop
         raise InputError("cl_K must be finite")
+    # the components are the orbits of negation on the class group,
+    # (|Cl| + |Cl[2]|) / 2, refused here before any Smith form
+    check_component_bound((math.prod(factors) + two_torsion_order(factors)) // 2)
     cl_k = FinGenAbGroup.from_cyclic_orders(factors)
     return build_split_datum(cl_k, args.unit_rank, args.ell)
 

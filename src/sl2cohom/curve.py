@@ -633,7 +633,7 @@ def count_and_structure_elliptic(curve: EllipticMinusPoint,
         if torsion != d1 * d1:
             raise ArithmeticError("torsion count contradicts rank-2 structure")
     factors = tuple(d for d in (d1, d2) if d > 1)
-    return FinGenAbGroup(0, factors)
+    return FinGenAbGroup(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -672,4 +672,4 @@ def pic_p1_minus(degrees) -> FinGenAbGroup:
     g = 0
     for d in curve.puncture_degrees:
         g = gcd(g, d)
-    return FinGenAbGroup.cyclic(g) if g > 1 else FinGenAbGroup.trivial()
+    return FinGenAbGroup((g,) if g > 1 else ())

@@ -109,12 +109,6 @@ class GradedElement:
         element.spec, element.top, element.packed = spec, top, packed
         return element
 
-    @classmethod
-    def polynomial_linear_form(cls, spec, coeffs) -> "GradedElement":
-        """Sum of c_i * (degree-1 gen for ell = 2, degree-2 gen otherwise)."""
-        return cls._from_packed(spec, 1, _reduced(
-            {1 << s: c for s, c in zip(_shifts(spec.n), coeffs)}, spec.ell))
-
     # -- structure ------------------------------------------------------------
     @property
     def is_zero(self) -> bool:

@@ -98,15 +98,11 @@ def random_finite_group(rng: random.Random, max_order: int = 200) -> FinGenAbGro
 def random_hom(rng: random.Random, domain: FinGenAbGroup,
                codomain: FinGenAbGroup) -> GroupHom:
     rows = []
-    for p in codomain.orders:
+    for p in codomain.invariant_factors:
         row = []
-        for o in domain.orders:
-            if o == 0:
-                row.append(rng.randint(-4, 4))
-            else:
-                g = gcd(p, o) if p else 1
-                step = p // g if p else 0
-                row.append(step * rng.randrange(g) if p else 0)
+        for o in domain.invariant_factors:
+            g = gcd(p, o)
+            row.append(p // g * rng.randrange(g))
         rows.append(row)
     return GroupHom(domain, codomain, rows)
 
@@ -140,7 +136,7 @@ def structure_from_element_orders(orders) -> FinGenAbGroup:
     slots = max((len(v) for v in exponents_by_prime.values()), default=0)
     factors = (prod(p ** lam[s] for p, lam in exponents_by_prime.items() if s < len(lam))
                for s in range(slots))
-    return FinGenAbGroup(0, tuple(sorted(v for v in factors if v > 1)))
+    return FinGenAbGroup(tuple(sorted(v for v in factors if v > 1)))
 
 
 def element_order(x, orders) -> int:
@@ -191,10 +187,10 @@ def monomial_count_oracle(kind: str, rank: int, degree: int,
 
 def _images(f: GroupHom, elements) -> list[tuple[int, ...]]:
     """f on each element, on raw coordinate tuples, one codomain coordinate
-    at a time; f's codomain is finite."""
+    at a time."""
     elements = list(elements)
     coords = [[sum(map(mul, row, x)) % o for x in elements]
-              for row, o in zip(f.matrix, f.codomain.orders)]
+              for row, o in zip(f.matrix, f.codomain.invariant_factors)]
     return list(zip(*coords)) if coords else [()] * len(elements)
 
 
@@ -234,7 +230,7 @@ def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> Suit
         domain = random_finite_group(rng)
         codomain = random_finite_group(rng)
         f = random_hom(rng, domain, codomain)
-        dom_orders, cod_orders = domain.orders, codomain.orders
+        dom_orders, cod_orders = domain.invariant_factors, codomain.invariant_factors
         dom_elements = list(domain.elements())
         values = _images(f, dom_elements)
         zero = codomain.zero()

@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup, factorize, smith_normal_form
+from sl2cohom.essential import GradedElement
 
 
 def permanent_style_det(matrix) -> int:
@@ -96,7 +97,7 @@ def structure_from_element_set(elements, add, zero) -> FinGenAbGroup:
                 value *= p ** lam[s]
         if value > 1:
             factors.append(value)
-    return FinGenAbGroup(0, tuple(sorted(factors)))
+    return FinGenAbGroup(tuple(sorted(factors)))
 
 
 def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
@@ -143,14 +144,13 @@ def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
                 value *= p ** lam[s]
         factors.append(value)
     factors = [v for v in factors if v > 1]
-    return FinGenAbGroup(0, tuple(sorted(factors)))
+    return FinGenAbGroup(tuple(sorted(factors)))
 
 
 def group_by_diagonal_smith_form(orders) -> FinGenAbGroup:
     """The sum of the Z/o in canonical form from the Smith form of diag(orders).
 
-    Orders 1 are dropped first; 0 stands for Z.  Negative orders are not
-    checked here.
+    Orders 1 are dropped first; orders below 1 are not checked here.
     """
     orders = [o for o in orders if o != 1]
     n = len(orders)
@@ -158,7 +158,7 @@ def group_by_diagonal_smith_form(orders) -> FinGenAbGroup:
         return FinGenAbGroup.trivial()
     _, diag, _ = smith_normal_form([[orders[i] if i == j else 0 for j in range(n)]
                                     for i in range(n)])
-    return FinGenAbGroup(sum(1 for d in diag if d == 0), tuple(d for d in diag if d > 1))
+    return FinGenAbGroup(tuple(d for d in diag if d > 1))
 
 
 def shape_dimension_by_enumeration(kind: str, rank: int, degree: int,
@@ -238,8 +238,8 @@ def antiinvariant_dimension_by_enumeration(rank: int, degree: int,
 def all_hom_matrices(domain: FinGenAbGroup, codomain: FinGenAbGroup):
     """Every homomorphism between two small finite groups, as matrices."""
     choices_per_entry = []
-    for p in codomain.orders:
-        for o in domain.orders:
+    for p in codomain.invariant_factors:
+        for o in domain.invariant_factors:
             from math import gcd
             g = gcd(p, o)
             step = p // g
@@ -255,10 +255,9 @@ def group_elements(g: FinGenAbGroup):
 
 
 def apply_matrix(matrix, orders, x) -> tuple[int, ...]:
-    """Image of x under an integer matrix, reduced modulo the given orders
-    (an order of 0 is a free coordinate, left as it is)."""
+    """Image of x under an integer matrix, reduced modulo the given orders."""
     values = [sum(a * b for a, b in zip(row, x)) for row in matrix]
-    return tuple(v % o if o else v for v, o in zip(values, orders))
+    return tuple(v % o for v, o in zip(values, orders))
 
 
 def orbits_on_pairs(left, left_map, right, right_map):
@@ -367,6 +366,12 @@ def linear_form(coeffs, ell: int) -> dict:
     """Sum of c_i times the i-th generator, keyed by exponent tuples."""
     return {tuple(int(i == j) for j in range(len(coeffs))): c % ell
             for i, c in enumerate(coeffs) if c % ell}
+
+
+def polynomial_linear_form(spec, coeffs) -> GradedElement:
+    """The linear form as an element: the sum of c_i times the i-th
+    polynomial generator (degree 1 for ell = 2, degree 2 otherwise)."""
+    return GradedElement(spec, linear_form(coeffs, spec.ell))
 
 
 def multiplied_out_product(spec) -> dict:

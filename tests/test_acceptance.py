@@ -114,14 +114,14 @@ def test_criterion_2_nonvanishing_truth_table():
             if cl_K.order > 200 or cl_A.order > 200:
                 continue
             rows = []
-            for p in cl_K.orders:
+            for p in cl_K.invariant_factors:
                 row = []
-                for o in cl_A.orders:
+                for o in cl_A.invariant_factors:
                     g = gcd(p, o)
                     row.append((p // g) * rng.randrange(g))
                 rows.append(row)
             nm0 = GroupHom(cl_A, cl_K, rows)
-            steinitz = tuple(rng.randrange(d) for d in cl_K.orders)
+            steinitz = tuple(rng.randrange(d) for d in cl_K.invariant_factors)
             trace = rng.random() < 0.7
             k, _ = kernel(nm0)
             datum = ArithmeticDatum(
@@ -162,7 +162,7 @@ def test_criterion_4_elliptic_picard_and_hasse_scan():
     with criterion(4, "elliptic Picard group and exhaustive Hasse scan"):
         spec = FiniteFieldSpec(5)
         group = count_and_structure_elliptic(EllipticMinusPoint(1, 0), spec)
-        assert group == FinGenAbGroup(0, (2, 2))
+        assert group == FinGenAbGroup((2, 2))
         assert group.order == 4
         # independent exhaustive recount of the points
         field = get_field(spec)
@@ -208,9 +208,9 @@ def test_criterion_5_exact_algebra_oracle_equivalence():
             if dom.order > 200 or cod.order > 200:
                 continue
             rows = []
-            for p in cod.orders:
+            for p in cod.invariant_factors:
                 row = []
-                for o in dom.orders:
+                for o in dom.invariant_factors:
                     g = gcd(p, o)
                     row.append((p // g) * rng.randrange(g))
                 rows.append(row)
@@ -250,9 +250,9 @@ def test_criterion_5_exact_algebra_oracle_equivalence():
 
 def test_criterion_6_class_groups_and_composition_axioms():
     with criterion(6, "class numbers and composition-table group axioms to -2000"):
-        assert class_group_imaginary_quadratic(-23) == FinGenAbGroup(0, (3,))
+        assert class_group_imaginary_quadratic(-23) == FinGenAbGroup((3,))
         assert class_group_imaginary_quadratic(-4).is_trivial
-        assert class_group_imaginary_quadratic(-84) == FinGenAbGroup(0, (2, 2))
+        assert class_group_imaginary_quadratic(-84) == FinGenAbGroup((2, 2))
         for d in range(-3, -2001, -1):
             if not is_fundamental_discriminant(d):
                 continue

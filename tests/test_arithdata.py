@@ -41,10 +41,10 @@ def test_reduced_forms_disc_minus_84():
 
 
 def test_class_group_orders_and_structure():
-    assert class_group_imaginary_quadratic(-23) == FinGenAbGroup(0, (3,))
+    assert class_group_imaginary_quadratic(-23) == FinGenAbGroup((3,))
     assert class_group_imaginary_quadratic(-4).is_trivial
-    assert class_group_imaginary_quadratic(-84) == FinGenAbGroup(0, (2, 2))
-    assert class_group_imaginary_quadratic(-47) == FinGenAbGroup(0, (5,))
+    assert class_group_imaginary_quadratic(-84) == FinGenAbGroup((2, 2))
+    assert class_group_imaginary_quadratic(-47) == FinGenAbGroup((5,))
     assert class_group_imaginary_quadratic(-163).is_trivial
 
 
@@ -145,7 +145,7 @@ def test_composition_is_unchanged_by_the_solver(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_split_datum_cyclic3():
-    datum = build_split_datum(FinGenAbGroup(0, (3,)), 11, 23)
+    datum = build_split_datum(FinGenAbGroup((3,)), 11, 23)
     k, _ = kernel(datum.nm0)
     assert k.order == 3
     assert datum.coker_nm1.is_trivial
@@ -162,7 +162,7 @@ def test_split_datum_trivial_class_group():
 
 
 def test_split_datum_two_torsion_orbits_all_fixed():
-    datum = build_split_datum(FinGenAbGroup(0, (2, 2)), 2, 5)
+    datum = build_split_datum(FinGenAbGroup((2, 2)), 2, 5)
     k, _ = kernel(datum.nm0)
     orbits = involution_orbits(k, datum.sigma)
     assert len(orbits) == 4 and all(o.fixed for o in orbits)
@@ -199,7 +199,7 @@ FIXTURE = "src/sl2cohom/data/q_zeta23.datum"
 
 def test_fixture_matches_built_datum():
     loaded = load_datum(FIXTURE)
-    built = build_split_datum(FinGenAbGroup(0, (3,)), 11, 23)
+    built = build_split_datum(FinGenAbGroup((3,)), 11, 23)
     assert loaded == built
 
 

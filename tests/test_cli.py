@@ -110,7 +110,6 @@ def test_essential_report_restricts_no_element(monkeypatch, capsys, ell, rank, m
 
     monkeypatch.setattr(essential, "restrict", refuse)
     monkeypatch.setattr(essential, "rank_mod", refuse)
-    monkeypatch.setattr(essential.GradedElement, "polynomial_linear_form", refuse)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank), "--mode", mode)
     golden = (GOLDEN / f"essential_{ell}_{rank}.out").read_text(encoding="utf-8")
     if mode == "human":
@@ -709,6 +708,34 @@ def test_datum_sizes_are_checked_before_the_kernel(tmp_path, capsys):
             assert (code, out.splitlines()[0]) == (0, "NONVANISHING\tfails"), k
         else:
             assert (code, out) == (1, f"ERROR\t{expected}\n"), k
+
+
+@pytest.mark.parametrize("section,finite", [
+    ("cl_K", "class group of the base must be finite"),
+    ("cl_A", "class group of the extension must be finite"),
+    ("coker_nm1", "coker(Nm1) must be finite"),
+])
+def test_each_free_rank_is_refused_by_its_own_line(tmp_path, capsys, section, finite):
+    # every group a report reads is finite, so a datum's free_rank key must
+    # read 0: a negative one is not canonical, a positive one not finite
+    head, tail = (FIXTURE_DIR / "q_zeta3.datum").read_text().split(f"[{section}]\n")
+    bad = tmp_path / "free.datum"
+    for rank, invariant, message in [
+        (-1, f"{section}_canonical", "free_rank must be nonnegative"),
+        (2, f"{section}_finite", finite),
+    ]:
+        text = head + f"[{section}]\n" + tail.replace("free_rank = 0", f"free_rank = {rank}", 1)
+        bad.write_text(text)
+        expected = f"ERROR\tconsistency violation [{invariant}]: {message}\n"
+        assert run(capsys, "analyze-nf", "--datum", str(bad)) == (1, expected), rank
+        # a negative rank is refused as the group is read, before the prime
+        # check; finiteness comes after the prime and before the unit ranks
+        bad.write_text(text.replace("\nell = 3\n", "\nell = 2\n"))
+        first = expected if rank < 0 else \
+            "ERROR\tconsistency violation [ell_odd_prime]: ell = 2 is not an odd prime\n"
+        assert run(capsys, "analyze-nf", "--datum", str(bad)) == (1, first), rank
+        bad.write_text(text.replace("\nunit_rank_K = 1\n", "\nunit_rank_K = -1\n"))
+        assert run(capsys, "analyze-nf", "--datum", str(bad)) == (1, expected), rank
 
 
 def test_machine_output_deterministic(capsys):

@@ -215,8 +215,8 @@ def involutions(group):
 
 
 def random_non_split_datum(rng, sigma_mode):
-    cl_a = FinGenAbGroup(0, rng.choice(CL_A))
-    cl_k = FinGenAbGroup(0, rng.choice(CL_K))
+    cl_a = FinGenAbGroup(rng.choice(CL_A))
+    cl_k = FinGenAbGroup(rng.choice(CL_K))
     nm0 = GroupHom(cl_a, cl_k, rng.choice(list(all_hom_matrices(cl_a, cl_k))))
     if rng.random() < 0.7:
         x = rng.choice(group_elements(cl_a))
@@ -235,7 +235,7 @@ def random_non_split_datum(rng, sigma_mode):
         ell=rng.choice((3, 5, 7)), trace_in_K=rng.random() < 0.85, split=False,
         cl_K=cl_k, cl_A=cl_a, nm0=nm0, steinitz=steinitz,
         unit_rank_K=rng.randint(0, 3), ker_nm1_rank=rng.randint(0, 3),
-        coker_nm1=FinGenAbGroup(0, rng.choice(COKER)), sigma=sigma)
+        coker_nm1=FinGenAbGroup(rng.choice(COKER)), sigma=sigma)
 
 
 def non_split_data():

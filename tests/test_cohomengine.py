@@ -152,7 +152,7 @@ def test_nonvanishing_fails_without_trace():
 
 
 def test_nonvanishing_fails_when_steinitz_not_a_norm():
-    cl_K = FinGenAbGroup(0, (2,))
+    cl_K = FinGenAbGroup((2,))
     datum = synthetic_datum(cl_K=cl_K, steinitz=(1,))
     assert nonvanishing(datum) == ("steinitz_in_image_nm0",)
 
@@ -166,14 +166,14 @@ def test_nonvanishing_truth_table_random():
         cl_A = FinGenAbGroup.from_cyclic_orders(
             [rng.randint(1, 8) for _ in range(rng.randint(0, 2))])
         rows = []
-        for p in cl_K.orders:
+        for p in cl_K.invariant_factors:
             row = []
-            for o in cl_A.orders:
+            for o in cl_A.invariant_factors:
                 g = gcd(p, o)
                 row.append((p // g) * rng.randrange(g))
             rows.append(row)
         nm0 = GroupHom(cl_A, cl_K, rows)
-        steinitz = tuple(rng.randrange(d) for d in cl_K.orders)
+        steinitz = tuple(rng.randrange(d) for d in cl_K.invariant_factors)
         trace = rng.random() < 0.5
         datum = synthetic_datum(trace=trace, cl_K=cl_K, cl_A=cl_A, nm0=nm0,
                                 steinitz=steinitz)
@@ -199,9 +199,9 @@ def test_conjugacy_classes_trivial_case():
 
 def test_conjugacy_classes_multiplicative():
     datum = synthetic_datum(
-        cl_A=FinGenAbGroup(0, (3,)), cl_K=FinGenAbGroup.trivial(),
-        nm0=GroupHom(FinGenAbGroup(0, (3,)), FinGenAbGroup.trivial(), []),
-        coker=FinGenAbGroup(0, (2,)))
+        cl_A=FinGenAbGroup((3,)), cl_K=FinGenAbGroup.trivial(),
+        nm0=GroupHom(FinGenAbGroup((3,)), FinGenAbGroup.trivial(), []),
+        coker=FinGenAbGroup((2,)))
     assert conjugacy_classes(datum, nonvanishing(datum)) == 6
 
 
@@ -232,7 +232,7 @@ def test_two_subgroup_classes_for_cyclotomic_fixture():
 
 
 def test_subgroup_classes_on_cyclic5_kernel():
-    datum = build_split_datum(FinGenAbGroup(0, (5,)), 2, 7)
+    datum = build_split_datum(FinGenAbGroup((5,)), 2, 7)
     shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
     assert sum(count for _, count in shapes) == 3
     assert shape_counts(shapes) == [("Invariant", 2, 1), ("NonInvariant", 2, 2)]
@@ -241,9 +241,9 @@ def test_subgroup_classes_on_cyclic5_kernel():
 def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
     # sigma = +1 on ker(nm0) = Z/3 fixes it; negation on coker = Z/4 fixes
     # 0 and 2: 6 fixed classes, the other 6 of the 12 pair into 3
-    cl_A = FinGenAbGroup(0, (3,))
+    cl_A = FinGenAbGroup((3,))
     datum = synthetic_datum(cl_A=cl_A, nm0=GroupHom.zero(cl_A, FinGenAbGroup.trivial()),
-                            coker=FinGenAbGroup(0, (4,)), ker_rank=1,
+                            coker=FinGenAbGroup((4,)), ker_rank=1,
                             sigma=Involution(GroupHom.identity(cl_A)))
     shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
     assert shape_counts(shapes) == [("Invariant", 1, 6), ("NonInvariant", 1, 3)]
@@ -274,7 +274,7 @@ def test_decomposition_rejects_repeated_or_empty_shapes():
 
 
 def test_nontrivial_coker_emits_advisory():
-    datum = synthetic_datum(coker=FinGenAbGroup(0, (2,)))
+    datum = synthetic_datum(coker=FinGenAbGroup((2,)))
     dec = decompose_number_field(datum)
     assert any("coker_nm1_nontrivial" in a for a in dec.advisories)
 

@@ -8,6 +8,7 @@ from brute import (
     gaussian_binomial,
     moore_power,
     multiplied_out_product,
+    polynomial_linear_form,
     proper_subgroup_spans,
     substituted,
     term_sum,
@@ -33,7 +34,7 @@ from sl2cohom.essential import (
 
 def gen(spec, i):
     """The i-th polynomial generator (degree 1 for ell = 2, degree 2 otherwise)."""
-    return GradedElement.polynomial_linear_form(spec, [1 if j == i else 0 for j in range(spec.n)])
+    return polynomial_linear_form(spec, [1 if j == i else 0 for j in range(spec.n)])
 
 
 def random_homogeneous(rng, spec, degree, terms):
@@ -50,7 +51,7 @@ def random_homogeneous(rng, spec, degree, terms):
 def nonzero_forms(spec):
     vectors = [[(v // spec.ell ** i) % spec.ell for i in range(spec.n)]
                for v in range(1, spec.ell ** spec.n)]
-    return [GradedElement.polynomial_linear_form(spec, v) for v in vectors]
+    return [polynomial_linear_form(spec, v) for v in vectors]
 
 
 def one(spec):
@@ -377,7 +378,7 @@ def test_line_factors_decide_the_hyperplanes(monkeypatch, ell, n):
         if (ell, n) in SMALL:  # as the product of the other lines' forms does not vanish there
             partial = one(spec)
             for line in normalized_lines(spec) - {line_of[spared]}:
-                partial = partial * GradedElement.polynomial_linear_form(spec, line)
+                partial = partial * polynomial_linear_form(spec, line)
             assert not restrict(partial, spared).is_zero
 
 
@@ -403,7 +404,7 @@ def restricted_row_by_oracle(spec, line, matrix):
     """The coefficients of the line's form restricted by ``restrict``."""
     k = len(matrix[0])
     units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    terms = restrict(GradedElement.polynomial_linear_form(spec, line), matrix).terms
+    terms = restrict(polynomial_linear_form(spec, line), matrix).terms
     assert set(terms) <= set(units)  # a linear form again
     return [terms.get(unit, 0) for unit in units]
 
@@ -480,7 +481,7 @@ def test_single_generator_is_not_weyl_invariant():
 
 def test_symmetric_sum_is_weyl_invariant():
     spec = GradedAlgebraSpec(2, 2)
-    assert weyl_invariance(GradedElement.polynomial_linear_form(spec, [1, 1]), spec)
+    assert weyl_invariance(polynomial_linear_form(spec, [1, 1]), spec)
 
 
 def test_square_of_mod2_product_is_weyl_invariant():
@@ -492,7 +493,7 @@ def test_square_of_mod2_product_is_weyl_invariant():
 def test_coefficients_reduced_mod_ell():
     spec = GradedAlgebraSpec(3, 1)
     assert GradedElement(spec, {(1,): 3}).is_zero
-    assert GradedElement.polynomial_linear_form(spec, [3]).is_zero
+    assert polynomial_linear_form(spec, [3]).is_zero
     assert (gen(spec, 0) * gen(spec, 0)).scaled(3).is_zero
 
 
