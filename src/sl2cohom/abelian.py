@@ -259,10 +259,6 @@ class FinGenAbGroup(Record):
                 raise ValueError("invariant factors must form a divisibility chain")
 
     @classmethod
-    def trivial(cls) -> "FinGenAbGroup":
-        return cls()
-
-    @classmethod
     def from_cyclic_orders(cls, orders) -> "FinGenAbGroup":
         """Canonicalize an arbitrary list of positive cyclic orders: each
         pair i < j in turn becomes (gcd, lcm), which leaves a divisibility
@@ -294,12 +290,6 @@ class FinGenAbGroup(Record):
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ngens
 
-    def reduce_element(self, coords) -> tuple[int, ...]:
-        coords = tuple(map(int, coords))
-        if len(coords) != self.ngens:
-            raise ValueError(f"element needs {self.ngens} coordinates, got {len(coords)}")
-        return tuple(c % d for c, d in zip(coords, self.invariant_factors))
-
     def validate_element(self, coords) -> tuple[int, ...]:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.ngens:
@@ -308,9 +298,6 @@ class FinGenAbGroup(Record):
             if not 0 <= c < d:
                 raise ValueError(f"coordinate {c} not reduced modulo {d}")
         return coords
-
-    def add(self, x, y) -> tuple[int, ...]:
-        return self.reduce_element(tuple(a + b for a, b in zip(x, y)))
 
     def elements(self):
         """Iterate all elements in lexicographic coordinate order."""
@@ -359,10 +346,6 @@ class GroupHom(Record):
     @classmethod
     def negation(cls, g: FinGenAbGroup) -> "GroupHom":
         return cls(g, g, [[-1 if i == j else 0 for j in range(g.ngens)] for i in range(g.ngens)])
-
-    @classmethod
-    def zero(cls, domain: FinGenAbGroup, codomain: FinGenAbGroup) -> "GroupHom":
-        return cls(domain, codomain, [[0] * domain.ngens for _ in range(codomain.ngens)])
 
     def apply(self, x) -> tuple[int, ...]:
         x = tuple(map(int, x))

@@ -4,11 +4,11 @@ This module produces the arithmetic package attached to a triple
 (field K, place set S, odd prime ell): class groups, the norm map on
 class groups, the Steinitz class of the quadratic extension generated by
 an ell-th root of unity, unit ranks, and the order-two symmetry acting
-on the kernel of the norm map.  Small inputs are computed from built-in
-families (imaginary-quadratic class groups via reduced binary quadratic
-forms and Gauss composition, the split cyclotomic construction);
-anything beyond built-in reach, unit ranks included, is ingested from a
-validated text file or given on the command line.
+on the kernel of the norm map.  A datum is built by the split
+cyclotomic construction from a class group given on the command line, or
+read from a validated text file.  Imaginary-quadratic class groups, from
+reduced binary quadratic forms (a, b, c) under Gauss composition, back
+only the ``class_group_forms`` suite of ``verify``.
 """
 
 from __future__ import annotations
@@ -53,25 +53,6 @@ class DatumConsistencyError(InputError):
 # binary quadratic forms and imaginary-quadratic class groups
 # ---------------------------------------------------------------------------
 
-class QuadraticForm(Record):
-    """Positive definite integral binary quadratic form a x^2 + b xy + c y^2."""
-
-    _fields = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if a <= 0:
-            raise ValueError("form must be positive definite (a > 0)")
-        if self.discriminant >= 0:
-            raise ValueError("form must have negative discriminant")
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     if d >= 0 or d % 4 not in (0, 1):
         return False
@@ -82,7 +63,8 @@ def is_fundamental_discriminant(d: int) -> bool:
     return all(e == 1 for _, e in factorize(-d))
 
 
-def _reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
+def reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced form equivalent to the positive definite a x^2 + b xy + c y^2."""
     # normalize b into (-a, a], then flip until a <= c with sign convention
     r = (a - b) // (2 * a)
     b, c = b + 2 * r * a, a * r * r + b * r + c
@@ -93,12 +75,8 @@ def _reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def reduce_form(f: QuadraticForm) -> QuadraticForm:
-    return QuadraticForm(*_reduce_triple(f.a, f.b, f.c))
-
-
-def reduced_forms(d: int) -> tuple[QuadraticForm, ...]:
-    """All reduced forms of a negative discriminant, sorted by (a, b)."""
+def reduced_forms(d: int) -> tuple[tuple[int, int, int], ...]:
+    """All reduced forms (a, b, c) of a negative discriminant, sorted."""
     if d >= 0:
         raise ValueError("discriminant must be negative")
     forms = []
@@ -112,14 +90,14 @@ def reduced_forms(d: int) -> tuple[QuadraticForm, ...]:
                 continue
             if b < 0 and a == c:
                 continue
-            forms.append(QuadraticForm(a, b, c))
-    forms.sort(key=lambda f: (f.a, f.b))
+            forms.append((a, b, c))
+    forms.sort()
     return tuple(forms)
 
 
-def principal_form(d: int) -> QuadraticForm:
+def principal_form(d: int) -> tuple[int, int, int]:
     k = d & 1
-    return QuadraticForm(1, k, (k * k - d) // 4)
+    return 1, k, (k * k - d) // 4
 
 
 def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int]:
@@ -131,8 +109,9 @@ def _solve_linear_congruence(a: int, b: int, m: int) -> tuple[int, int]:
     return b // g * pow(a // g, -1, step) % step, step
 
 
-def _compose_triples(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, int, int]:
-    """``compose`` on triples; the forms share a discriminant, which fixes c2."""
+def compose(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, int, int]:
+    """Gauss composition of (a1, b1, c1) and (a2, b2, c2), reduced.  The
+    forms share a discriminant, which fixes c2, so it is not passed."""
     g = (b1 + b2) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), g)
@@ -146,14 +125,7 @@ def _compose_triples(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, 
     a3 = st
     b3 = w * u - (k * t + el * s)
     c3 = k * el - w * m
-    return _reduce_triple(a3, b3, c3)
-
-
-def compose(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
-    """Gauss composition of two forms of the same discriminant, reduced."""
-    if f1.discriminant != f2.discriminant:
-        raise ValueError("forms must share a discriminant")
-    return QuadraticForm(*_compose_triples(f1.a, f1.b, f1.c, f2.a, f2.b))
+    return reduce_form(a3, b3, c3)
 
 
 def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
@@ -167,15 +139,14 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
         raise ValueError("discriminant must be negative")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    forms = [(f.a, f.b, f.c) for f in reduced_forms(d)]
+    forms = reduced_forms(d)
     index = {f: i for i, f in enumerate(forms)}
     h = len(forms)
 
     def mul(i: int, j: int) -> int:
-        return index[_compose_triples(*forms[i], *forms[j][:2])]
+        return index[compose(*forms[i], *forms[j][:2])]
 
-    one = reduce_form(principal_form(d))
-    identity = index[one.a, one.b, one.c]
+    identity = index[reduce_form(*principal_form(d))]
     reached: dict[int, tuple[int, ...]] = {identity: ()}
     relations: list[list[int]] = []
     ngens = 0
@@ -202,7 +173,7 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
     if len(reached) != h:
         raise ArithmeticError("composition table failed to generate all classes")
     if ngens == 0:
-        return FinGenAbGroup.trivial()
+        return FinGenAbGroup()
     _, diag, _ = smith_normal_form(relations)
     group = FinGenAbGroup(tuple(e for e in diag if e > 1))
     if group.order != h:
@@ -345,7 +316,7 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
         steinitz=cl_K.zero(),
         unit_rank_K=unit_rank_K,
         ker_nm1_rank=unit_rank_K,
-        coker_nm1=FinGenAbGroup.trivial(),
+        coker_nm1=FinGenAbGroup(),
         sigma=sigma,
     )
 
@@ -400,7 +371,8 @@ def _parse_sections(text: str, path: str) -> dict[str, dict[str, tuple[str, int,
             raise DatumParseError(path, lineno, col, f"unknown key '{key}' in [{current}]")
         if key in sections[current]:
             raise DatumParseError(path, lineno, col, f"duplicate key '{key}'")
-        value_col = raw.index("=") + 2
+        # the value's first character, or just after '=' when it is empty
+        value_col = raw.index("=") + 2 + len(value) - len(value.lstrip())
         sections[current][key] = (value.strip(), lineno, value_col)
     for name, keys in _REQUIRED_SECTIONS.items():
         if name not in sections:
@@ -447,7 +419,7 @@ def _parse_matrix(entry, path, nrows: int, ncols: int) -> tuple[tuple[int, ...],
                 rows.append(tuple(int(v) for v in entries))
             except ValueError:
                 raise DatumParseError(path, line, col, f"bad matrix entry in {part!r}") from None
-    if ncols == 0 and len(rows) <= nrows:
+    if ncols == 0 and len(rows) <= nrows and not any(rows):
         rows = [()] * nrows  # width-zero rows carry no data
     if len(rows) != nrows or any(len(r) != ncols for r in rows):
         raise DatumParseError(

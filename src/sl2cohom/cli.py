@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     es.set_defaults(func=_cmd_essential)
 
     vf = sub.add_parser("verify", help="run the brute-force oracle suites")
-    vf.add_argument("--datum", action="append", help="extra datum files to validate")
+    vf.add_argument("--datum", action="append",
+                    help="datum files to validate instead of the shipped fixtures")
     common(vf)
     vf.set_defaults(func=_cmd_verify)
     return parser

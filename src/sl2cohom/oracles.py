@@ -33,7 +33,6 @@ from .abelian import (
     smith_normal_form,
 )
 from .arithdata import (
-    _compose_triples,
     class_group_imaginary_quadratic,
     compose,
     is_fundamental_discriminant,
@@ -83,11 +82,12 @@ def bareiss_determinant(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def random_finite_group(rng: random.Random, max_order: int = 200) -> FinGenAbGroup:
+def random_finite_group(rng: random.Random) -> FinGenAbGroup:
+    """A random group of order at most 200, from up to three cyclic orders."""
     orders = []
     while True:
         candidate = rng.randint(1, 12)
-        if prod(orders, start=1) * candidate > max_order:
+        if prod(orders, start=1) * candidate > 200:
             break
         orders.append(candidate)
         if len(orders) >= 3 or rng.random() < 0.3:
@@ -116,7 +116,7 @@ def structure_from_element_orders(orders) -> FinGenAbGroup:
     """
     size = len(orders)
     if size == 1:
-        return FinGenAbGroup.trivial()
+        return FinGenAbGroup()
     tally = Counter(orders)
     exponents_by_prime = {}
     for p, _ in factorize(size):
@@ -161,21 +161,21 @@ def _subset_sizes(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple(sizes.items())
 
 
-def monomial_count_oracle(kind: str, rank: int, degree: int,
-                          laurent_window: int = 40) -> int:
+def monomial_count_oracle(kind: str, rank: int, degree: int) -> int:
     """Blind monomial enumeration for the four component shapes.
 
     Every subset of the rank generators is listed, once per rank, and
     tallied by size; for each size the one m with 2m + size (+ delta) =
-    degree counts if the window holds it and it has the shape's parity.
+    degree counts if it lies in the window, from -40 (0 for a polynomial
+    shape) to 40, and has the shape's parity.
     """
     laurent = kind in ("NonInvariant", "Invariant")
-    lowest = -laurent_window if laurent else 0
+    lowest = -40 if laurent else 0
     count = 0
     for size, subsets in _subset_sizes(rank):
         for delta in (0,) if laurent else (0, 1):
             m, odd = divmod(degree - size - delta, 2)
-            if odd or not lowest <= m <= laurent_window:
+            if odd or not lowest <= m <= 40:
                 continue
             if kind == "Invariant" and (m + size) % 2:
                 continue
@@ -198,10 +198,10 @@ def _images(f: GroupHom, elements) -> list[tuple[int, ...]]:
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_snf_reconstruction(count: int = 200, seed: int = 20250808) -> SuiteResult:
-    rng = random.Random(seed)
+def suite_snf_reconstruction() -> SuiteResult:
+    rng = random.Random(20250808)
     name = "snf_reconstruction"
-    for trial in range(count):
+    for trial in range(200):
         nrows = rng.randint(1, 6)
         ncols = rng.randint(1, 6)
         matrix = [[rng.randint(-20, 20) for _ in range(ncols)] for _ in range(nrows)]
@@ -220,13 +220,13 @@ def suite_snf_reconstruction(count: int = 200, seed: int = 20250808) -> SuiteRes
         if nrows == ncols:
             if abs(bareiss_determinant(matrix)) != prod(diag, start=1):
                 return SuiteResult(name, False, f"trial {trial}: determinant mismatch")
-    return SuiteResult(name, True, f"{count} random matrices")
+    return SuiteResult(name, True, "200 random matrices")
 
 
-def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> SuiteResult:
-    rng = random.Random(seed)
+def suite_kernel_cokernel_enumeration() -> SuiteResult:
+    rng = random.Random(1117)
     name = "kernel_cokernel_enumeration"
-    for trial in range(count):
+    for trial in range(80):
         domain = random_finite_group(rng)
         codomain = random_finite_group(rng)
         f = random_hom(rng, domain, codomain)
@@ -261,54 +261,53 @@ def suite_kernel_cokernel_enumeration(count: int = 80, seed: int = 1117) -> Suit
         for y in cod_elements[:20]:
             if contains_in_image(f, y) != (y in image):
                 return SuiteResult(name, False, f"trial {trial}: membership mismatch")
-    return SuiteResult(name, True, f"{count} random homomorphisms")
+    return SuiteResult(name, True, "80 random homomorphisms")
 
 
-def suite_graded_dimension_oracle(max_rank: int = 6, lo: int = -4, hi: int = 12) -> SuiteResult:
+def suite_graded_dimension_oracle() -> SuiteResult:
     name = "graded_dimension_oracle"
     for kind in ("NonInvariant", "Invariant", "UnitsFF", "MonomialFF"):
-        for rank in range(max_rank + 1):
+        for rank in range(7):
             comp = ComponentRing(kind=kind, rank=rank)
-            for n in range(lo, hi + 1):
+            for n in range(-4, 13):
                 fast = graded_dimension(comp, n)
                 slow = monomial_count_oracle(kind, rank, n)
                 if fast != slow:
                     return SuiteResult(
                         name, False, f"{kind}({rank}) degree {n}: {fast} vs {slow}")
-    return SuiteResult(name, True, f"four shapes, ranks 0..{max_rank}, degrees {lo}..{hi}")
+    return SuiteResult(name, True, "four shapes, ranks 0..6, degrees -4..12")
 
 
-def suite_class_group_forms(limit: int = 400) -> SuiteResult:
+def suite_class_group_forms() -> SuiteResult:
     name = "class_group_forms"
     known = {-23: 3, -4: 1, -84: 4, -20: 2, -47: 5}
     for d, h in known.items():
         if len(reduced_forms(d)) != h:
             return SuiteResult(name, False, f"reduced-form count wrong for {d}")
-    for d in range(-3, -limit - 1, -1):
+    for d in range(-3, -401, -1):
         if not is_fundamental_discriminant(d):
             continue
         forms = reduced_forms(d)
         group = class_group_imaginary_quadratic(d)
         if group.order != len(forms):
             return SuiteResult(name, False, f"{d}: structure order vs form count")
-        identity = reduce_form(principal_form(d))
-        triples = [(g.a, g.b, g.c) for g in forms]
+        identity = reduce_form(*principal_form(d))
         for f in forms:
-            row = sorted(_compose_triples(f.a, f.b, f.c, a2, b2) for a2, b2, _ in triples)
-            if row != triples:
+            row = sorted(compose(*f, a2, b2) for a2, b2, _ in forms)
+            if row != list(forms):
                 return SuiteResult(name, False, f"{d}: row of {f} is not a permutation")
-            if compose(f, identity) != f:
+            if compose(*f, *identity[:2]) != f:
                 return SuiteResult(name, False, f"{d}: identity fails on {f}")
-    return SuiteResult(name, True, f"all fundamental discriminants down to -{limit}")
+    return SuiteResult(name, True, "all fundamental discriminants down to -400")
 
 
-def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
+def suite_elliptic_point_recount() -> SuiteResult:
     """Each count against 1 + the sum over x of the square roots of x^3 + ax + b,
     read from tables of y*y, cubes and sums built once per field by its ``mul``
     and ``add``; for a, b < 3 also the cubic values the tally reads."""
     name = "elliptic_point_recount"
     q = 3
-    while q <= max_q:
+    while q <= 25:
         try:
             spec = field_spec_from_order(q)
         except InputError:
@@ -347,7 +346,7 @@ def suite_elliptic_point_recount(max_q: int = 25) -> SuiteResult:
                         if wrong is not None:
                             return SuiteResult(name, False, f"{where}: cubic value at x={wrong}")
         q += 1
-    return SuiteResult(name, True, f"all odd-characteristic fields with q <= {max_q}")
+    return SuiteResult(name, True, "all odd-characteristic fields with q <= 25")
 
 
 def run_all_suites() -> list[SuiteResult]:

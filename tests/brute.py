@@ -48,7 +48,7 @@ def structure_from_element_set(elements, add, zero) -> FinGenAbGroup:
     """Invariant factors of a finite abelian group given as an element set."""
     size = len(elements)
     if size == 1:
-        return FinGenAbGroup.trivial()
+        return FinGenAbGroup()
     primes = []
     m = size
     f = 2
@@ -110,7 +110,7 @@ def brute_structure_from_elements(elements, times, zero) -> FinGenAbGroup:
     """
     size = len(elements)
     if size == 1:
-        return FinGenAbGroup.trivial()
+        return FinGenAbGroup()
     primes = [p for p, _ in factorize(size)]
 
     exponents_by_prime = {}
@@ -155,7 +155,7 @@ def group_by_diagonal_smith_form(orders) -> FinGenAbGroup:
     orders = [o for o in orders if o != 1]
     n = len(orders)
     if n == 0:
-        return FinGenAbGroup.trivial()
+        return FinGenAbGroup()
     _, diag, _ = smith_normal_form([[orders[i] if i == j else 0 for j in range(n)]
                                     for i in range(n)])
     return FinGenAbGroup(tuple(d for d in diag if d > 1))
@@ -252,6 +252,12 @@ def all_hom_matrices(domain: FinGenAbGroup, codomain: FinGenAbGroup):
 def group_elements(g: FinGenAbGroup):
     """All elements of a finite group, in lexicographic coordinate order."""
     return list(cartesian(*(range(d) for d in g.invariant_factors)))
+
+
+def group_add(g: FinGenAbGroup):
+    """Addition of coordinate tuples, reduced modulo the invariant factors."""
+    orders = g.invariant_factors
+    return lambda x, y: tuple((u + v) % o for u, v, o in zip(x, y, orders))
 
 
 def apply_matrix(matrix, orders, x) -> tuple[int, ...]:
@@ -519,7 +525,7 @@ def general_product_tables(field):
 def is_reduced(form) -> bool:
     """Whether a positive definite form is reduced: |b| <= a <= c, with
     b >= 0 when |b| = a or a = c."""
-    a, b, c = form.a, form.b, form.c
+    a, b, c = form
     if not (abs(b) <= a <= c):
         return False
     if b < 0 and (abs(b) == a or a == c):

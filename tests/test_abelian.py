@@ -24,6 +24,7 @@ from sl2cohom.abelian import (
 from brute import (
     all_hom_matrices,
     apply_matrix,
+    group_add,
     group_by_diagonal_smith_form,
     permanent_style_det,
     structure_from_element_set,
@@ -199,7 +200,7 @@ def test_orders_of_one_reach_no_smith_form(monkeypatch):
         return snf(matrix, nrows, ncols)
 
     monkeypatch.setattr(abelian, "_snf", recording)
-    assert FinGenAbGroup.from_cyclic_orders([1] * 600) == FinGenAbGroup.trivial()
+    assert FinGenAbGroup.from_cyclic_orders([1] * 600) == FinGenAbGroup()
     assert FinGenAbGroup.from_cyclic_orders([1] * 300 + [4, 1, 6]) == FinGenAbGroup((2, 12))
     assert sizes == []
 
@@ -412,7 +413,7 @@ def test_kernel_cokernel_membership_match_enumeration():
         kernel_set = {x for x in dom.elements() if f.apply(x) == cod.zero()}
         k, incl = kernel(f)
         assert {incl.apply(x) for x in k.elements()} == kernel_set
-        assert structure_from_element_set(kernel_set, dom.add, dom.zero()) == k
+        assert structure_from_element_set(kernel_set, group_add(dom), dom.zero()) == k
         image = {f.apply(x) for x in dom.elements()}
         c, proj = cokernel(f)
         assert c.order * len(image) == cod.order
@@ -433,7 +434,7 @@ def random_finite_hom(rng):
 
 
 def random_element(rng, group):
-    return group.reduce_element([rng.randint(-30, 30) for _ in range(group.ngens)])
+    return tuple(rng.randint(-30, 30) % d for d in group.invariant_factors)
 
 
 def test_apply_and_reduce_match_coordinatewise_arithmetic():
@@ -442,8 +443,7 @@ def test_apply_and_reduce_match_coordinatewise_arithmetic():
         f = random_finite_hom(rng)
         for _ in range(5):
             raw = [rng.randint(-50, 50) for _ in range(f.domain.ngens)]
-            reduced = f.domain.reduce_element(raw)
-            assert reduced == tuple(c % o for c, o in zip(raw, f.domain.invariant_factors))
+            reduced = tuple(c % o for c, o in zip(raw, f.domain.invariant_factors))
             assert f.apply(raw) == apply_matrix(f.matrix, f.codomain.invariant_factors, raw)
             assert f.apply(reduced) == f.apply(raw)
 
@@ -452,7 +452,7 @@ def test_wrong_length_elements_are_refused():
     g = FinGenAbGroup((2, 6, 12))
     f = GroupHom.identity(g)
     with pytest.raises(ValueError, match="element needs 3 coordinates, got 2"):
-        g.reduce_element((1, 1))
+        g.validate_element((1, 1))
     with pytest.raises(ValueError, match="element has wrong length for the domain"):
         f.apply((1, 1, 1, 1))
 

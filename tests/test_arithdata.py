@@ -10,7 +10,6 @@ from sl2cohom.arithdata import (
     DatumConsistencyError,
     DatumParseError,
     MAX_UNIT_RANK,
-    QuadraticForm,
     build_split_datum,
     class_group_imaginary_quadratic,
     compose,
@@ -26,18 +25,21 @@ from sl2cohom.arithdata import (
 # binary quadratic forms
 # ---------------------------------------------------------------------------
 
+def discriminant(form):
+    a, b, c = form
+    return b * b - 4 * a * c
+
+
 def test_reduced_forms_disc_minus_23():
-    forms = {(f.a, f.b, f.c) for f in reduced_forms(-23)}
-    assert forms == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
+    assert reduced_forms(-23) == ((1, 1, 6), (2, -1, 3), (2, 1, 3))
 
 
 def test_reduced_forms_disc_minus_4():
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-4)] == [(1, 0, 1)]
+    assert reduced_forms(-4) == ((1, 0, 1),)
 
 
 def test_reduced_forms_disc_minus_84():
-    forms = {(f.a, f.b, f.c) for f in reduced_forms(-84)}
-    assert forms == {(1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5)}
+    assert reduced_forms(-84) == ((1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5))
 
 
 def test_class_group_orders_and_structure():
@@ -64,20 +66,19 @@ def test_reduction_preserves_discriminant_and_reduces():
         b = rng.randint(-40, 40)
         cmin = (b * b + 3) // (4 * a) + 1
         c = rng.randint(cmin, cmin + 40)
-        form = QuadraticForm(a, b, c)
-        red = reduce_form(form)
-        assert red.discriminant == form.discriminant
+        red = reduce_form(a, b, c)
+        assert discriminant(red) == b * b - 4 * a * c
         assert is_reduced(red)
 
 
 def test_composition_identity_and_inverse():
     for d in (-23, -84, -47, -71):
         forms = reduced_forms(d)
-        e = reduce_form(principal_form(d))
-        for f in forms:
-            assert compose(e, f) == f
-            inverse = reduce_form(QuadraticForm(f.a, -f.b, f.c))
-            assert compose(f, inverse) == e
+        e = reduce_form(*principal_form(d))
+        for a, b, c in forms:
+            assert compose(*e, a, b) == (a, b, c)
+            inverse = reduce_form(a, -b, c)
+            assert compose(a, b, c, *inverse[:2]) == e
 
 
 def test_composition_rows_are_permutations_small_range():
@@ -88,8 +89,7 @@ def test_composition_rows_are_permutations_small_range():
         group = class_group_imaginary_quadratic(d)
         assert group.order == len(forms)
         for f in forms:
-            row = sorted((compose(f, g).a, compose(f, g).b) for g in forms)
-            assert row == [(g.a, g.b) for g in forms]
+            assert sorted(compose(*f, a, b) for a, b, _ in forms) == list(forms)
 
 
 def test_composition_associative_spot_checks():
@@ -98,7 +98,8 @@ def test_composition_associative_spot_checks():
         forms = reduced_forms(d)
         for _ in range(30):
             f, g, h = (forms[rng.randrange(len(forms))] for _ in range(3))
-            assert compose(compose(f, g), h) == compose(f, compose(g, h))
+            fg, gh = compose(*f, *g[:2]), compose(*g, *h[:2])
+            assert compose(*fg, *h[:2]) == compose(*f, *gh[:2])
 
 
 def test_linear_congruences_match_enumeration():
@@ -117,27 +118,28 @@ def test_linear_congruences_match_enumeration():
                     assert want == list(range(x0 % step, m, step)), (solve, a, b, m)
 
 
-def test_composing_triples_matches_composing_forms():
+def test_composites_are_reduced_forms_of_the_discriminant():
     for d in range(-3, -401, -1):
         if not is_fundamental_discriminant(d):
             continue
         forms = reduced_forms(d)
         for f in forms:
-            for g in forms:
-                h = compose(f, g)
-                assert h.discriminant == d and is_reduced(h)
-                assert arithdata._compose_triples(f.a, f.b, f.c, g.a, g.b) == (h.a, h.b, h.c)
+            for a, b, _ in forms:
+                h = compose(*f, a, b)
+                assert discriminant(h) == d and is_reduced(h)
 
 
 def test_composition_is_unchanged_by_the_solver(monkeypatch):
     # the inverse modulo m // g gives other representatives than Bezout
     # coefficients modulo m; the reduced composite must be the same form
     discriminants = [d for d in range(-3, -401, -1) if is_fundamental_discriminant(d)]
-    table = {d: [compose(f, g) for f in reduced_forms(d) for g in reduced_forms(d)]
-             for d in discriminants}
+    def table(d):
+        return [compose(*f, a, b) for f in reduced_forms(d) for a, b, _ in reduced_forms(d)]
+
+    before = {d: table(d) for d in discriminants}
     monkeypatch.setattr(arithdata, "_solve_linear_congruence", congruence_by_extended_euclid)
     for d in discriminants:
-        assert [compose(f, g) for f in reduced_forms(d) for g in reduced_forms(d)] == table[d]
+        assert table(d) == before[d]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def test_split_datum_cyclic3():
 
 
 def test_split_datum_trivial_class_group():
-    datum = build_split_datum(FinGenAbGroup.trivial(), 1, 3)
+    datum = build_split_datum(FinGenAbGroup(), 1, 3)
     k, _ = kernel(datum.nm0)
     assert k.order == 1
     orbits = involution_orbits(k, datum.sigma)
@@ -169,9 +171,9 @@ def test_split_datum_two_torsion_orbits_all_fixed():
 
 
 def test_unit_rank_bound_is_inclusive():
-    assert build_split_datum(FinGenAbGroup.trivial(), MAX_UNIT_RANK, 3).unit_rank_K == 2000
+    assert build_split_datum(FinGenAbGroup(), MAX_UNIT_RANK, 3).unit_rank_K == 2000
     with pytest.raises(DatumConsistencyError, match="unit rank 2001 exceeds") as err:
-        build_split_datum(FinGenAbGroup.trivial(), MAX_UNIT_RANK + 1, 3)
+        build_split_datum(FinGenAbGroup(), MAX_UNIT_RANK + 1, 3)
     assert err.value.invariant == "unit_rank_bound"
 
 
@@ -187,7 +189,7 @@ def test_split_datum_kernel_size_matches_class_number():
 
 def test_datum_rejects_even_ell():
     with pytest.raises(DatumConsistencyError):
-        build_split_datum(FinGenAbGroup.trivial(), 1, 2)
+        build_split_datum(FinGenAbGroup(), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,62 @@ def test_parse_error_reports_line_and_column(tmp_path):
     assert err.value.line == 2
     assert err.value.column > 0
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("line,column", [
+    ("ell = banana", 7),
+    ("ell =  banana", 8),
+    ("  ell = banana", 9),
+    ("ell=banana", 5),
+    ("ell =", 6),
+    ("ell =   # no value", 6),
+])
+def test_parse_error_names_the_column_of_the_value(tmp_path, line, column):
+    # an empty value is named just after '='
+    path = tmp_path / "bad.datum"
+    path.write_text(FIXTURE_TEMPLATE.replace("ell = 23", line))
+    with pytest.raises(DatumParseError) as err:
+        load_datum(path)
+    assert (err.value.line, err.value.column) == (2, column)
+    assert str(err.value).startswith(f"{path}:2:{column}: expected an integer")
+
+
+WIDTH_ZERO_NM0 = """\
+[datum]
+ell = 3
+trace_in_K = false
+split = false
+unit_rank_K = 1
+ker_nm1_rank = 1
+[cl_K]
+free_rank = 0
+invariant_factors = 3
+[cl_A]
+free_rank = 0
+invariant_factors =
+[nm0]
+matrix = {}
+[steinitz]
+coords = 0
+[coker_nm1]
+free_rank = 0
+invariant_factors =
+[sigma]
+matrix =
+"""
+
+
+def test_a_width_zero_matrix_admits_only_no_entries(tmp_path):
+    # cl_A trivial and cl_K = Z/3, so nm0 is 1x0
+    path = tmp_path / "width_zero.datum"
+    path.write_text(WIDTH_ZERO_NM0.format(""))
+    datum = load_datum(path)
+    assert datum.nm0.matrix == ((),) and datum.ker_nm0.is_trivial
+    for value in ("7 7 7", "1 ; 2", "0", "; 5"):
+        path.write_text(WIDTH_ZERO_NM0.format(value))
+        with pytest.raises(DatumParseError) as err:
+            load_datum(path)
+        assert str(err.value) == f"{path}:14:10: matrix must be 1x0 (rows separated by ';')"
 
 
 def test_missing_key_reported(tmp_path):

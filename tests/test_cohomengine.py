@@ -47,14 +47,18 @@ def number_field_lines(datum, bound=12):
         machine_lines_number_field(dec, detection_verdict(datum, dec, bound), bound))
 
 
+def zero_hom(domain, codomain):
+    return GroupHom(domain, codomain, [[0] * domain.ngens for _ in range(codomain.ngens)])
+
+
 def synthetic_datum(*, trace=True, cl_K=None, cl_A=None, nm0=None, steinitz=None,
                     coker=None, unit_rank=2, ker_rank=2, ell=3, sigma=None):
     """A hand-assembled non-split datum for exercising edge cases."""
-    cl_K = cl_K if cl_K is not None else FinGenAbGroup.trivial()
-    cl_A = cl_A if cl_A is not None else FinGenAbGroup.trivial()
-    nm0 = nm0 if nm0 is not None else GroupHom.zero(cl_A, cl_K)
+    cl_K = cl_K if cl_K is not None else FinGenAbGroup()
+    cl_A = cl_A if cl_A is not None else FinGenAbGroup()
+    nm0 = nm0 if nm0 is not None else zero_hom(cl_A, cl_K)
     steinitz = steinitz if steinitz is not None else cl_K.zero()
-    coker = coker if coker is not None else FinGenAbGroup.trivial()
+    coker = coker if coker is not None else FinGenAbGroup()
     from sl2cohom.abelian import kernel
     k, _ = kernel(nm0)
     sigma = sigma if sigma is not None else Involution(GroupHom.negation(k))
@@ -193,14 +197,14 @@ def test_three_conjugacy_classes_for_cyclotomic_fixture():
 
 
 def test_conjugacy_classes_trivial_case():
-    datum = build_split_datum(FinGenAbGroup.trivial(), 1, 3)
+    datum = build_split_datum(FinGenAbGroup(), 1, 3)
     assert conjugacy_classes(datum, nonvanishing(datum)) == 1
 
 
 def test_conjugacy_classes_multiplicative():
     datum = synthetic_datum(
-        cl_A=FinGenAbGroup((3,)), cl_K=FinGenAbGroup.trivial(),
-        nm0=GroupHom(FinGenAbGroup((3,)), FinGenAbGroup.trivial(), []),
+        cl_A=FinGenAbGroup((3,)), cl_K=FinGenAbGroup(),
+        nm0=GroupHom(FinGenAbGroup((3,)), FinGenAbGroup(), []),
         coker=FinGenAbGroup((2,)))
     assert conjugacy_classes(datum, nonvanishing(datum)) == 6
 
@@ -242,7 +246,7 @@ def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
     # sigma = +1 on ker(nm0) = Z/3 fixes it; negation on coker = Z/4 fixes
     # 0 and 2: 6 fixed classes, the other 6 of the 12 pair into 3
     cl_A = FinGenAbGroup((3,))
-    datum = synthetic_datum(cl_A=cl_A, nm0=GroupHom.zero(cl_A, FinGenAbGroup.trivial()),
+    datum = synthetic_datum(cl_A=cl_A, nm0=zero_hom(cl_A, FinGenAbGroup()),
                             coker=FinGenAbGroup((4,)), ker_rank=1,
                             sigma=Involution(GroupHom.identity(cl_A)))
     shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
@@ -430,7 +434,7 @@ def test_detection_fails_for_cyclotomic_fixture():
 
 
 def test_detection_inconclusive_for_balanced_decomposition():
-    datum = build_split_datum(FinGenAbGroup.trivial(), 3, 5)
+    datum = build_split_datum(FinGenAbGroup(), 3, 5)
     dec = decompose_number_field(datum)
     # single component on the same rank as the torus would be needed for
     # equality; the split datum with trivial class group gives the invariant

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 import pytest
 
 from sl2cohom.abelian import FinGenAbGroup, GroupHom, Involution, Orbit, Record
-from sl2cohom.arithdata import ArithmeticDatum, QuadraticForm, build_split_datum
+from sl2cohom.arithdata import ArithmeticDatum, build_split_datum
 from sl2cohom.cohomengine import ComponentRing, Decomposition
 from sl2cohom.curve import EllipticMinusPoint, FiniteFieldSpec, P1Minus
 from sl2cohom.essential import GradedAlgebraSpec
@@ -36,12 +36,6 @@ class Twin:
     class Orbit:
         elements: tuple
         fixed: bool
-
-    @dataclass(frozen=True)
-    class QuadraticForm:
-        a: int
-        b: int
-        c: int
 
     @dataclass(frozen=True)
     class ArithmeticDatum:
@@ -113,7 +107,6 @@ CASES = {
     "GroupHom": (lambda: GroupHom.negation(G), GroupHom.identity(G)),
     "Involution": (lambda: Involution(GroupHom.negation(G)), Involution(GroupHom.identity(G))),
     "Orbit": (lambda: Orbit(((1, 0), (1, 2)), False), Orbit(((1, 0), (1, 2)), True)),
-    "QuadraticForm": (lambda: QuadraticForm(2, 1, 3), QuadraticForm(2, -1, 3)),
     "ArithmeticDatum": (lambda: build_split_datum(FinGenAbGroup((3,)), 11, 23),
                         build_split_datum(FinGenAbGroup((3,)), 11, 7)),
     "ComponentRing": (lambda: ComponentRing("Invariant", 2), ComponentRing("NonInvariant", 2)),
@@ -177,7 +170,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(name):
 
 
 def test_keywords_and_defaults():
-    assert FinGenAbGroup() == FinGenAbGroup(()) == FinGenAbGroup.trivial()
+    assert FinGenAbGroup() == FinGenAbGroup(())
     assert FinGenAbGroup(invariant_factors=[2, 4]) == FinGenAbGroup((2, 4))
     assert FinGenAbGroup().invariant_factors == Twin.FinGenAbGroup().invariant_factors == ()
     assert FiniteFieldSpec(7) == FiniteFieldSpec(p=7, e=1) and FiniteFieldSpec(7).e == 1
@@ -186,7 +179,6 @@ def test_keywords_and_defaults():
     assert decomposition == Decomposition(shapes=((RING, 1),), advisories=(), classes=None)
     assert Decomposition((), classes=2) == Decomposition(shapes=(), advisories=(), classes=2)
     assert GroupHom(domain=G, codomain=G, matrix=((1, 0), (0, 1))) == GroupHom.identity(G)
-    assert QuadraticForm(a=2, b=1, c=3) == QuadraticForm(2, 1, 3)
     assert SuiteResult(name="x", passed=True, detail="") == SuiteResult("x", True, "")
 
 
@@ -206,10 +198,9 @@ def test_ker_nm0_takes_no_part_in_equality_or_repr():
     (lambda: FinGenAbGroup((2, 3)), "divisibility chain"),
     (lambda: GroupHom(G, H, ((1, 0),)), "matrix must be 2x2"),
     (lambda: GroupHom(H, G, ((0, 1), (0, 0))), "does not define a homomorphism"),
-    (lambda: Involution(GroupHom.zero(G, H)), "equal domain and codomain"),
-    (lambda: Involution(GroupHom.zero(G, G)), "composed with itself is not the identity"),
-    (lambda: QuadraticForm(0, 1, 1), "positive definite"),
-    (lambda: QuadraticForm(1, 3, 1), "negative discriminant"),
+    (lambda: Involution(GroupHom(G, H, ((0, 0), (0, 0)))), "equal domain and codomain"),
+    (lambda: Involution(GroupHom(G, G, ((0, 0), (0, 0)))),
+     "composed with itself is not the identity"),
     (lambda: ComponentRing("Bogus", 1), "unknown component shape 'Bogus'"),
     (lambda: ComponentRing("Invariant", -1), "rank must be nonnegative"),
     (lambda: Decomposition(((RING, 0),)), "multiplicities must be positive"),
