@@ -10,6 +10,7 @@ after construction (see ``Record``) and all operations are pure functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import product as _cartesian
 from math import gcd, prod
@@ -392,9 +393,6 @@ class Involution(Record):
     def group(self) -> FinGenAbGroup:
         return self.hom.domain
 
-    def apply(self, x) -> tuple[int, ...]:
-        return self.hom.apply(x)
-
 
 class Orbit(Record):
     _fields = ("elements", "fixed")
@@ -472,6 +470,38 @@ def two_torsion_order(orders) -> int:
     return 2 ** sum(1 for o in orders if o % 2 == 0)
 
 
+def structure_from_element_orders(orders) -> FinGenAbGroup:
+    """Invariant factors of a finite abelian group from the orders of its elements.
+
+    Uses only torsion counting: for each prime p the numbers of elements
+    killed by p^j, those whose order divides p^j, determine the partition
+    of the p-part.
+    """
+    size = len(orders)
+    if size == 1:
+        return FinGenAbGroup()
+    tally = Counter(orders)
+    exponents_by_prime = {}
+    for p, _ in factorize(size):
+        counts = [1]
+        while tally[p ** len(counts)]:
+            counts.append(counts[-1] + tally[p ** len(counts)])
+        # m_j = #{i : lambda_i >= j}; partition recovered as its conjugate
+        logs = []
+        for j in range(1, len(counts)):
+            ratio = counts[j] // counts[j - 1]
+            m_j = 0
+            while p ** m_j < ratio:
+                m_j += 1
+            logs.append(m_j)
+        exponents_by_prime[p] = [sum(1 for m_j in logs if m_j > i)
+                                 for i in range(max(logs, default=0))]
+    slots = max((len(v) for v in exponents_by_prime.values()), default=0)
+    factors = (prod(p ** lam[s] for p, lam in exponents_by_prime.items() if s < len(lam))
+               for s in range(slots))
+    return FinGenAbGroup(tuple(sorted(v for v in factors if v > 1)))
+
+
 def fixed_point_count(s: Involution) -> int:
     """Number of points an involution fixes, |ker(s - 1)| on a finite group.
 
@@ -498,7 +528,7 @@ def involution_orbits(g: FinGenAbGroup, s: Involution) -> tuple[Orbit, ...]:
     for x in g.elements():
         if x in seen:
             continue
-        y = s.apply(x)
+        y = s.hom.apply(x)
         members = (x,) if y == x else (x, y)
         seen.update(members)
         orbits.append(Orbit(elements=members, fixed=len(members) == 1))

@@ -13,6 +13,7 @@ only the ``class_group_forms`` suite of ``verify``.
 
 from __future__ import annotations
 
+import re
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -404,7 +405,9 @@ def _parse_int_list(entry, path) -> tuple[int, ...]:
     value, line, col = entry
     if not value:
         return ()
-    return tuple(_parse_int((piece.strip(), line, col), path) for piece in value.split(","))
+    # each entry with the column of its first character
+    return tuple(_parse_int((piece[1].rstrip(), line, col + piece.start(1)), path)
+                 for piece in re.finditer(r"(?:^|,)\s*([^,]*)", value))
 
 
 def _parse_matrix(entry, path, nrows: int, ncols: int) -> tuple[tuple[int, ...], ...]:
@@ -413,12 +416,15 @@ def _parse_matrix(entry, path, nrows: int, ncols: int) -> tuple[tuple[int, ...],
         rows: list[tuple[int, ...]] = []
     else:
         rows = []
-        for part in value.split(";"):
-            entries = part.split()
-            try:
-                rows.append(tuple(int(v) for v in entries))
-            except ValueError:
-                raise DatumParseError(path, line, col, f"bad matrix entry in {part!r}") from None
+        for part in re.finditer(r"(?:^|;)([^;]*)", value):
+            row = []
+            for token in re.finditer(r"\S+", part[1]):
+                try:
+                    row.append(int(token[0]))
+                except ValueError:
+                    raise DatumParseError(path, line, col + part.start(1) + token.start(),
+                                          f"bad matrix entry in {part[1]!r}") from None
+            rows.append(tuple(row))
     if ncols == 0 and len(rows) <= nrows and not any(rows):
         rows = [()] * nrows  # width-zero rows carry no data
     if len(rows) != nrows or any(len(r) != ncols for r in rows):

@@ -2,17 +2,19 @@
 
 Finite fields GF(q) with q <= 2^16 are realized through exp/log tables
 over an irreducible modulus, walked by lookups, and GF(p^e) adds through
-Zech logarithms; elements are encoded as integers 0..q-1 in base-p digits.  Curves are
-either the projective line minus a set of closed points or a
-short-Weierstrass elliptic curve minus its point at infinity.  Picard
-groups come from divisor-class bookkeeping in the first case; in the
-second a report needs only |Pic| = #E(F_q) and |Pic[2]| = #E[2].  Over a
-prime field above ``MESTRE_BOUND`` they come from the Shanks-Mestre
-method, about 4 sqrt(p) point additions in integers mod p with no field
-built, and the roots of the cubic from x^p mod the cubic; over GF(p^e)
-and smaller primes, from one quadratic-character pass over the field's
-tables, which stays the oracle for the first.  The full group structure
-is kept as a slow oracle.
+Zech logarithms; elements are encoded as integers 0..q-1 in base-p
+digits.  A field offers only ``add``, ``mul``, ``pow``, ``from_int`` and
+``elements``: -a is (p - 1) a, and 1/a is a^(q-2).  Curves are either
+the projective line minus a set of closed points or a short-Weierstrass
+elliptic curve minus its point at infinity.  Picard groups come from
+divisor-class bookkeeping in the first case; in the second a report
+needs only |Pic| = #E(F_q) and |Pic[2]| = #E[2].  Over a prime field
+above ``MESTRE_BOUND`` they come from the Shanks-Mestre method, about
+4 sqrt(p) point additions in integers mod p with no field built, and
+the roots of the cubic from x^p mod the cubic; over GF(p^e) and smaller
+primes, from one quadratic-character pass over the field's tables,
+which stays the oracle for the first.  The full group structure is kept
+as a slow oracle, read from the orders of the points.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from collections import Counter
 from itertools import combinations
 from math import gcd, isqrt, prod
 
-from .abelian import FinGenAbGroup, InputError, Record, factorize, is_prime
+from .abelian import (FinGenAbGroup, InputError, Record, factorize, is_prime,
+                      structure_from_element_orders)
 
 MAX_FIELD_SIZE = 1 << 16
 # above this prime, a point of E or of its quadratic twist fixes #E among
@@ -268,26 +271,10 @@ class FiniteField:
         z = self.zech[(self.log[b] - i) % (self.q - 1)]
         return 0 if z < 0 else self.exp[(i + z) % (self.q - 1)]
 
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return -a % self.p
-        return self.mul(a, self.p - 1)  # -1 = g^((q - 1)/2), 1 when p = 2
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.exp[-self.log[a] % (self.q - 1)]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -299,17 +286,6 @@ class FiniteField:
     def from_int(self, n: int) -> int:
         """Embed an ordinary integer as a prime-field constant."""
         return n % self.p
-
-    def sqrt(self, a: int):
-        if a == 0:
-            return 0
-        if self.p == 2:
-            # squaring is the Frobenius bijection, so halve the discrete log
-            half = pow(2, -1, self.q - 1) if self.q > 2 else 0
-            return self.exp[self.log[a] * half % (self.q - 1)]
-        if self.log[a] % 2:
-            return None
-        return self.exp[self.log[a] // 2]
 
     def elements(self):
         return range(self.q)
@@ -411,23 +387,18 @@ def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
 def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
     """All rational points, point at infinity encoded as None.
 
-    Each x^3 + ax + b is evaluated on its own, by integers mod p in a prime
-    field and by the field's ``add`` and ``mul`` otherwise, not read from
-    ``_cubic_values``, so a recount against ``count_points_elliptic``
-    shares no arithmetic with it.
+    The square roots of each value are read from a table of y*y, and each
+    x^3 + ax + b is evaluated on its own by the field's ``add`` and ``mul``,
+    not read from ``_cubic_values``, so a recount against
+    ``count_points_elliptic`` shares no arithmetic with it.
     """
     _check_elliptic(curve, field)
-    points = [None]
-    a, b, p, prime = curve.a, curve.b, field.p, field.e == 1
-    add, mul, sqrt, neg, append = field.add, field.mul, field.sqrt, field.neg, points.append
-    for x in range(field.q):
-        rhs = (x * x * x + a * x + b) % p if prime else add(mul(add(mul(x, x), a), x), b)
-        if rhs == 0:
-            append((x, 0))
-        elif (y := sqrt(rhs)) is not None:  # None for a nonsquare, p odd
-            append((x, y))
-            append((x, neg(y)))
-    return points
+    add, mul, a, b = field.add, field.mul, curve.a, curve.b
+    roots = [[] for _ in field.elements()]
+    for y in field.elements():
+        roots[mul(y, y)].append(y)
+    return [None] + [(x, y) for x in field.elements()
+                     for y in roots[add(mul(add(mul(x, x), a), x), b)]]
 
 
 def _point_tally(curve: EllipticMinusPoint, field: FiniteField) -> tuple[int, int]:
@@ -568,20 +539,20 @@ def ec_add(field: FiniteField, a_coeff: int, p1, p2):
         return p2
     if p2 is None:
         return p1
+    add, mul, minus = field.add, field.mul, field.from_int(-1)
     x1, y1 = p1
     x2, y2 = p2
-    if x1 == x2 and field.add(y1, y2) == 0:
+    if x1 == x2 and add(y1, y2) == 0:
         return None
     if p1 == p2:
-        num = field.add(field.mul(field.from_int(3), field.mul(x1, x1)), a_coeff)
-        den = field.mul(field.from_int(2), y1)
+        num = add(mul(field.from_int(3), mul(x1, x1)), a_coeff)
+        den = mul(field.from_int(2), y1)
     else:
-        num = field.sub(y2, y1)
-        den = field.sub(x2, x1)
-    slope = field.div(num, den)
-    x3 = field.sub(field.sub(field.mul(slope, slope), x1), x2)
-    y3 = field.sub(field.mul(slope, field.sub(x1, x3)), y1)
-    return (x3, y3)
+        num = add(y2, mul(minus, y1))
+        den = add(x2, mul(minus, x1))
+    slope = mul(num, field.pow(den, field.q - 2))
+    x3 = add(mul(slope, slope), mul(minus, add(x1, x2)))
+    return x3, mul(minus, add(mul(slope, add(x3, mul(minus, x1))), y1))
 
 
 def ec_scalar(field: FiniteField, a_coeff: int, n: int, point):
@@ -595,45 +566,27 @@ def ec_scalar(field: FiniteField, a_coeff: int, n: int, point):
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    """Divisors of n in ascending order."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def count_and_structure_elliptic(curve: EllipticMinusPoint,
                                  spec: FiniteFieldSpec) -> FinGenAbGroup:
     """Rational-point group with structure Z/d1 + Z/d2, d1 | d2.
 
     The slow oracle for ``elliptic_order_and_two_torsion``: the order
-    comes from exhaustive enumeration, the structure from the maximal
-    element order, validated by counting d1-torsion.
+    comes from exhaustive enumeration, and each point's order from #E,
+    divided by each of its primes r while (m/r) P is still the point at
+    infinity; the structure is read from those orders.
     """
     field = get_field(spec)
     points = elliptic_points(curve, field)
     n = len(points)
-    divs = _divisors(n)
-    max_order = 1
-    for pt in points:
-        if pt is None:
-            continue
-        for d in divs:
-            if ec_scalar(field, curve.a, d, pt) is None:
-                if d > max_order:
-                    max_order = d
-                break
-    d2 = max_order
-    d1 = n // d2
-    if d1 > 1:
-        if d2 % d1:
-            raise ArithmeticError("group exponent does not split the order")
-        torsion = sum(1 for pt in points if ec_scalar(field, curve.a, d1, pt) is None)
-        if torsion != d1 * d1:
-            raise ArithmeticError("torsion count contradicts rank-2 structure")
-    factors = tuple(d for d in (d1, d2) if d > 1)
-    return FinGenAbGroup(factors)
+    primes = [r for r, _ in factorize(n)]
+    orders = []
+    for point in points:
+        m = n
+        for r in primes:
+            while m % r == 0 and ec_scalar(field, curve.a, m // r, point) is None:
+                m //= r
+        orders.append(m)
+    return structure_from_element_orders(orders)
 
 
 # ---------------------------------------------------------------------------

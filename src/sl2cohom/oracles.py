@@ -3,7 +3,8 @@
 Each suite checks a fast exact algorithm against an independent slow
 route: Smith-form output against reconstruction and fraction-free
 determinants, kernels and cokernels against exhaustive enumeration and
-structures read from element orders, graded dimensions against blind
+structures read from element orders (by ``abelian``'s one reader, which
+the elliptic structure oracle shares), graded dimensions against blind
 monomial enumeration, class groups against reduced-form counts, and
 elliptic point counts obtained from the quadratic character, with the
 cubic values they are read from, against tables of square roots, cubes
@@ -31,6 +32,7 @@ from .abelian import (
     factorize,
     kernel,
     smith_normal_form,
+    structure_from_element_orders,
 )
 from .arithdata import (
     class_group_imaginary_quadratic,
@@ -105,38 +107,6 @@ def random_hom(rng: random.Random, domain: FinGenAbGroup,
             row.append(p // g * rng.randrange(g))
         rows.append(row)
     return GroupHom(domain, codomain, rows)
-
-
-def structure_from_element_orders(orders) -> FinGenAbGroup:
-    """Invariant factors of a finite abelian group from the orders of its elements.
-
-    Uses only torsion counting: for each prime p the numbers of elements
-    killed by p^j, those whose order divides p^j, determine the partition
-    of the p-part.
-    """
-    size = len(orders)
-    if size == 1:
-        return FinGenAbGroup()
-    tally = Counter(orders)
-    exponents_by_prime = {}
-    for p, _ in factorize(size):
-        counts = [1]
-        while tally[p ** len(counts)]:
-            counts.append(counts[-1] + tally[p ** len(counts)])
-        # m_j = #{i : lambda_i >= j}; partition recovered as its conjugate
-        logs = []
-        for j in range(1, len(counts)):
-            ratio = counts[j] // counts[j - 1]
-            m_j = 0
-            while p ** m_j < ratio:
-                m_j += 1
-            logs.append(m_j)
-        exponents_by_prime[p] = [sum(1 for m_j in logs if m_j > i)
-                                 for i in range(max(logs, default=0))]
-    slots = max((len(v) for v in exponents_by_prime.values()), default=0)
-    factors = (prod(p ** lam[s] for p, lam in exponents_by_prime.items() if s < len(lam))
-               for s in range(slots))
-    return FinGenAbGroup(tuple(sorted(v for v in factors if v > 1)))
 
 
 def element_order(x, orders) -> int:

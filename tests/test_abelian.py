@@ -334,7 +334,7 @@ def test_orbit_partition_properties():
         fixed = sum(1 for o in orbits if o.fixed)
         assert len(orbits) == (g.order + fixed) // 2
         for o in orbits:
-            assert {s.apply(x) for x in o.elements} == set(o.elements)
+            assert {s.hom.apply(x) for x in o.elements} == set(o.elements)
 
 
 def test_closed_form_fixed_points_match_orbit_enumeration():
@@ -379,7 +379,7 @@ def test_fixed_point_count_matches_enumeration():
                 s = Involution(GroupHom(g, g, m))
             except ValueError:
                 continue
-            assert fixed_point_count(s) == sum(1 for x in g.elements() if s.apply(x) == x)
+            assert fixed_point_count(s) == sum(1 for x in g.elements() if s.hom.apply(x) == x)
 
 
 def test_involution_must_square_to_identity():

@@ -258,6 +258,26 @@ def test_parse_error_names_the_column_of_the_value(tmp_path, line, column):
     assert str(err.value).startswith(f"{path}:2:{column}: expected an integer")
 
 
+@pytest.mark.parametrize("old,new,line,column,message", [
+    ("invariant_factors = 3,3", "invariant_factors = 3,q", 12, 23,
+     "expected an integer, got 'q'"),
+    ("invariant_factors = 3,3", "invariant_factors = 3,  q", 12, 25,
+     "expected an integer, got 'q'"),
+    ("invariant_factors = 3,3", "invariant_factors = 3,,3", 12, 23,
+     "expected an integer, got ''"),
+    ("matrix = 1 1", "matrix = 1 x", 14, 12, "bad matrix entry in '1 x'"),
+    ("matrix = 1 1", "matrix = 1 1; 2  y", 14, 18, "bad matrix entry in ' 2  y'"),
+    ("coords = 0", "coords = 0, z", 16, 13, "expected an integer, got 'z'"),
+], ids=["list", "list_spaced", "list_empty_entry", "matrix", "matrix_second_row", "coords"])
+def test_parse_error_names_the_column_of_the_bad_entry(tmp_path, old, new, line, column,
+                                                       message):
+    path = tmp_path / "bad.datum"
+    path.write_text(FIXTURE_TEMPLATE.replace(old, new))
+    with pytest.raises(DatumParseError) as err:
+        load_datum(path)
+    assert str(err.value) == f"{path}:{line}:{column}: {message}"
+
+
 WIDTH_ZERO_NM0 = """\
 [datum]
 ell = 3

@@ -152,7 +152,8 @@ def enumerated_function_field(curve, spec):
         field = get_field(spec)
         points = elliptic_points(curve, field)
         point_orbits = orbits_on_pairs(
-            points, lambda p: p and (p[0], field.neg(p[1])), [()], lambda y: y)
+            points, lambda p: p and (p[0], field.mul(p[1], field.from_int(-1))), [()],
+            lambda y: y)
         assert len(point_orbits) == len(orbits)
         assert sum(len(o) == 1 for o in point_orbits) == sum(o.fixed for o in orbits)
         fixed = [len(o) == 1 for o in point_orbits]

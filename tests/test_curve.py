@@ -52,7 +52,7 @@ def test_field_axioms(p, e):
     for a in range(q):
         assert field.pow(a, q) == a  # Fermat
     for a in range(1, q):
-        assert field.mul(a, field.inv(a)) == 1
+        assert field.mul(a, field.pow(a, q - 2)) == 1
 
 
 def test_field_distributivity_spot_checks():
@@ -73,7 +73,7 @@ ZECH_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11) for e in range(2, 8)
 def test_zech_addition_matches_digitwise_addition(p, e):
     field = get_field(FiniteFieldSpec(p, e))
     for a in field.elements():
-        assert field.neg(a) == digitwise_neg(field, a)
+        assert field.mul(a, field.from_int(-1)) == digitwise_neg(field, a)
         assert [field.add(a, b) for b in field.elements()] == \
             [digitwise_add(field, a, b) for b in field.elements()]
 
@@ -291,7 +291,7 @@ def test_hasse_bound_sample():
 
 def check_fast_counts(curve, spec):
     """(#E, #E[2]) from the report path against the structure oracle, the
-    points P with P + P = O, and (for q <= 7) the brute-force structure
+    points P with P + P = O, and (for q <= 13) the brute-force structure
     of the point set.  Returns the counts, or None for a singular curve."""
     field = get_field(spec)
     try:
@@ -303,7 +303,7 @@ def check_fast_counts(curve, spec):
     assert fast == (oracle.order, two_torsion_order(oracle.invariant_factors)), (curve, spec)
     doubled = sum(1 for pt in points if ec_add(field, curve.a, pt, pt) is None)
     assert fast == (len(points), doubled), (curve, spec)
-    if spec.q <= 7:
+    if spec.q <= 13:
         brute = structure_from_element_set(
             points, lambda p1, p2: ec_add(field, curve.a, p1, p2), None)
         assert brute == oracle, (curve, spec)

