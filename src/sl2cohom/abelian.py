@@ -367,15 +367,6 @@ class GroupHom(Record):
                 for i, row in enumerate(self.matrix)]
         return _snf(rows, len(rows), self.domain.ngens + len(orders))
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other."""
-        if other.codomain != self.domain:
-            raise ValueError("homomorphisms are not composable")
-        return GroupHom(other.domain, self.codomain, _matmul(self.matrix, other.matrix))
-
-    def is_identity(self) -> bool:
-        return self.domain == self.codomain and self == GroupHom.identity(self.domain)
-
 
 class Involution(Record):
     """A self-inverse endomorphism of a group."""
@@ -386,8 +377,10 @@ class Involution(Record):
         object.__setattr__(self, "hom", hom)
         if hom.domain != hom.codomain:
             raise ValueError("an involution needs equal domain and codomain")
-        if not hom.compose(hom).is_identity():
-            raise ValueError("map composed with itself is not the identity")
+        square = _matmul(hom.matrix, hom.matrix)
+        for i, (row, p) in enumerate(zip(square, hom.codomain.invariant_factors)):
+            if any((v - (i == j)) % p for j, v in enumerate(row)):
+                raise ValueError("map composed with itself is not the identity")
 
     @property
     def group(self) -> FinGenAbGroup:

@@ -8,7 +8,8 @@ on the kernel of the norm map.  A datum is built by the split
 cyclotomic construction from a class group given on the command line, or
 read from a validated text file.  Imaginary-quadratic class groups, from
 reduced binary quadratic forms (a, b, c) under Gauss composition, back
-only the ``class_group_forms`` suite of ``verify``.
+only the ``class_group_forms`` suite of ``verify``; their structure is
+read from the orders of the forms by ``abelian``'s one structure reader.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .abelian import (
     is_prime,
     kernel,
     cokernel,
-    smith_normal_form,
+    structure_from_element_orders,
 )
 
 # the largest unit rank a datum may carry: a report's component rings have
@@ -132,51 +133,32 @@ def compose(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, int, int]
 def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
     """Form class group of a negative fundamental discriminant.
 
-    Classes are the reduced forms under Gauss composition; the abstract
-    structure is read off from a triangular system of relations among a
-    greedy generating set, put into invariant factors by Smith reduction.
+    Classes are the reduced forms under Gauss composition.  Each form
+    whose order is not yet known is composed with itself until the
+    principal form; a walk of m steps gives f^k the order m / gcd(k, m)
+    for every power not seen before.  The abstract structure is read from
+    those orders by ``structure_from_element_orders``.
     """
     if d >= 0:
         raise ValueError("discriminant must be negative")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     forms = reduced_forms(d)
-    index = {f: i for i, f in enumerate(forms)}
     h = len(forms)
-
-    def mul(i: int, j: int) -> int:
-        return index[compose(*forms[i], *forms[j][:2])]
-
-    identity = index[reduce_form(*principal_form(d))]
-    reached: dict[int, tuple[int, ...]] = {identity: ()}
-    relations: list[list[int]] = []
-    ngens = 0
-    for cand in range(h):
-        if cand in reached:
+    identity = reduce_form(*principal_form(d))
+    orders: dict[tuple[int, int, int], int] = {}
+    for f in forms:
+        if f in orders:
             continue
-        ngens += 1
-        reached = {e: vec + (0,) for e, vec in reached.items()}
-        for row in relations:
-            row.append(0)
-        # minimal power of cand landing in the subgroup generated so far
-        p, power = cand, 1
-        while p not in reached:
-            p = mul(p, cand)
-            power += 1
-        w = reached[p]
-        relations.append([-wi for wi in w[:-1]] + [power])
-        base = list(reached.items())
-        shift = cand
-        for i in range(1, power):
-            for e, vec in base:
-                reached[mul(e, shift)] = vec[:-1] + (i,)
-            shift = mul(shift, cand)
-    if len(reached) != h:
-        raise ArithmeticError("composition table failed to generate all classes")
-    if ngens == 0:
-        return FinGenAbGroup()
-    _, diag, _ = smith_normal_form(relations)
-    group = FinGenAbGroup(tuple(e for e in diag if e > 1))
+        powers = [f]
+        while powers[-1] != identity:
+            if len(powers) == h:
+                raise ArithmeticError(f"no power of {f} up to {h} is the principal form")
+            powers.append(compose(*powers[-1], *f[:2]))
+        m = len(powers)
+        for k, g in enumerate(powers, 1):
+            orders.setdefault(g, m // gcd(k, m))
+    group = structure_from_element_orders(orders.values())
     if group.order != h:
         raise ArithmeticError("structure computation disagrees with the class count")
     return group

@@ -561,8 +561,9 @@ def ec_scalar(field: FiniteField, a_coeff: int, n: int, point):
     while n > 0:
         if n & 1:
             result = ec_add(field, a_coeff, result, base)
-        base = ec_add(field, a_coeff, base, base)
         n >>= 1
+        if n:
+            base = ec_add(field, a_coeff, base, base)
     return result
 
 

@@ -5,7 +5,9 @@ check: determinants come from permutation expansion, group structure from
 torsion counting on raw element sets, canonical forms of cyclic orders
 from the Smith form of their diagonal matrix, graded dimensions from blind
 monomial enumeration and from a scan of the whole exponent window, class
-numbers from reduced-form counts, reducedness from its inequalities, the
+numbers from reduced-form counts, class-group structure from the Smith
+form of the relations among a greedy generating set of forms,
+reducedness from its inequalities, the
 essential product from multiplying out all its linear factors on
 exponent tuples, restriction by substituting linear forms into them,
 GF(p^e) arithmetic from the base-p digits of the element encodings,
@@ -21,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup, factorize, smith_normal_form
+from sl2cohom.arithdata import compose, principal_form, reduce_form, reduced_forms
 from sl2cohom.essential import GradedElement
 
 
@@ -531,6 +534,43 @@ def is_reduced(form) -> bool:
     if b < 0 and (abs(b) == a or a == c):
         return False
     return True
+
+
+def class_group_by_relations(d: int) -> FinGenAbGroup:
+    """Form class group of a negative fundamental discriminant, read off a
+    triangular system of relations among a greedy generating set of
+    reduced forms, put into invariant factors by Smith reduction."""
+    forms = reduced_forms(d)
+    index = {f: i for i, f in enumerate(forms)}
+
+    def mul(i: int, j: int) -> int:
+        return index[compose(*forms[i], *forms[j][:2])]
+
+    reached: dict[int, tuple[int, ...]] = {index[reduce_form(*principal_form(d))]: ()}
+    relations: list[list[int]] = []
+    for cand in range(len(forms)):
+        if cand in reached:
+            continue
+        reached = {e: vec + (0,) for e, vec in reached.items()}
+        for row in relations:
+            row.append(0)
+        # minimal power of cand landing in the subgroup generated so far
+        p, power = cand, 1
+        while p not in reached:
+            p = mul(p, cand)
+            power += 1
+        relations.append([-wi for wi in reached[p][:-1]] + [power])
+        base = list(reached.items())
+        shift = cand
+        for i in range(1, power):
+            for e, vec in base:
+                reached[mul(e, shift)] = vec[:-1] + (i,)
+            shift = mul(shift, cand)
+    assert len(reached) == len(forms)
+    if not relations:
+        return FinGenAbGroup()
+    _, diag, _ = smith_normal_form(relations)
+    return FinGenAbGroup(tuple(e for e in diag if e > 1))
 
 
 def congruence_by_extended_euclid(a: int, b: int, m: int) -> tuple[int, int]:

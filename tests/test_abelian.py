@@ -273,16 +273,6 @@ def test_cokernel_projection_properties():
     assert kernel_of_proj == image
 
 
-def test_compose_homs():
-    g12 = FinGenAbGroup((12,))
-    g6 = FinGenAbGroup((6,))
-    reduce_mod6 = GroupHom(g12, g6, [[1]])
-    double = GroupHom(g6, g6, [[2]])
-    composite = double.compose(reduce_mod6)
-    assert composite.apply((4,)) == (2,)
-    assert composite == GroupHom(g12, g6, [[2]])
-
-
 def test_contains_in_image():
     g9 = FinGenAbGroup((9,))
     triple = GroupHom(g9, g9, [[3]])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brute import congruence_by_extended_euclid, is_reduced
+from brute import class_group_by_relations, congruence_by_extended_euclid, is_reduced
 from sl2cohom import arithdata
 from sl2cohom.abelian import FinGenAbGroup, involution_orbits, kernel
 from sl2cohom.arithdata import (
@@ -48,6 +48,16 @@ def test_class_group_orders_and_structure():
     assert class_group_imaginary_quadratic(-84) == FinGenAbGroup((2, 2))
     assert class_group_imaginary_quadratic(-47) == FinGenAbGroup((5,))
     assert class_group_imaginary_quadratic(-163).is_trivial
+
+
+def test_class_groups_match_the_relation_matrix_oracle():
+    # the order walk against the Smith form of greedy relations, for all 611
+    # fundamental discriminants down to -2000; (Z/2)^3 first appears at -420
+    ds = [d for d in range(-3, -2001, -1) if is_fundamental_discriminant(d)]
+    assert len(ds) == 611
+    for d in ds:
+        assert class_group_imaginary_quadratic(d) == class_group_by_relations(d), d
+    assert class_group_imaginary_quadratic(-420) == FinGenAbGroup((2, 2, 2))
 
 
 def test_class_group_rejects_bad_discriminants():

@@ -600,7 +600,7 @@ def test_negative_or_zero_orders_keep_their_errors(capsys):
     # orders take gcds and lcms, no Smith form
     (("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"), 3),
     (("analyze-nf", "--datum", "q_zeta23.datum"), 3),  # no orders
-    (("verify",), 475),  # the oracle suites and two datum loads
+    (("verify",), 362),  # the oracle suites and two datum loads
 ])
 def test_smith_forms_per_report(monkeypatch, capsys, argv, count):
     from sl2cohom import abelian
@@ -773,6 +773,15 @@ def test_verify_fails_on_corrupted_fixture(tmp_path, capsys):
     assert code == 2
     assert "fail" in out
     assert "steinitz_in_cl_K" in out
+
+
+def test_sigma_that_is_not_an_involution_is_refused(tmp_path, capsys):
+    bad = tmp_path / "zero_sigma.datum"
+    good = (FIXTURE_DIR / "q_zeta23.datum").read_text()
+    bad.write_text(good.replace("matrix = -1", "matrix = 0"))
+    assert run(capsys, "analyze-nf", "--datum", str(bad)) == (
+        1, "ERROR\tconsistency violation [sigma_involution]: "
+        "map composed with itself is not the identity\n")
 
 
 def test_verify_resolves_every_datum_before_the_suites(monkeypatch, capsys):

@@ -232,6 +232,24 @@ def test_every_point_order_divides_group_order():
         assert ec_scalar(field, curve.a, n, pt) is None
 
 
+def test_scalar_multiple_doubles_only_while_bits_remain(monkeypatch):
+    # one addition per set bit, and a doubling only while higher bits remain
+    field = get_field(FiniteFieldSpec(11))
+    elliptic = EllipticMinusPoint(3, 5)
+    point = elliptic_points(elliptic, field)[1]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ec_add(*args)
+
+    monkeypatch.setattr(curve, "ec_add", counting)
+    for n in range(1, 65):
+        calls.clear()
+        ec_scalar(field, elliptic.a, n, point)
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
+
+
 def test_character_count_agrees_with_enumeration():
     for q in (5, 7, 9, 11, 13):
         spec = field_spec_from_order(q)
