@@ -6,7 +6,8 @@ class groups, the Steinitz class of the quadratic extension generated by
 an ell-th root of unity, unit ranks, and the order-two symmetry acting
 on the kernel of the norm map.  A datum is built by the split
 cyclotomic construction from a class group given on the command line, or
-read from a validated text file.  Imaginary-quadratic class groups, from
+read from a text file, and each builder checks its input once, as it
+reads it.  Imaginary-quadratic class groups, from
 reduced binary quadratic forms (a, b, c) under Gauss composition, back
 only the ``class_group_forms`` suite of ``verify``; their structure is
 read from the orders of the forms by ``abelian``'s one structure reader.
@@ -171,10 +172,10 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
 def _check_before_kernel(ell: int, free_ranks: tuple[int, int, int], cl_K: FinGenAbGroup,
                          cl_A: FinGenAbGroup, coker_nm1: FinGenAbGroup, unit_rank_K: int,
                          ker_nm1_rank: int) -> None:
-    """The checks on a datum's prime, groups and ranks.  A file runs them
-    as soon as its groups are read, before nm0 is built (its size is the
-    generator counts) and ker(nm0) computed (its Smith form grows with
-    them).  ``free_ranks`` are the file's free_rank keys of cl_K, cl_A and
+    """The checks on a datum's prime, groups and ranks.  Each builder runs
+    them once, as soon as it has the groups, before nm0 is built (its size
+    is the generator counts) and ker(nm0) computed (its Smith form grows
+    with them).  ``free_ranks`` are a file's free_rank keys of cl_K, cl_A and
     coker(Nm1); a datum built in the program has finite groups, so zeros."""
     if ell == 2 or not is_prime(ell):
         raise DatumConsistencyError("ell_odd_prime", f"ell = {ell} is not an odd prime")
@@ -205,9 +206,9 @@ class ArithmeticDatum(Record):
     and the base; ``sigma`` is the order-two symmetry of that extension
     acting on ker(nm0); ``coker_nm1`` is the (finite) cokernel of the norm
     map on units and ``ker_nm1_rank`` the free rank of its kernel.
-    ``ker_nm0`` is computed from ``nm0`` on construction unless the caller
-    passes the kernel it has already computed; it takes no part in
-    equality or repr.
+    ``ker_nm0`` is the kernel the builder has computed from ``nm0``; it
+    takes no part in equality or repr.  The builders check every input as
+    they read it; construction checks only the split-case rules.
     """
 
     _fields = ("ell", "trace_in_K", "split", "cl_K", "cl_A", "nm0", "steinitz",
@@ -216,31 +217,15 @@ class ArithmeticDatum(Record):
     def __init__(self, ell: int, trace_in_K: bool, split: bool, cl_K: FinGenAbGroup,
                  cl_A: FinGenAbGroup, nm0: GroupHom, steinitz: tuple[int, ...],
                  unit_rank_K: int, ker_nm1_rank: int, coker_nm1: FinGenAbGroup,
-                 sigma: Involution, ker_nm0: FinGenAbGroup | None = None):
+                 sigma: Involution, ker_nm0: FinGenAbGroup):
         values = (ell, trace_in_K, split, cl_K, cl_A, nm0, steinitz, unit_rank_K,
                   ker_nm1_rank, coker_nm1, sigma, ker_nm0)
         for name, value in zip(self._fields + ("ker_nm0",), values, strict=True):
             object.__setattr__(self, name, value)
-        _check_before_kernel(self.ell, (0, 0, 0), self.cl_K, self.cl_A, self.coker_nm1,
-                             self.unit_rank_K, self.ker_nm1_rank)
-        if self.nm0.domain != self.cl_A or self.nm0.codomain != self.cl_K:
-            raise DatumConsistencyError("nm0_shape", "nm0 must map cl_A to cl_K")
-        try:
-            self.cl_K.validate_element(self.steinitz)
-        except ValueError as exc:
-            raise DatumConsistencyError("steinitz_in_cl_K", str(exc)) from exc
-        object.__setattr__(self, "steinitz", tuple(int(c) for c in self.steinitz))
-        if self.ker_nm0 is None:
-            object.__setattr__(self, "ker_nm0", kernel(self.nm0)[0])
-        ker_group = self.ker_nm0
-        if self.sigma.group != ker_group:
-            raise DatumConsistencyError(
-                "sigma_on_ker_nm0",
-                f"sigma acts on {self.sigma.group}, but ker(nm0) is {ker_group}")
         if self.split:
-            self._check_split_case(ker_group)
+            self._check_split_case()
 
-    def _check_split_case(self, ker_group: FinGenAbGroup):
+    def _check_split_case(self):
         if not self.trace_in_K:
             raise DatumConsistencyError("split_implies_trace", "split data have trace in K")
         if self.cl_A != _doubled(self.cl_K):
@@ -258,10 +243,10 @@ class ArithmeticDatum(Record):
         c, _ = cokernel(self.nm0)
         if not c.is_trivial:
             raise DatumConsistencyError("split_nm0_onto", "in the split case nm0 is onto")
-        if ker_group != self.cl_K:
+        if self.ker_nm0 != self.cl_K:
             raise DatumConsistencyError(
                 "split_ker_nm0", "in the split case ker(nm0) is a copy of cl_K")
-        if self.sigma.hom != GroupHom.negation(ker_group):
+        if self.sigma.hom != GroupHom.negation(self.ker_nm0):
             raise DatumConsistencyError(
                 "split_sigma_negation", "in the split case sigma negates ker(nm0)")
 
@@ -281,7 +266,8 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     symmetry swaps the two copies, which is negation on ker(nm0), a copy
     of cl_K.
     """
-    cl_A = _doubled(cl_K)
+    cl_A, coker_nm1 = _doubled(cl_K), FinGenAbGroup()
+    _check_before_kernel(ell, (0, 0, 0), cl_K, cl_A, coker_nm1, unit_rank_K, unit_rank_K)
     t = len(cl_K.invariant_factors)
     matrix = [[0] * (2 * t) for _ in range(t)]
     for i in range(t):
@@ -299,8 +285,9 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
         steinitz=cl_K.zero(),
         unit_rank_K=unit_rank_K,
         ker_nm1_rank=unit_rank_K,
-        coker_nm1=FinGenAbGroup(),
+        coker_nm1=coker_nm1,
         sigma=sigma,
+        ker_nm0=kernel(nm0)[0],
     )
 
 
@@ -429,7 +416,7 @@ def _group_from_section(sec, path, name: str) -> tuple[FinGenAbGroup, int]:
 
 
 def load_datum(source) -> ArithmeticDatum:
-    """Read and fully validate a datum file."""
+    """Read a datum file, checking each part as it is read."""
     path = Path(source)
     try:
         text = path.read_text(encoding="utf-8")

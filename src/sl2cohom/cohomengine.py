@@ -233,18 +233,15 @@ def nonvanishing(datum: ArithmeticDatum) -> tuple[str, ...]:
     return ()
 
 
-def conjugacy_classes(datum: ArithmeticDatum, violated: tuple[str, ...]) -> int:
+def conjugacy_classes(datum: ArithmeticDatum) -> int:
     """Number of conjugacy classes of order-ell elements, |coker(Nm1)| * |ker(nm0)|.
 
     The class set is an extension of ker(nm0) by coker(Nm1).  Only its
     cardinality and the orbit counts of the order-two symmetry are used,
     so it is modeled as the product of the two groups, counted but never
-    listed, and the extension class is left unresolved.  Requires
-    non-vanishing: ``violated`` is what ``nonvanishing`` returns for the
-    datum, and must be empty.
+    listed, and the extension class is left unresolved.  The count means
+    something only where ``nonvanishing`` finds no violated condition.
     """
-    if violated:
-        raise ValueError("conjugacy classes require non-vanishing cohomology")
     return datum.coker_nm1.order * datum.ker_nm0.order
 
 
@@ -280,7 +277,7 @@ def decompose_number_field(datum: ArithmeticDatum) -> Decomposition:
         advisories.append(
             "extension_model=product coker_nm1_nontrivial=true "
             "orbit_counts_may_shift_under_unresolved_fiber_action")
-    classes = conjugacy_classes(datum, violated)
+    classes = conjugacy_classes(datum)
     return Decomposition(shapes=subgroup_classes(datum, classes),
                          advisories=tuple(advisories), classes=classes)
 

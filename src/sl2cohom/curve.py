@@ -157,10 +157,7 @@ class FiniteField:
     def __init__(self, spec: FiniteFieldSpec):
         self.spec = spec
         self.p, self.e, self.q = spec.p, spec.e, spec.q
-        if self.e == 1:
-            self.modulus = None
-        else:
-            self.modulus = _find_modulus(self.p, self.e)
+        self.modulus = _find_modulus(self.p, self.e) if self.e > 1 else [0, 1]
         self.exp, self.log = self._build_tables()
         if self.e > 1:
             # 1 + g^n = g^zech[n], or -1 where g^n = -1; adding 1 changes
@@ -185,14 +182,10 @@ class FiniteField:
         return code
 
     def _raw_mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
         prod = _poly_mul_mod(self._decode(a), self._decode(b), self.modulus, self.p)
         return self._encode(prod)
 
     def _raw_pow(self, a: int, n: int) -> int:
-        if self.e == 1:
-            return pow(a, n, self.p)
         return self._encode(_poly_pow_mod(self._decode(a), n, self.modulus, self.p))
 
     def _build_tables(self):
@@ -622,8 +615,5 @@ def pic_p1_minus(degrees) -> FinGenAbGroup:
     Removing closed points of degrees d_i from the projective line leaves
     the cyclic group Z/gcd(d_i), generated by the hyperplane class.
     """
-    curve = P1Minus(tuple(degrees))
-    g = 0
-    for d in curve.puncture_degrees:
-        g = gcd(g, d)
+    g = gcd(*degrees)
     return FinGenAbGroup((g,) if g > 1 else ())

@@ -130,7 +130,7 @@ def test_criterion_2_nonvanishing_truth_table():
                 cl_K=cl_K, cl_A=cl_A, nm0=nm0, steinitz=steinitz,
                 unit_rank_K=rng.randint(0, 4), ker_nm1_rank=rng.randint(0, 4),
                 coker_nm1=FinGenAbGroup.from_cyclic_orders([rng.randint(1, 4)]),
-                sigma=Involution(GroupHom.negation(k)))
+                sigma=Involution(GroupHom.negation(k)), ker_nm0=k)
             image = {nm0.apply(x) for x in cl_A.elements()}
             expected = trace and steinitz in image
             got = not nonvanishing(datum)

@@ -784,6 +784,66 @@ def test_sigma_that_is_not_an_involution_is_refused(tmp_path, capsys):
         "map composed with itself is not the identity\n")
 
 
+# each split-case rule, and nm0 a homomorphism, broken in the q_zeta23 fixture
+DATUM_RULE_EDITS = [
+    ([("trace_in_K = true", "trace_in_K = false")],
+     "split_implies_trace", "split data have trace in K"),
+    # Z/3 + Z/3 -> Z/9 kills no generator's order
+    ([("invariant_factors = 3\n", "invariant_factors = 9\n")],
+     "nm0_homomorphism", "matrix entry (0,0) does not define a homomorphism: "
+     "order-3 generator must map to an order-dividing image"),
+    ([("invariant_factors = 3,3", "invariant_factors = 9"), ("matrix = 1 1", "matrix = 1")],
+     "split_cl_A", "in the split case cl_A must be cl_K + cl_K"),
+    ([("invariant_factors =\n", "invariant_factors = 2\n")],
+     "split_coker_nm1_trivial", "in the split case coker(Nm1) is trivial"),
+    ([("ker_nm1_rank = 11", "ker_nm1_rank = 10")],
+     "split_ker_nm1_rank", "in the split case ker(Nm1) has the base unit rank"),
+    ([("matrix = 1 1", "matrix = 0 0"), ("matrix = -1", "matrix = -1 0 ; 0 -1")],
+     "split_nm0_onto", "in the split case nm0 is onto"),
+    # an onto map Z/2 + Z/2 + Z/4 + Z/4 -> Z/2 + Z/4 whose kernel is (Z/2)^3
+    ([("invariant_factors = 3\n", "invariant_factors = 2,4\n"),
+      ("invariant_factors = 3,3", "invariant_factors = 2,2,4,4"),
+      ("matrix = 1 1", "matrix = 0 0 0 1 ; 0 0 1 0"), ("coords = 0", "coords = 0,0"),
+      ("matrix = -1", "matrix = -1 0 0 ; 0 -1 0 ; 0 0 -1")],
+     "split_ker_nm0", "in the split case ker(nm0) is a copy of cl_K"),
+    ([("matrix = -1", "matrix = 1")],
+     "split_sigma_negation", "in the split case sigma negates ker(nm0)"),
+]
+
+
+@pytest.mark.parametrize("edits,invariant,message", DATUM_RULE_EDITS,
+                         ids=[invariant for _, invariant, _ in DATUM_RULE_EDITS])
+def test_each_split_rule_refuses_its_datum(tmp_path, capsys, edits, invariant, message):
+    text = (FIXTURE_DIR / "q_zeta23.datum").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    bad = tmp_path / f"{invariant}.datum"
+    bad.write_text(text)
+    assert run(capsys, "analyze-nf", "--datum", str(bad)) == (
+        1, f"ERROR\tconsistency violation [{invariant}]: {message}\n")
+
+
+def test_a_datum_trial_divides_its_prime_once(monkeypatch, tmp_path, capsys):
+    # 999999999989 is the largest prime below the trial-division bound
+    from sl2cohom import abelian
+
+    ell = 999999999989
+    calls = []
+    factorize = abelian.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(abelian, "factorize", counting)
+    path = tmp_path / "large_ell.datum"
+    path.write_text((FIXTURE_DIR / "q_zeta23.datum").read_text().replace("ell = 23",
+                                                                         f"ell = {ell}"))
+    code, _ = run(capsys, "analyze-nf", "--datum", str(path))
+    assert code == 0 and calls.count(ell) == 1
+
+
 def test_verify_resolves_every_datum_before_the_suites(monkeypatch, capsys):
     # a missing file used to be named after all five suites had run (0.6 s)
     from sl2cohom import cli

@@ -236,7 +236,7 @@ def random_non_split_datum(rng, sigma_mode):
         ell=rng.choice((3, 5, 7)), trace_in_K=rng.random() < 0.85, split=False,
         cl_K=cl_k, cl_A=cl_a, nm0=nm0, steinitz=steinitz,
         unit_rank_K=rng.randint(0, 3), ker_nm1_rank=rng.randint(0, 3),
-        coker_nm1=FinGenAbGroup(rng.choice(COKER)), sigma=sigma)
+        coker_nm1=FinGenAbGroup(rng.choice(COKER)), sigma=sigma, ker_nm0=ker)
 
 
 def non_split_data():

@@ -65,7 +65,7 @@ def synthetic_datum(*, trace=True, cl_K=None, cl_A=None, nm0=None, steinitz=None
     return ArithmeticDatum(
         ell=ell, trace_in_K=trace, split=False, cl_K=cl_K, cl_A=cl_A, nm0=nm0,
         steinitz=steinitz, unit_rank_K=unit_rank, ker_nm1_rank=ker_rank,
-        coker_nm1=coker, sigma=sigma)
+        coker_nm1=coker, sigma=sigma, ker_nm0=k)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +192,13 @@ def test_nonvanishing_truth_table_random():
 
 def test_three_conjugacy_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    assert conjugacy_classes(datum, nonvanishing(datum)) == 3
+    assert conjugacy_classes(datum) == 3
     assert decompose_number_field(datum).classes == 3
 
 
 def test_conjugacy_classes_trivial_case():
     datum = build_split_datum(FinGenAbGroup(), 1, 3)
-    assert conjugacy_classes(datum, nonvanishing(datum)) == 1
+    assert conjugacy_classes(datum) == 1
 
 
 def test_conjugacy_classes_multiplicative():
@@ -206,13 +206,11 @@ def test_conjugacy_classes_multiplicative():
         cl_A=FinGenAbGroup((3,)), cl_K=FinGenAbGroup(),
         nm0=GroupHom(FinGenAbGroup((3,)), FinGenAbGroup(), []),
         coker=FinGenAbGroup((2,)))
-    assert conjugacy_classes(datum, nonvanishing(datum)) == 6
+    assert conjugacy_classes(datum) == 6
 
 
 def test_conjugacy_classes_require_nonvanishing():
     datum = synthetic_datum(trace=False)
-    with pytest.raises(ValueError):
-        conjugacy_classes(datum, nonvanishing(datum))
     assert decompose_number_field(datum).classes is None
 
 
@@ -222,7 +220,7 @@ def test_split_data_have_class_number_many_conjugacy_classes():
         cl = FinGenAbGroup.from_cyclic_orders(
             [rng.randint(1, 6) for _ in range(rng.randint(0, 2))])
         datum = build_split_datum(cl, rng.randint(0, 3), 5)
-        assert conjugacy_classes(datum, nonvanishing(datum)) == cl.order
+        assert conjugacy_classes(datum) == cl.order
 
 
 def shape_counts(shapes):
@@ -231,13 +229,13 @@ def shape_counts(shapes):
 
 def test_two_subgroup_classes_for_cyclotomic_fixture():
     datum = load_datum(QZETA23)
-    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
     assert shape_counts(shapes) == [("Invariant", 11, 1), ("NonInvariant", 11, 1)]
 
 
 def test_subgroup_classes_on_cyclic5_kernel():
     datum = build_split_datum(FinGenAbGroup((5,)), 2, 7)
-    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
     assert sum(count for _, count in shapes) == 3
     assert shape_counts(shapes) == [("Invariant", 2, 1), ("NonInvariant", 2, 2)]
 
@@ -249,7 +247,7 @@ def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
     datum = synthetic_datum(cl_A=cl_A, nm0=zero_hom(cl_A, FinGenAbGroup()),
                             coker=FinGenAbGroup((4,)), ker_rank=1,
                             sigma=Involution(GroupHom.identity(cl_A)))
-    shapes = subgroup_classes(datum, conjugacy_classes(datum, nonvanishing(datum)))
+    shapes = subgroup_classes(datum, conjugacy_classes(datum))
     assert shape_counts(shapes) == [("Invariant", 1, 6), ("NonInvariant", 1, 3)]
 
 
