@@ -131,8 +131,9 @@ def compose(a1: int, b1: int, c1: int, a2: int, b2: int) -> tuple[int, int, int]
     return reduce_form(a3, b3, c3)
 
 
-def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
-    """Form class group of a negative fundamental discriminant.
+def class_group_imaginary_quadratic(d: int, forms) -> FinGenAbGroup:
+    """Form class group of a negative fundamental discriminant d, which the
+    caller has checked, from ``forms = reduced_forms(d)``.
 
     Classes are the reduced forms under Gauss composition.  Each form
     whose order is not yet known is composed with itself until the
@@ -140,11 +141,6 @@ def class_group_imaginary_quadratic(d: int) -> FinGenAbGroup:
     for every power not seen before.  The abstract structure is read from
     those orders by ``structure_from_element_orders``.
     """
-    if d >= 0:
-        raise ValueError("discriminant must be negative")
-    if not is_fundamental_discriminant(d):
-        raise ValueError(f"{d} is not a fundamental discriminant")
-    forms = reduced_forms(d)
     h = len(forms)
     identity = reduce_form(*principal_form(d))
     orders: dict[tuple[int, int, int], int] = {}

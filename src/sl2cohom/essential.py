@@ -10,15 +10,18 @@ structural.
 
 The distinguished element built here is the product of all nonzero
 degree-1 classes (ell = 2) respectively all nonzero degree-2 classes
-(odd ell): it restricts to zero on every proper subgroup, is symmetric
-under coordinate permutations, and lives in the polynomial subring,
-hence acts without torsion.
+(odd ell).  It restricts to zero on every proper subgroup, by Dickson's
+factorization: each proper subgroup lies in a hyperplane, and the
+linear form of that hyperplane's line is a factor of the product.  No
+report computes that fact; the tests check it with ``restrict``.  The
+product is symmetric under coordinate permutations and lives in the
+polynomial subring, hence acts without torsion.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product as _cartesian, starmap
-from operator import gt, lshift, mul
+from operator import gt, lshift
 
 from .abelian import InputError, Record, is_prime
 
@@ -238,7 +241,8 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
     matrix (n rows, rank k mod ell).  Each generator of the big algebra is
     substituted by the linear combination of small-algebra generators
     given by its matrix row, keeping each term's degree.  No report calls
-    it: it is the tests' oracle for ``restrict_linear_form``, kept for the tracer.
+    it: it is the tests' oracle for Dickson's theorem on the product, which
+    the ``RESTRICTIONS`` line prints without computing it; kept for the tracer.
     """
     spec = element.spec
     ell = spec.ell
@@ -262,35 +266,6 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
     return GradedElement._from_packed(GradedAlgebraSpec(ell, k), element.top, _reduced(total, ell))
-
-
-def restrict_linear_form(line, matrix, ell: int) -> list[int]:
-    """Coefficients of the form sum line[i] * (generator i) restricted along
-    the columns of ``matrix``: the row line * matrix mod ell."""
-    return [sum(map(mul, line, column)) % ell for column in zip(*matrix)]
-
-
-def line_factors_vanish_on_hyperplanes(spec: GradedAlgebraSpec, subgroups) -> bool:
-    """True when each hyperplane among ``subgroups`` restricts to zero the form
-    of the line it annihilates, 1 on the row r that is no pivot and -M[r][j]
-    on the pivot row of column j: every ``restrict_linear_form`` row is zero.
-    That decides the essential product by Dickson's factorization of L_n into
-    one such form per line, in an integral domain.  A basis M must be n rows in
-    reduced column-echelon form, as ``enumerate_proper_subgroups`` lists them
-    (column j's first nonzero 1, on a row 0 elsewhere), or ValueError is raised.
-    """
-    n = spec.n
-    for matrix in (m for m in subgroups if len(m[0]) == n - 1):
-        columns = list(zip(*matrix, strict=True))
-        pivots = [next((i for i, v in enumerate(column) if v), 0) for column in columns]
-        if len(matrix) != n or any(column[p] != 1 or matrix[p].count(0) != n - 2
-                                   for column, p in zip(columns, pivots)):
-            raise ValueError("hyperplane basis is not n rows in reduced column-echelon form")
-        r = n * (n - 1) // 2 - sum(pivots)  # the pivots are n - 1 distinct rows
-        line = [1 if i == r else -matrix[r][pivots.index(i)] for i in range(n)]
-        if any(restrict_linear_form(line, matrix, spec.ell)):
-            return False
-    return True
 
 
 def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:

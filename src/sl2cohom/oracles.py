@@ -258,7 +258,7 @@ def suite_class_group_forms() -> SuiteResult:
         if not is_fundamental_discriminant(d):
             continue
         forms = reduced_forms(d)
-        group = class_group_imaginary_quadratic(d)
+        group = class_group_imaginary_quadratic(d, forms)
         if group.order != len(forms):
             return SuiteResult(name, False, f"{d}: structure order vs form count")
         identity = reduce_form(*principal_form(d))

@@ -19,7 +19,7 @@ by the extended Euclidean algorithm.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup, factorize, smith_normal_form
@@ -498,10 +498,11 @@ def general_product_tables(field):
 
     The generator is the first candidate (from 2 in a prime field, from p
     in GF(p^e)) that no cofactor (q - 1)/r, r a prime divisor of q - 1,
-    sends to 1; its powers are walked by ``field._raw_mul``, the product
-    on digit polynomials.  zech[n] is the log of 1 + g^n, which is g^n with
-    its constant digit raised by 1 mod p, or -1 where that is 0; a prime
-    field gets None.
+    sends to 1.  A prime field is walked in integers mod p, calling nothing
+    in ``curve``; GF(p^e) by ``field._raw_mul``, the product on digit
+    polynomials.  zech[n] is the log of 1 + g^n, which is g^n with its
+    constant digit raised by 1 mod p, or -1 where that is 0; a prime field
+    gets None.
     """
     q, p, n = field.q, field.p, field.q - 1
     primes, rest, r = [], n, 2
@@ -511,9 +512,14 @@ def general_product_tables(field):
             while rest % r == 0:
                 rest //= r
         r += 1
-    gen = next(c for c in (range(2, q) if field.e == 1 else range(p, q))
-               if all(field._raw_pow(c, n // r) != 1 for r in primes))
-    mul, exp = field._raw_mul, [1]
+    if field.e == 1:
+        gen = next(c for c in range(2, q) if all(pow(c, n // r, p) != 1 for r in primes))
+        mul = partial(digitwise_mul, field)
+    else:
+        gen = next(c for c in range(p, q)
+                   if all(field._raw_pow(c, n // r) != 1 for r in primes))
+        mul = field._raw_mul
+    exp = [1]
     for _ in range(n - 1):
         exp.append(mul(gen, exp[-1]))
     log = [0] * q

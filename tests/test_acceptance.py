@@ -252,14 +252,14 @@ def test_criterion_5_exact_algebra_oracle_equivalence():
 
 def test_criterion_6_class_groups_and_composition_axioms():
     with criterion(6, "class numbers and composition-table group axioms to -2000"):
-        assert class_group_imaginary_quadratic(-23) == FinGenAbGroup((3,))
-        assert class_group_imaginary_quadratic(-4).is_trivial
-        assert class_group_imaginary_quadratic(-84) == FinGenAbGroup((2, 2))
+        assert class_group_imaginary_quadratic(-23, reduced_forms(-23)) == FinGenAbGroup((3,))
+        assert class_group_imaginary_quadratic(-4, reduced_forms(-4)).is_trivial
+        assert class_group_imaginary_quadratic(-84, reduced_forms(-84)) == FinGenAbGroup((2, 2))
         for d in range(-3, -2001, -1):
             if not is_fundamental_discriminant(d):
                 continue
             forms = reduced_forms(d)
-            group = class_group_imaginary_quadratic(d)
+            group = class_group_imaginary_quadratic(d, forms)
             assert group.order == len(forms), d
             identity = reduce_form(*principal_form(d))
             for f in forms:

