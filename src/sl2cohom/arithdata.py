@@ -170,9 +170,9 @@ def _check_before_kernel(ell: int, free_ranks: tuple[int, int, int], cl_K: FinGe
                          ker_nm1_rank: int) -> None:
     """The checks on a datum's prime, groups and ranks.  Each builder runs
     them once, as soon as it has the groups, before nm0 is built (its size
-    is the generator counts) and ker(nm0) computed (its Smith form grows
-    with them).  ``free_ranks`` are a file's free_rank keys of cl_K, cl_A and
-    coker(Nm1); a datum built in the program has finite groups, so zeros."""
+    is the generator counts) and a file's ker(nm0) computed (its Smith form
+    grows with them).  ``free_ranks`` are a file's free_rank keys of cl_K, cl_A
+    and coker(Nm1); a datum built in the program has finite groups, so zeros."""
     if ell == 2 or not is_prime(ell):
         raise DatumConsistencyError("ell_odd_prime", f"ell = {ell} is not an odd prime")
     cl_K_free, cl_A_free, coker_nm1_free = free_ranks
@@ -202,9 +202,9 @@ class ArithmeticDatum(Record):
     and the base; ``sigma`` is the order-two symmetry of that extension
     acting on ker(nm0); ``coker_nm1`` is the (finite) cokernel of the norm
     map on units and ``ker_nm1_rank`` the free rank of its kernel.
-    ``ker_nm0`` is the kernel the builder has computed from ``nm0``; it
-    takes no part in equality or repr.  The builders check every input as
-    they read it; construction checks only the split-case rules.
+    ``ker_nm0`` is ker(nm0) as its builder has it (cl_K itself when split);
+    it takes no part in equality or repr.  The builders check every input
+    as they read it; construction checks only the split-case rules.
     """
 
     _fields = ("ell", "trace_in_K", "split", "cl_K", "cl_A", "nm0", "steinitz",
@@ -259,8 +259,9 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
     The quadratic extension splits into two copies of the base ring, so the
     class group doubles, the norm map on classes is the sum map, the
     Steinitz class vanishes, the unit-norm cokernel is trivial, and the
-    symmetry swaps the two copies, which is negation on ker(nm0), a copy
-    of cl_K.
+    symmetry swaps the two copies.  The sum map's kernel {(x, -x)} is cl_K,
+    on which the swap is negation, so it is passed with no Smith form: the
+    ``split_ker_nm0`` and ``split_sigma_negation`` checks hold by construction.
     """
     cl_A, coker_nm1 = _doubled(cl_K), FinGenAbGroup()
     _check_before_kernel(ell, (0, 0, 0), cl_K, cl_A, coker_nm1, unit_rank_K, unit_rank_K)
@@ -283,7 +284,7 @@ def build_split_datum(cl_K: FinGenAbGroup, unit_rank_K: int, ell: int) -> Arithm
         ker_nm1_rank=unit_rank_K,
         coker_nm1=coker_nm1,
         sigma=sigma,
-        ker_nm0=kernel(nm0)[0],
+        ker_nm0=cl_K,
     )
 
 

@@ -10,12 +10,10 @@ structural.
 
 The distinguished element built here is the product of all nonzero
 degree-1 classes (ell = 2) respectively all nonzero degree-2 classes
-(odd ell).  It restricts to zero on every proper subgroup, by Dickson's
-factorization: each proper subgroup lies in a hyperplane, and the
-linear form of that hyperplane's line is a factor of the product.  No
-report computes that fact; the tests check it with ``restrict``.  The
-product is symmetric under coordinate permutations and lives in the
-polynomial subring, hence acts without torsion.
+(odd ell).  Its degree, its vanishing on every proper subgroup (Dickson's
+factorization), its symmetry under coordinate permutations and its
+regularity are theorems the report prints without computing them; the
+tests check them on the product with ``restrict`` and ``weyl_invariance``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is b
 MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
 # bits a slot of a packed monomial: every admitted degree ell^n - 1 fits
 WIDTH = (MAX_GROUP_ORDER - 1).bit_length()
-_MASK = (1 << WIDTH) - 1  # one slot; 2^WIDTH = 1 mod _MASK, so a key mod _MASK is its degree
+_MASK = (1 << WIDTH) - 1  # one slot
 MAX_DEGREE = _MASK - 1  # the largest total degree of a term an element may hold
 
 
@@ -126,16 +124,6 @@ class GradedElement:
     def terms(self) -> dict[MonomialKey, int]:
         """The terms keyed by exponent tuples."""
         return dict(zip(self._exponents(), self.packed.values()))
-
-    def degree(self) -> int | None:
-        """Common degree of a homogeneous element (None for zero)."""
-        weight = 1 if self.spec.ell == 2 else 2
-        degs = {key % _MASK for key in self.packed}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return weight * degs.pop()
 
     # -- arithmetic -----------------------------------------------------------
     def _require_same_algebra(self, other: "GradedElement"):
@@ -275,7 +263,8 @@ def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
     group.  Each is a bijection on the terms' keys, so it fixes the element
     exactly when every swapped key carries the same coefficient.  Swapping
     the exponents a, b of the slots at bits s > t adds (b - a)(2^s - 2^t)
-    to a packed key.
+    to a packed key.  No report calls it: it is the tests' oracle for the
+    theorem the ``WEYL`` line prints without computing it; kept for the tracer.
     """
     if element.spec != spec:
         raise ValueError("element does not belong to the given algebra")

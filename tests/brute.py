@@ -383,6 +383,16 @@ def polynomial_linear_form(spec, coeffs) -> GradedElement:
     return GradedElement(spec, linear_form(coeffs, spec.ell))
 
 
+def homogeneous_degree(element) -> int:
+    """The weighted total degree of a nonzero element, read off its exponent
+    tuples (each generator of degree 1 for ell = 2, 2 otherwise); asserts
+    that every term has it."""
+    weight = 1 if element.spec.ell == 2 else 2
+    degrees = {weight * sum(exps) for exps in element.terms}
+    assert len(degrees) == 1, f"terms of degrees {sorted(degrees)}"
+    return degrees.pop()
+
+
 def multiplied_out_product(spec) -> dict:
     """Product of the linear forms of all nonzero vectors, one at a time."""
     result = {(0,) * spec.n: 1}

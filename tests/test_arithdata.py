@@ -1,10 +1,11 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from brute import class_group_by_relations, congruence_by_extended_euclid, is_reduced
 from sl2cohom import arithdata
-from sl2cohom.abelian import FinGenAbGroup, involution_orbits, kernel
+from sl2cohom.abelian import FinGenAbGroup, GroupHom, involution_orbits, kernel
 from sl2cohom.arithdata import (
     ArithmeticDatum,
     DatumConsistencyError,
@@ -201,6 +202,19 @@ def test_split_datum_kernel_size_matches_class_number():
         datum = build_split_datum(cl, rng.randint(0, 5), 7)
         k, _ = kernel(datum.nm0)
         assert k.order == cl.order
+
+
+def test_split_kernel_is_the_class_group():
+    # the builder passes cl_K as ker(nm0), with no Smith form: the sum map's
+    # kernel {(x, -x)} is a copy of cl_K, on which the swap is negation
+    shapes = {FinGenAbGroup.from_cyclic_orders(orders)
+              for k in range(4) for orders in combinations_with_replacement(range(1, 13), k)}
+    shapes |= {FinGenAbGroup.from_cyclic_orders(orders)
+               for orders in ((6, 6), (2, 2, 2, 2), (2, 3, 4, 5, 6, 7))}
+    for cl_K in shapes:
+        datum = build_split_datum(cl_K, 1, 3)
+        assert kernel(datum.nm0)[0] == datum.ker_nm0 == cl_K, cl_K
+        assert datum.sigma.hom == GroupHom.negation(cl_K), cl_K
 
 
 def test_datum_rejects_even_ell():

@@ -6,6 +6,7 @@ import pytest
 from brute import (
     column_span,
     gaussian_binomial,
+    homogeneous_degree,
     moore_power,
     multiplied_out_product,
     polynomial_linear_form,
@@ -74,7 +75,7 @@ def test_product_rank2_mod2():
     x1, x2 = gen(spec, 0), gen(spec, 1)
     summands = [(x1 * x1 * x2).terms, (x1 * x2 * x2).terms]
     assert product == GradedElement(spec, term_sum(summands, 2))
-    assert product.degree() == 3
+    assert homogeneous_degree(product) == 3
 
 
 def test_product_rank1_mod2_is_the_generator():
@@ -95,7 +96,7 @@ def test_product_degrees(ell, n, expected_degree):
     spec = GradedAlgebraSpec(ell, n)
     product = essential_product(spec)
     assert not product.is_zero
-    assert product.degree() == expected_degree
+    assert homogeneous_degree(product) == expected_degree
 
 
 # every (ell, n) with ell^n <= 81 but (2, 6), whose multiplied-out product alone takes seconds
@@ -136,7 +137,8 @@ def test_random_products_match_the_tuple_product(ell, n):
         assert product.terms == tuple_product(left.terms, right.terms, ell)
         assert product == GradedElement(spec, product.terms)
         if not product.is_zero:
-            assert product.degree() == (1 if ell == 2 else 2) * sum(next(iter(product.terms)))
+            assert homogeneous_degree(product) == (
+                homogeneous_degree(left) + homogeneous_degree(right))
     chain, expected = one(spec), {(0,) * n: 1}
     for _ in range(12):
         factor = random_homogeneous(rng, spec, rng.randrange(1, 4), 3)
@@ -152,8 +154,6 @@ def test_equality_of_built_and_multiplied_elements():
     assert GradedElement(spec, {(1, 0): 4}) == y1  # coefficients mod ell
     assert cube != y1 * y2 * y2 and cube == GradedElement(spec, {(3, 0): 1})
     assert cube != GradedElement(GradedAlgebraSpec(5, 2), {(3, 0): 1})
-    with pytest.raises(ValueError, match="not homogeneous"):
-        GradedElement(spec, {(3, 0): 1, (0, 1): 1}).degree()
 
 
 def test_every_admitted_degree_fits_the_slots():
@@ -168,7 +168,7 @@ def test_every_admitted_degree_fits_the_slots():
 def test_degree_guard_refuses_what_the_slots_cannot_hold():
     spec = GradedAlgebraSpec(3, 2)
     edge = GradedElement(spec, {(MAX_DEGREE, 0): 1, (0, MAX_DEGREE): 2})
-    assert edge.degree() == 2 * MAX_DEGREE
+    assert homogeneous_degree(edge) == 2 * MAX_DEGREE
     with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
         GradedElement(spec, {(MAX_DEGREE, 1): 1})
     with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
@@ -176,7 +176,8 @@ def test_degree_guard_refuses_what_the_slots_cannot_hold():
     # slots filled to MAX_DEGREE do not carry into their neighbours
     half = {(511, 0): 1, (0, 511): 2, (255, 256): 1}
     square = GradedElement(spec, half) * GradedElement(spec, half)
-    assert square.terms == tuple_product(half, half, 3) and square.degree() == 2 * MAX_DEGREE
+    assert square.terms == tuple_product(half, half, 3)
+    assert homogeneous_degree(square) == 2 * MAX_DEGREE
     with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
         square * gen(spec, 1)
     largest = essential_product(GradedAlgebraSpec(5, 4))  # terms of total degree 624
@@ -237,6 +238,19 @@ def test_enumerator_lists_echelon_hyperplanes_on_every_admitted_input():
             for column in zip(*matrix):
                 pivot = next(i for i, v in enumerate(column) if v)
                 assert column[pivot] == 1 and matrix[pivot].count(0) == n - 2, matrix
+
+
+def test_printed_theorems_hold_on_every_admitted_product():
+    # the essential report prints degree=, nonzero=true, WEYL invariant=true
+    # and REGULARITY non_zero_divisor=true from (ell, n) alone, as theorems on
+    # the product of the ell^n - 1 nonzero linear forms; check them on it
+    for ell, n in ADMITTED:
+        spec = GradedAlgebraSpec(ell, n)
+        product = essential_product(spec)
+        assert not product.is_zero, (ell, n)
+        degree = 2 ** n - 1 if ell == 2 else 2 * (ell ** n - 1)
+        assert homogeneous_degree(product) == degree, (ell, n)
+        assert weyl_invariance(product, spec), (ell, n)
 
 
 def test_restriction_along_identity_is_identity():
@@ -462,9 +476,3 @@ def test_coefficients_reduced_mod_ell():
     assert GradedElement(spec, {(1,): 3}).is_zero
     assert polynomial_linear_form(spec, [3]).is_zero
     assert (gen(spec, 0) * gen(spec, 0)).scaled(3).is_zero
-
-
-def test_nonhomogeneous_degree_raises():
-    spec = GradedAlgebraSpec(3, 2)
-    with pytest.raises(ValueError):
-        GradedElement(spec, {(1, 0): 1, (1, 1): 1}).degree()
