@@ -4,31 +4,30 @@ For ell = 2 the algebra on a rank-n group is polynomial on degree-1
 generators x1..xn; for odd ell it is polynomial on the degree-2
 Bockstein classes y1..yn tensor an exterior algebra on degree-1
 generators.  Only the polynomial subring F_ell[y1..yn] (all of it for
-ell = 2) is modelled: elements are sparse sums of monomials, each packed
-into one integer key, with coefficients mod ell, so equality is
-structural.
+ell = 2) is modelled: elements are sparse sums of monomials keyed by
+exponent tuples, with coefficients mod ell, so equality is structural.
 
-The distinguished element built here is the product of all nonzero
-degree-1 classes (ell = 2) respectively all nonzero degree-2 classes
-(odd ell).  Its degree, its vanishing on every proper subgroup (Dickson's
-factorization), its symmetry under coordinate permutations and its
-regularity are theorems the report prints without computing them; the
-tests check them on the product with ``restrict`` and ``weyl_invariance``.
+The distinguished element is the product of all nonzero degree-1
+classes (ell = 2) respectively all nonzero degree-2 classes (odd ell);
+the report prints the terms of its closed form as they come, with no
+multiplication.  Its degree, its vanishing on every proper subgroup
+(Dickson's factorization), its symmetry under coordinate permutations
+and its regularity are theorems the report prints without computing
+them; the tests check them on the product with ``restrict`` and
+``weyl_invariance``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product as _cartesian, starmap
-from operator import gt, lshift
+from functools import cache
+from itertools import islice, product as _cartesian, starmap
+from operator import add
+from typing import Iterator
 
 from .abelian import InputError, Record, is_prime
 
 MAX_GROUP_ORDER = 3 ** 6  # the largest group order whose essential product is built
-MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report lists
-# bits a slot of a packed monomial: every admitted degree ell^n - 1 fits
-WIDTH = (MAX_GROUP_ORDER - 1).bit_length()
-_MASK = (1 << WIDTH) - 1  # one slot
-MAX_DEGREE = _MASK - 1  # the largest total degree of a term an element may hold
+MAX_PROPER_SUBGROUPS = 10 ** 5  # the most proper subgroups an essential report counts
 
 
 class GradedAlgebraSpec(Record):
@@ -49,161 +48,140 @@ class GradedAlgebraSpec(Record):
 MonomialKey = tuple[int, ...]
 
 
-def _shifts(n: int) -> list[int]:
-    """Bit offset of each generator's slot, the first generator's the highest."""
-    return [WIDTH * (n - 1 - i) for i in range(n)]
-
-
-def _bounded(top: int) -> int:
-    """``top``, a bound on the total degree of some terms, if no slot can carry."""
-    if top > MAX_DEGREE:
-        raise ValueError(f"total degree {top} exceeds the slot bound {MAX_DEGREE}")
-    return top
-
-
-def _reduced(terms: dict, ell: int) -> dict:
-    """The terms with coefficients reduced mod ell and no zero term, in place."""
-    for key, c in terms.items():
-        terms[key] = c % ell
-    for key in [key for key, c in terms.items() if not c]:
-        del terms[key]
-    return terms
-
-
-def _product(left: dict, right: dict) -> dict:
-    """Product of two packed term dicts whose slots hold it, with
-    coefficients not reduced."""
-    out: dict[int, int] = {}
+def _product(left: dict, right: dict, ell: int) -> dict:
+    """Product of two term dicts, with coefficients mod ell and no zero term."""
+    out: dict[MonomialKey, int] = {}
     get = out.get
-    right = right.items()
     for k1, c1 in left.items():
-        for k2, c2 in right:
-            key = k1 + k2
+        for k2, c2 in right.items():
+            key = tuple(map(add, k1, k2))
             out[key] = get(key, 0) + c1 * c2
-    return out
+    return {key: c % ell for key, c in out.items() if c % ell}
+
+
+def terms_text(terms, spec: GradedAlgebraSpec) -> str:
+    """The (exponent tuple, coefficient) pairs as printed, in the order
+    given: ``2*y1^2*y2`` for a term, ``" + "`` between terms, ``0`` for none.
+    Terms are joined 4096 at a time, so no list of them all is held."""
+    name = "x" if spec.ell == 2 else "y"
+    names = [f"{name}{i + 1}" for i in range(spec.n)]
+
+    def text(exps, coeff):
+        body = "*".join([var if e == 1 else f"{var}^{e}" for var, e in zip(names, exps) if e])
+        return f"{coeff}*{body}" if body and coeff != 1 else body or str(coeff)
+
+    pieces = starmap(text, terms)
+    return " + ".join(iter(lambda: " + ".join(islice(pieces, 4096)), "")) or "0"
 
 
 class GradedElement:
-    """Sparse element of the polynomial subring attached to a spec.
+    """Sparse element of the polynomial subring attached to a spec: terms
+    keyed by exponent tuples, coefficients nonzero mod ell."""
 
-    A monomial is one integer: the exponent of generator i fills slot i of
-    ``WIDTH`` bits, the first slot the most significant, so integer order
-    is the order of exponent tuples.  ``top`` bounds the total degree of
-    every term, at most ``MAX_DEGREE``, so no slot carries and the product
-    of two monomials is the sum of their keys; an element or product of
-    higher degree is refused.  The constructor and ``terms`` speak
-    exponent tuples; ``packed`` holds the keys.
-    """
-
-    __slots__ = ("spec", "top", "packed")
+    __slots__ = ("spec", "_terms")
 
     def __init__(self, spec: GradedAlgebraSpec, terms: dict[MonomialKey, int] | None = None):
-        clean = _reduced({tuple(exps): coeff for exps, coeff in (terms or {}).items()}, spec.ell)
-        self.spec, self.top = spec, _bounded(max(map(sum, clean), default=0))
-        shifts = _shifts(spec.n)
-        self.packed = {sum(map(lshift, exps, shifts)): c for exps, c in clean.items()}
+        self.spec = spec
+        self._terms = {tuple(e): c % spec.ell for e, c in (terms or {}).items() if c % spec.ell}
 
-    @classmethod
-    def _from_packed(cls, spec, top: int, packed: dict) -> "GradedElement":
-        """An element from reduced packed terms of total degree at most ``top``."""
-        element = cls.__new__(cls)
-        element.spec, element.top, element.packed = spec, top, packed
-        return element
-
-    # -- structure ------------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.packed
-
-    def _exponents(self) -> list[MonomialKey]:
-        """The exponent tuple of each packed key, in the order of ``packed``."""
-        shifts = _shifts(self.spec.n)
-        return [tuple([key >> s & _MASK for s in shifts]) for key in self.packed]
+        return not self._terms
 
     @property
     def terms(self) -> dict[MonomialKey, int]:
-        """The terms keyed by exponent tuples."""
-        return dict(zip(self._exponents(), self.packed.values()))
-
-    # -- arithmetic -----------------------------------------------------------
-    def _require_same_algebra(self, other: "GradedElement"):
-        if self.spec != other.spec:
-            raise ValueError("elements live in different algebras")
-
-    def scaled(self, c: int) -> "GradedElement":
-        return self._from_packed(self.spec, self.top, _reduced(
-            {key: v * c for key, v in self.packed.items()}, self.spec.ell))
+        """The terms keyed by exponent tuples, a copy."""
+        return dict(self._terms)
 
     def __mul__(self, other: "GradedElement") -> "GradedElement":
-        self._require_same_algebra(other)
-        return self._from_packed(self.spec, _bounded(self.top + other.top), _reduced(
-            _product(self.packed, other.packed), self.spec.ell))
+        if self.spec != other.spec:
+            raise ValueError("elements live in different algebras")
+        return GradedElement(self.spec, _product(self._terms, other._terms, self.spec.ell))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.spec == other.spec and self.packed == other.packed
+        return self.spec == other.spec and self._terms == other._terms
 
-    # -- printing -------------------------------------------------------------
     def __str__(self) -> str:
-        if not self.packed:
-            return "0"
-        name = "x" if self.spec.ell == 2 else "y"
-        slots = [(f"{name}{i + 1}", s) for i, s in enumerate(_shifts(self.spec.n))]
-        pieces = []
-        for key in sorted(self.packed):
-            coeff = self.packed[key]
-            body = "*".join([var if e == 1 else f"{var}^{e}" for var, s in slots
-                             if (e := key >> s & _MASK)])
-            if not body:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append(body)
-            else:
-                pieces.append(f"{coeff}*{body}")
-        return " + ".join(pieces)
+        return terms_text(sorted(self._terms.items()), self.spec)
 
     __repr__ = __str__
 
 
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
-    """Product of all nonzero degree-1 (ell = 2) or degree-2 (odd) classes.
-
-    By Dickson it is (-1)^((ell^n - 1)/(ell - 1)) L_n^(ell - 1); the Moore
-    determinant L_n = det(y_j^(ell^i)) has one signed term per arrangement of
-    the exponents 1, ell, ..., ell^(n-1).  It is nonzero, of degree 2^n - 1
-    (ell = 2) or 2(ell^n - 1).  Groups of order above ``MAX_GROUP_ORDER``, or
-    with more than ``MAX_PROPER_SUBGROUPS`` proper subgroups, are refused.
-    """
+def proper_subgroup_count(spec: GradedAlgebraSpec) -> int:
+    """The number of proper nonzero subgroups, the Gaussian binomials [n k]_ell
+    summed over 0 < k < n.  A rank below 1, a group of order above
+    ``MAX_GROUP_ORDER`` or with more proper subgroups than
+    ``MAX_PROPER_SUBGROUPS`` is refused: it has no essential report."""
     ell, n = spec.ell, spec.n
     if n < 1:
         raise InputError("need rank at least 1")
     if n > MAX_GROUP_ORDER.bit_length():  # then ell^n >= 2^n is over the bound; not built
         raise InputError(f"group order {ell}^{n} exceeds the product bound {MAX_GROUP_ORDER}")
-    order = ell ** n
-    if order > MAX_GROUP_ORDER:
-        raise InputError(f"group order {order} exceeds the product bound {MAX_GROUP_ORDER}")
-    count, binomial = 0, 1  # proper subgroups: the Gaussian binomials [n k]_ell, 0 < k < n
+    if ell ** n > MAX_GROUP_ORDER:
+        raise InputError(f"group order {ell ** n} exceeds the product bound {MAX_GROUP_ORDER}")
+    count, binomial = 0, 1
     for k in range(1, n):
         binomial = binomial * (ell ** (n - k + 1) - 1) // (ell ** k - 1)
         count += binomial
     if count > MAX_PROPER_SUBGROUPS:
         raise InputError(f"the report would list {count} proper subgroups, "
                          f"over the subgroup bound {MAX_PROPER_SUBGROUPS}")
-    shifts = _shifts(n)
-    moore = GradedElement._from_packed(spec, (order - 1) // (ell - 1), _reduced(
-        {sum(map(lshift, exps, shifts)): (-1) ** sum(starmap(gt, combinations(exps, 2)))
-         for exps in permutations([ell ** i for i in range(n)])}, ell))
-    result = moore.scaled((-1) ** n)  # (ell^n - 1)/(ell - 1) has the parity of n, ell odd
-    for _ in range(ell - 2):
-        result = result * moore
-    if result.is_zero:
+    return count
+
+
+def product_terms(spec: GradedAlgebraSpec) -> Iterator[tuple[MonomialKey, int]]:
+    """The terms (exponent tuple, coefficient) of the product of all nonzero
+    degree-1 (ell = 2) or degree-2 (odd ell) classes, in increasing order.
+
+    The product is the sum over the n x n matrices A of non-negative
+    integers with all row and column sums ell - 1 of (prod A_ij!)^(-1)
+    prod_i y_i^(sum_j A_ij ell^j): by Wilson, the power-sum lemma behind
+    Chevalley-Warning and Frobenius, the sum is sum_t <t, y>^(ell^n - 1)
+    over t in F_ell^n, the product of the forms <t, y> by their subspace
+    polynomial (Dickson, 1911).  Row i holds the base-ell digits of y_i's
+    exponent, so each matrix is one nonzero term.  The walk takes the rows
+    in turn, each under the column sums still left and its digits most
+    significant first, so the terms come in order.  The guards are the
+    caller's (``proper_subgroup_count``); no term at all is an ArithmeticError.
+    """
+    ell, n = spec.ell, spec.n
+    inverse_factorials = [1]  # 1/a! mod ell by a running product: ell may be 727
+    for a in range(1, ell):
+        inverse_factorials.append(inverse_factorials[-1] * pow(a, -1, ell) % ell)
+
+    @cache
+    def rows(budget: tuple[int, ...], left: int = ell - 1) -> list:
+        """(exponent, 1/prod a!, budget left) of each row within the budget, of digit sum left."""
+        j = len(budget) - 1
+        if j < 0:
+            return [(0, 1, ())]
+        return [(a * ell ** j + exponent, inverse_factorials[a] * c % ell, rest + (budget[j] - a,))
+                for a in range(max(0, left - sum(budget[:j])), min(budget[j], left) + 1)
+                for exponent, c, rest in rows(budget[:j], left - a)]
+
+    def terms(budget, prefix, coeff):
+        for exponent, c, rest in rows(budget):
+            if any(rest):
+                yield from terms(rest, prefix + (exponent,), coeff * c % ell)
+            else:
+                yield prefix + (exponent,), coeff * c % ell
+
+    walk = terms((ell - 1,) * n, (), 1)
+    first = next(walk, None)
+    if first is None:
         raise ArithmeticError("essential product unexpectedly vanished")
-    return result
+    yield first
+    yield from walk
+
+
+def essential_product(spec: GradedAlgebraSpec) -> GradedElement:
+    """The element of ``product_terms``, under ``proper_subgroup_count``'s
+    guards: nonzero, of degree 2^n - 1 (ell = 2) or 2(ell^n - 1).  No report
+    builds it; the tests and the tracer do."""
+    proper_subgroup_count(spec)
+    return GradedElement(spec, dict(product_terms(spec)))
 
 
 def rank_mod(rows, ell: int) -> int:
@@ -240,20 +218,20 @@ def restrict(element: GradedElement, subgroup_matrix) -> GradedElement:
         raise ValueError(f"subgroup matrix needs {spec.n} rows of equal length")
     if rank_mod(rows, ell) != k:
         raise ValueError("subgroup matrix must have full column rank")
-    shifts = _shifts(k)
-    forms = [{1 << s: c for s, c in zip(shifts, row) if c} for row in rows]
-    powers = [[{0: 1}, form] for form in forms]  # powers[i][e] = forms[i]^e, packed
-    total: dict[int, int] = {}
-    for exps, coeff in zip(element._exponents(), element.packed.values()):
-        term = {0: coeff}
+    one = (0,) * k
+    forms = [{one[:j] + (1,) + one[j + 1:]: c for j, c in enumerate(row) if c} for row in rows]
+    powers = [[{one: 1}, form] for form in forms]  # powers[i][e] = forms[i]^e
+    total: dict[MonomialKey, int] = {}
+    for exps, coeff in element._terms.items():
+        term = {one: coeff}
         for form, power, e in zip(forms, powers, exps):
             if e:
                 while len(power) <= e:
-                    power.append(_reduced(_product(power[-1], form), ell))
-                term = _product(term, power[e])
+                    power.append(_product(power[-1], form, ell))
+                term = _product(term, power[e], ell)
         for key, c in term.items():
             total[key] = total.get(key, 0) + c
-    return GradedElement._from_packed(GradedAlgebraSpec(ell, k), element.top, _reduced(total, ell))
+    return GradedElement(GradedAlgebraSpec(ell, k), total)
 
 
 def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
@@ -261,21 +239,17 @@ def weyl_invariance(element: GradedElement, spec: GradedAlgebraSpec) -> bool:
 
     Checked on adjacent transpositions, which generate the full symmetric
     group.  Each is a bijection on the terms' keys, so it fixes the element
-    exactly when every swapped key carries the same coefficient.  Swapping
-    the exponents a, b of the slots at bits s > t adds (b - a)(2^s - 2^t)
-    to a packed key.  No report calls it: it is the tests' oracle for the
-    theorem the ``WEYL`` line prints without computing it; kept for the tracer.
+    exactly when every swapped key carries the same coefficient.  No report
+    calls it: it is the tests' oracle for the theorem the ``WEYL`` line
+    prints without computing it; kept for the tracer.
     """
     if element.spec != spec:
         raise ValueError("element does not belong to the given algebra")
-    terms = element.packed
-    get = terms.get
-    shifts = _shifts(spec.n)
-    swaps = [(s, t, (1 << s) - (1 << t)) for s, t in zip(shifts, shifts[1:])]
-    for key, c in terms.items():
-        for s, t, step in swaps:
-            move = (key >> t & _MASK) - (key >> s & _MASK)
-            if move and get(key + move * step) != c:
+    get = element._terms.get
+    for key, c in element._terms.items():
+        for i in range(spec.n - 1):
+            if key[i] != key[i + 1] and get(
+                    key[:i] + (key[i + 1], key[i]) + key[i + 2:]) != c:
                 return False
     return True
 

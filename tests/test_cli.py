@@ -77,34 +77,33 @@ def test_essential_command(capsys):
 ])
 def test_essential_restricts_to_the_hyperplanes_only(monkeypatch, capsys, ell, rank,
                                                      hyperplanes, subgroups):
-    from sl2cohom import cli
+    from sl2cohom.essential import GradedAlgebraSpec, enumerate_proper_subgroups
 
-    listed = []
-    enumerate_proper_subgroups = cli.enumerate_proper_subgroups
-
-    def recording(spec):
-        listed.extend(enumerate_proper_subgroups(spec))
-        return listed
-
-    # the printed count is the enumerator's, whose hyperplanes the theorem is about
-    monkeypatch.setattr(cli, "enumerate_proper_subgroups", recording)
+    # the printed count is the Gaussian sum; it is the number of subgroups the
+    # enumerator lists, whose hyperplanes the theorem is about
+    listed = enumerate_proper_subgroups(GradedAlgebraSpec(ell, rank))
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank))
     assert code == 0
     assert sum(len(matrix[0]) == rank - 1 for matrix in listed) == hyperplanes
+    assert len(listed) == subgroups
     assert (f"RESTRICTIONS\tall_proper_zero=true proper_subgroups={subgroups}\n") in out
 
 
 @pytest.mark.parametrize("mode", ["machine", "human"])
 @pytest.mark.parametrize("ell,rank", [(2, 4), (3, 3), (23, 2)])
 def test_essential_report_restricts_no_element(monkeypatch, capsys, ell, rank, mode):
-    from sl2cohom import essential
+    # nor builds, multiplies or lists one: it prints the closed form's terms
+    from sl2cohom import cli, essential
     from test_golden import GOLDEN
 
     def refuse(*args):
-        raise AssertionError("the report path restricted an element")
+        raise AssertionError("the report path built, multiplied, restricted or listed")
 
-    monkeypatch.setattr(essential, "restrict", refuse)
-    monkeypatch.setattr(essential, "rank_mod", refuse)
+    for name in ("restrict", "rank_mod", "essential_product", "enumerate_proper_subgroups"):
+        monkeypatch.setattr(essential, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    for name in ("__init__", "__mul__"):
+        monkeypatch.setattr(essential.GradedElement, name, refuse)
     code, out = run(capsys, "essential", "--ell", str(ell), "--rank", str(rank), "--mode", mode)
     golden = (GOLDEN / f"essential_{ell}_{rank}.out").read_text(encoding="utf-8")
     if mode == "human":
@@ -255,7 +254,7 @@ def test_internal_check_failure_exits_three(monkeypatch, capsys):
     ("cohomengine", "freeness_certificate", ("analyze-nf", "--datum", "q_zeta23.datum")),
     ("curve", "get_field", ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                             "--q", "13", "--ell", "3")),
-    ("essential", "_product", ("essential", "--ell", "3", "--rank", "2")),
+    ("cli", "product_terms", ("essential", "--ell", "3", "--rank", "2")),
     ("arithdata", "kernel", ("verify",)),  # in the fixture loop, after the suites
 ])
 def test_internal_value_error_exits_three(monkeypatch, capsys, module, name, argv, mode):
@@ -483,13 +482,14 @@ def test_long_lines_are_written_a_few_at_a_time():
 
 
 def test_largest_essential_report():
-    # (3,6), the largest admitted group, peaks at 70 MB (MiB, as the bound)
-    # on a 2-core x86-64 host with Python 3.11; the bound leaves 22 MB for
-    # other hosts and Python builds
+    # (3,6), the largest admitted group, peaks at 33 MB (MiB, as the bound;
+    # 32.4 measured) on a 2-core x86-64 host with Python 3.11, printing its
+    # closed form's terms as they come (71 MB from the Moore power); the
+    # bound leaves 22 MB for other hosts and Python builds
     code, digest, peak_kib = measure_child(("essential", "--ell", "3", "--rank", "6"))
     assert code == 0
     assert digest == recorded_digest("essential_3_6")
-    assert peak_kib < 92 * 1024
+    assert peak_kib < 55 * 1024
 
 
 def test_degree_bound_belongs_to_the_analyze_commands(capsys):
@@ -838,6 +838,10 @@ def test_a_datum_trial_divides_its_prime_once(monkeypatch, tmp_path, capsys):
                                                                          f"ell = {ell}"))
     code, _ = run(capsys, "analyze-nf", "--datum", str(path))
     assert code == 0 and calls.count(ell) == 1
+    calls.clear()  # the gate takes the builder's verdict on ell
+    code, out = run(capsys, "analyze-nf", "--datum", str(path), "--gate-n", "2")
+    assert code == 0 and calls.count(ell) == 1
+    assert out.endswith("GATE\tfails violated=detection_on_finite_subgroups\n")
 
 
 def test_verify_resolves_every_datum_before_the_suites(monkeypatch, capsys):

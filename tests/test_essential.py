@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from itertools import permutations
 
@@ -16,15 +18,15 @@ from brute import (
     tuple_product,
 )
 from sl2cohom.abelian import is_prime, smith_normal_form
+from sl2cohom.cli import main
 from sl2cohom.essential import (
-    MAX_DEGREE,
     MAX_GROUP_ORDER,
     MAX_PROPER_SUBGROUPS,
-    WIDTH,
     GradedAlgebraSpec,
     GradedElement,
     enumerate_proper_subgroups,
     essential_product,
+    product_terms,
     rank_mod,
     restrict,
     weyl_invariance,
@@ -85,8 +87,9 @@ def test_product_rank1_mod2_is_the_generator():
 
 def test_product_rank1_mod3():
     spec = GradedAlgebraSpec(3, 1)
-    y1 = gen(spec, 0)
-    assert essential_product(spec) == (y1 * y1).scaled(2)
+    # the two nonzero forms are y1 and 2*y1
+    assert essential_product(spec) == gen(spec, 0) * polynomial_linear_form(spec, [2])
+    assert essential_product(spec) == GradedElement(spec, {(2,): 2})
 
 
 @pytest.mark.parametrize("ell,n,expected_degree", [
@@ -106,24 +109,27 @@ MOORE = [(ell, n) for ell in range(2, 82) if is_prime(ell)
 
 @pytest.mark.parametrize("ell,n", MOORE)
 def test_moore_product_matches_multiplied_out_product(ell, n):
+    # the closed form against the product of the linear forms, one at a time
     spec = GradedAlgebraSpec(ell, n)
-    assert essential_product(spec).terms == multiplied_out_product(spec)
+    expected = multiplied_out_product(spec)
+    assert dict(product_terms(spec)) == essential_product(spec).terms == expected
 
 
-# the benchmark's essential ladder, and larger products with more terms or wider slots
+# the benchmark's essential ladder, and larger products with more terms or exponents
 LADDER = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
           (5, 2), (7, 2), (11, 2), (13, 2), (17, 2), (19, 2), (23, 2)]
 
 
 @pytest.mark.parametrize("ell,n", LADDER + [(5, 4), (7, 3), (2, 7), (3, 5)])
 def test_packed_product_matches_the_tuple_product(ell, n):
+    # the closed form against the Moore power, multiplied out on exponent
+    # tuples; the id is the one this test had when the product was so built
     spec = GradedAlgebraSpec(ell, n)
-    product = essential_product(spec)
+    terms = list(product_terms(spec))
     expected = moore_power(spec)
-    assert product.terms == expected
-    # integer order of the packed keys is the order of the exponent tuples
-    ordered = GradedElement._from_packed(spec, product.top, dict(sorted(product.packed.items())))
-    assert list(ordered.terms) == sorted(expected)
+    assert dict(terms) == expected and len(terms) == len(expected)
+    assert [key for key, _ in terms] == sorted(expected)  # generated in order
+    assert essential_product(spec).terms == expected
 
 
 @pytest.mark.parametrize("ell,n", [(2, 3), (3, 2), (5, 3), (7, 1)])
@@ -154,35 +160,6 @@ def test_equality_of_built_and_multiplied_elements():
     assert GradedElement(spec, {(1, 0): 4}) == y1  # coefficients mod ell
     assert cube != y1 * y2 * y2 and cube == GradedElement(spec, {(3, 0): 1})
     assert cube != GradedElement(GradedAlgebraSpec(5, 2), {(3, 0): 1})
-
-
-def test_every_admitted_degree_fits_the_slots():
-    # the degree ell^n - 1 of every product the order bound admits, and no spare bit
-    pairs = [(ell, n) for ell in range(2, MAX_GROUP_ORDER + 1) if is_prime(ell)
-             for n in range(1, MAX_GROUP_ORDER.bit_length() + 1) if ell ** n <= MAX_GROUP_ORDER]
-    assert (3, 6) in pairs and (2, 9) in pairs and (727, 1) in pairs
-    assert all(ell ** n - 1 <= MAX_DEGREE for ell, n in pairs)
-    assert MAX_GROUP_ORDER - 1 > (1 << WIDTH - 1) - 2
-
-
-def test_degree_guard_refuses_what_the_slots_cannot_hold():
-    spec = GradedAlgebraSpec(3, 2)
-    edge = GradedElement(spec, {(MAX_DEGREE, 0): 1, (0, MAX_DEGREE): 2})
-    assert homogeneous_degree(edge) == 2 * MAX_DEGREE
-    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
-        GradedElement(spec, {(MAX_DEGREE, 1): 1})
-    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
-        GradedElement(spec, {(1, 0): 1, (MAX_DEGREE - 5, 6): 2})
-    # slots filled to MAX_DEGREE do not carry into their neighbours
-    half = {(511, 0): 1, (0, 511): 2, (255, 256): 1}
-    square = GradedElement(spec, half) * GradedElement(spec, half)
-    assert square.terms == tuple_product(half, half, 3)
-    assert homogeneous_degree(square) == 2 * MAX_DEGREE
-    with pytest.raises(ValueError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
-        square * gen(spec, 1)
-    largest = essential_product(GradedAlgebraSpec(5, 4))  # terms of total degree 624
-    with pytest.raises(ValueError, match="total degree 1248 exceeds the slot bound 1022"):
-        largest * largest
 
 
 def test_product_size_guard():
@@ -251,6 +228,23 @@ def test_printed_theorems_hold_on_every_admitted_product():
         degree = 2 ** n - 1 if ell == 2 else 2 * (ell ** n - 1)
         assert homogeneous_degree(product) == degree, (ell, n)
         assert weyl_invariance(product, spec), (ell, n)
+
+
+def test_report_prints_the_terms_in_order_as_the_element_does():
+    # the report formats the closed form's terms as they are generated; on
+    # every admitted input they come in strictly increasing order, so the
+    # printed PRODUCT is the element's sorted text
+    for ell, n in ADMITTED:
+        spec = GradedAlgebraSpec(ell, n)
+        product = essential_product(spec)
+        keys = list(product.terms)
+        assert all(a < b for a, b in zip(keys, keys[1:])), (ell, n)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["essential", "--ell", str(ell), "--rank", str(n)]) == 0
+        printed, = (line for line in out.getvalue().splitlines()
+                    if line.startswith("PRODUCT\t"))
+        assert printed == f"PRODUCT\t{product}", (ell, n)
 
 
 def test_restriction_along_identity_is_identity():
@@ -475,4 +469,4 @@ def test_coefficients_reduced_mod_ell():
     spec = GradedAlgebraSpec(3, 1)
     assert GradedElement(spec, {(1,): 3}).is_zero
     assert polynomial_linear_form(spec, [3]).is_zero
-    assert (gen(spec, 0) * gen(spec, 0)).scaled(3).is_zero
+    assert GradedElement(spec, {(2,): 6}).is_zero

@@ -19,6 +19,10 @@ reports in a child process, to bound their peak memory.  Rewrite them by hand, i
     PYTHONPATH=src python -m sl2cohom.cli <arguments> | sha256sum
 
 with the arguments in place of the ``-`` that ``sha256sum`` prints.
+
+``essential_admitted.sha256`` holds one such line for each of the 150
+essential inputs the guards admit; ``test_every_admitted_essential_report``
+runs them all in process.
 """
 
 import contextlib
@@ -116,6 +120,15 @@ def test_golden_report(name):
     assert code == 0
     path = golden(name)
     assert stored(path, CASES[name], out) == path.read_text(encoding="utf-8")
+
+
+def test_every_admitted_essential_report():
+    lines = (GOLDEN / "essential_admitted.sha256").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 150
+    for line in lines:
+        digest, argv = line.split("  ")
+        code, out = report(argv.split())
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, digest), argv
 
 
 def test_grammar_table_has_the_readme_keys():

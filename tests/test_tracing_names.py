@@ -46,4 +46,4 @@ def test_product_terms_count_reads_terms():
     essential = importlib.import_module("sl2cohom.essential")
     assert isinstance(essential.GradedElement.__dict__.get("terms"), property)
     product = essential.essential_product(essential.GradedAlgebraSpec(3, 2))
-    assert len(product.terms) == len(product.packed) == 3
+    assert len(product.terms) == 3
