@@ -40,7 +40,13 @@ from .cohomengine import (
     refined_gate,
 )
 from .curve import EllipticMinusPoint, P1Minus, field_spec_from_order
-from .essential import GradedAlgebraSpec, product_terms, proper_subgroup_count, terms_text
+from .essential import (
+    GradedAlgebraSpec,
+    enumerate_proper_subgroups,
+    product_terms,
+    proper_subgroup_count,
+    terms_text,
+)
 from .oracles import run_all_suites
 
 CURVE_PRESETS = {
@@ -109,8 +115,8 @@ def _cmd_analyze_nf(args) -> int:
     detection = detection_verdict(datum, decomposition, bound)
     lines = machine_lines_number_field(decomposition, detection, bound)
     if args.gate_n is not None:
-        violated = refined_gate(datum.ell, args.gate_n, ell_prime=True,  # the datum builder's
-                                zeta_in_K=datum.split, s_contains_infinite=args.gate_s_infinite,
+        violated = refined_gate(datum.ell, args.gate_n, zeta_in_K=datum.split,
+                                s_contains_infinite=args.gate_s_infinite,
                                 s_contains_ell=args.gate_s_ell,
                                 detection_fails=detection is not None)
         lines = chain(lines, (gate_line(violated),))
@@ -152,7 +158,8 @@ def _cmd_analyze_ff(args) -> int:
 
 def _cmd_essential(args) -> int:
     spec = GradedAlgebraSpec(args.ell, args.rank)
-    subgroups = proper_subgroup_count(spec)  # the guards, and the Gaussian sum
+    proper_subgroup_count(spec)  # the guards, before any subgroup is listed
+    subgroups = len(enumerate_proper_subgroups(spec))  # the list is freed before PRODUCT
     # theorems on the product of the ell^n - 1 nonzero linear forms (Dickson;
     # Wilkerson, "A primer on the Dickson invariants"): each form has degree 1
     # (ell = 2) or 2; each proper subgroup lies in a hyperplane whose line's

@@ -381,18 +381,18 @@ def detection_verdict(datum: ArithmeticDatum, decomposition: Decomposition,
     return None
 
 
-def refined_gate(ell: int, n: int, *, ell_prime: bool, zeta_in_K: bool,
-                 s_contains_infinite: bool, s_contains_ell: bool,
-                 detection_fails: bool) -> tuple[str, ...]:
+def refined_gate(ell: int, n: int, *, zeta_in_K: bool, s_contains_infinite: bool,
+                 s_contains_ell: bool, detection_fails: bool) -> tuple[str, ...]:
     """The violated hypotheses of the refined freeness conjecture in rank n,
     in a fixed order, from the caller's verdicts on all but n < ell.
 
     The hypotheses are that ell is prime, n < ell, the ell-th root of
     unity lies in K, S contains the infinite places and the places over
     ell, and detection on finite subgroups, which the rank comparison can
-    refute (``detection_fails``) but never prove.
+    refute (``detection_fails``) but never prove.  ell must be prime: both
+    datum builders refuse any other, so ``ell_prime`` is never violated.
     """
-    held = {"ell_prime": ell_prime, "n_less_than_ell": n < ell, "zeta_ell_in_K": zeta_in_K,
+    held = {"ell_prime": True, "n_less_than_ell": n < ell, "zeta_ell_in_K": zeta_in_K,
             "S_contains_infinite_places": s_contains_infinite,
             "S_contains_places_over_ell": s_contains_ell,
             "detection_on_finite_subgroups": not detection_fails}

@@ -262,6 +262,7 @@ def enumerate_proper_subgroups(spec: GradedAlgebraSpec):
     rows.  The walk decides row by row whether the row is a new pivot or
     takes any entries in the columns opened so far, so every subgroup is
     listed once.  The hyperplanes are the matrices with n - 1 columns.
+    The essential report prints how many there are.
     """
     ell, n = spec.ell, spec.n
     partial = [()]  # column tuples over the rows walked so far

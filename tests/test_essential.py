@@ -220,7 +220,9 @@ def test_enumerator_lists_echelon_hyperplanes_on_every_admitted_input():
 def test_printed_theorems_hold_on_every_admitted_product():
     # the essential report prints degree=, nonzero=true, WEYL invariant=true
     # and REGULARITY non_zero_divisor=true from (ell, n) alone, as theorems on
-    # the product of the ell^n - 1 nonzero linear forms; check them on it
+    # the product of the ell^n - 1 nonzero linear forms; check them on it.  It
+    # formats the closed form's terms as they are generated; they come in
+    # strictly increasing order, so the printed PRODUCT is the element's text
     for ell, n in ADMITTED:
         spec = GradedAlgebraSpec(ell, n)
         product = essential_product(spec)
@@ -228,15 +230,6 @@ def test_printed_theorems_hold_on_every_admitted_product():
         degree = 2 ** n - 1 if ell == 2 else 2 * (ell ** n - 1)
         assert homogeneous_degree(product) == degree, (ell, n)
         assert weyl_invariance(product, spec), (ell, n)
-
-
-def test_report_prints_the_terms_in_order_as_the_element_does():
-    # the report formats the closed form's terms as they are generated; on
-    # every admitted input they come in strictly increasing order, so the
-    # printed PRODUCT is the element's sorted text
-    for ell, n in ADMITTED:
-        spec = GradedAlgebraSpec(ell, n)
-        product = essential_product(spec)
         keys = list(product.terms)
         assert all(a < b for a, b in zip(keys, keys[1:])), (ell, n)
         out = io.StringIO()
