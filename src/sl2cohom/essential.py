@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import islice, product as _cartesian, starmap
+from math import prod
 from operator import add
 from typing import Iterator
 
@@ -143,7 +144,8 @@ def product_terms(spec: GradedAlgebraSpec) -> Iterator[tuple[MonomialKey, int]]:
     polynomial (Dickson, 1911).  Row i holds the base-ell digits of y_i's
     exponent, so each matrix is one nonzero term.  The walk takes the rows
     in turn, each under the column sums still left and its digits most
-    significant first, so the terms come in order.  The guards are the
+    significant first, so the terms come in order; the last row is the
+    column sums left.  Rows are cached by budget.  The guards are the
     caller's (``proper_subgroup_count``); no term at all is an ArithmeticError.
     """
     ell, n = spec.ell, spec.n
@@ -152,21 +154,28 @@ def product_terms(spec: GradedAlgebraSpec) -> Iterator[tuple[MonomialKey, int]]:
         inverse_factorials.append(inverse_factorials[-1] * pow(a, -1, ell) % ell)
 
     @cache
-    def rows(budget: tuple[int, ...], left: int = ell - 1) -> list:
+    def rows(budget: tuple[int, ...], left: int) -> list:
         """(exponent, 1/prod a!, budget left) of each row within the budget, of digit sum left."""
         j = len(budget) - 1
-        if j < 0:
-            return [(0, 1, ())]
+        if j == 0:  # the units digit takes what is left; range(...) below kept it in budget
+            return [(left, inverse_factorials[left], (budget[0] - left,))]
         return [(a * ell ** j + exponent, inverse_factorials[a] * c % ell, rest + (budget[j] - a,))
                 for a in range(max(0, left - sum(budget[:j])), min(budget[j], left) + 1)
                 for exponent, c, rest in rows(budget[:j], left - a)]
 
+    @cache
+    def last(budget: tuple[int, ...]) -> tuple[int, int]:
+        """(exponent, 1/prod a!) of the last row, which takes the whole budget."""
+        return (sum(a * ell ** j for j, a in enumerate(budget)),
+                prod(inverse_factorials[a] for a in budget) % ell)
+
     def terms(budget, prefix, coeff):
-        for exponent, c, rest in rows(budget):
-            if any(rest):
+        if len(prefix) == n - 1:
+            exponent, c = last(budget)
+            yield prefix + (exponent,), coeff * c % ell
+        else:
+            for exponent, c, rest in rows(budget, ell - 1):
                 yield from terms(rest, prefix + (exponent,), coeff * c % ell)
-            else:
-                yield prefix + (exponent,), coeff * c % ell
 
     walk = terms((ell - 1,) * n, (), 1)
     first = next(walk, None)
