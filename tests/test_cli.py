@@ -486,7 +486,7 @@ def test_long_lines_are_written_a_few_at_a_time():
 
 def test_largest_essential_report():
     # (3,6), the largest admitted group, peaks at 52 MB (MiB, as the bound;
-    # 51.4 measured) on a 2-core x86-64 host with Python 3.11, listing its
+    # 50.8-52.3 measured) on a 2-core x86-64 host with Python 3.11, listing its
     # 56 630 proper subgroups and printing its closed form's terms as they
     # come (71 MB with the Moore power); the bound leaves 22 MB for other
     # hosts and Python builds
