@@ -2,10 +2,11 @@
 
 Unit groups enter the reports only as ranks, so every group here is finite.
 Groups are stored in invariant-factor form, homomorphisms as integer
-matrices, and every computation (Smith normal form, kernels, cokernels,
-image membership) runs over Python's arbitrary-precision integers, so
-intermediate entries can grow without wrapping.  All values are immutable
-after construction (see ``Record``) and all operations are pure functions.
+matrices, and every computation (Smith normal form, cokernels, kernels as
+their duals, image membership) runs over Python's arbitrary-precision
+integers, so intermediate entries can grow without wrapping.  All values are
+immutable after construction (see ``Record``) and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -117,15 +118,13 @@ def _matmul(a, b) -> list[list[int]]:
 def _snf(matrix, nrows: int, ncols: int):
     """Smith normal form with transforms.
 
-    Returns (left, diag, right, right_inv) where left * matrix * right is
-    diagonal with entries ``diag`` forming a divisibility chain of
-    nonnegative integers (zeros last); left and right are unimodular and
-    right_inv is the inverse of right.
+    Returns (left, diag, right) where left * matrix * right is diagonal
+    with entries ``diag`` forming a divisibility chain of nonnegative
+    integers (zeros last); left and right are unimodular.
     """
     a = [list(row) for row in matrix]
     left = _identity(nrows)
     right = _identity(ncols)
-    right_inv = _identity(ncols)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -145,7 +144,6 @@ def _snf(matrix, nrows: int, ncols: int):
             r[i], r[j] = r[j], r[i]
         for r in right:
             r[i], r[j] = r[j], r[i]
-        right_inv[i], right_inv[j] = right_inv[j], right_inv[i]
 
     def add_col(j, i, q):
         # col_j += q * col_i
@@ -153,7 +151,6 @@ def _snf(matrix, nrows: int, ncols: int):
             r[j] += q * r[i]
         for r in right:
             r[j] += q * r[i]
-        right_inv[i] = [u - q * v for u, v in zip(right_inv[i], right_inv[j])]
 
     def move_min_pivot(t) -> bool:
         # smallest nonzero entry of the trailing block becomes the pivot
@@ -216,7 +213,7 @@ def _snf(matrix, nrows: int, ncols: int):
             add_row(t, violation, 1)
 
     diag = tuple(a[i][i] for i in range(limit))
-    return _freeze(left), diag, _freeze(right), _freeze(right_inv)
+    return _freeze(left), diag, _freeze(right)
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
@@ -231,8 +228,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
-    left, diag, right, _ = _snf(rows, nrows, ncols)
-    return left, diag, right
+    return _snf(rows, nrows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +337,6 @@ class GroupHom(Record):
         object.__setattr__(self, "matrix", reduced)
 
     @classmethod
-    def identity(cls, g: FinGenAbGroup) -> "GroupHom":
-        return cls(g, g, _identity(g.ngens))
-
-    @classmethod
     def negation(cls, g: FinGenAbGroup) -> "GroupHom":
         return cls(g, g, [[-1 if i == j else 0 for j in range(g.ngens)] for i in range(g.ngens)])
 
@@ -356,12 +348,9 @@ class GroupHom(Record):
         return tuple(s % p for s, p in zip(sums, self.codomain.invariant_factors))
 
     @cached_property
-    def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix, IntMatrix]:
-        """(left, diag, right, right_inv) of [matrix | codomain relations], once per map.
-
-        ``kernel``, ``cokernel`` and ``contains_in_image`` all read this one
-        Smith form; its parts are tuples, so no reader can change them.
-        """
+    def _smith(self) -> tuple[IntMatrix, tuple[int, ...], IntMatrix]:
+        """(left, diag, right) of [matrix | codomain relations], once per map: the one
+        Smith form that ``cokernel`` and ``contains_in_image`` read, kept as tuples."""
         orders = self.codomain.invariant_factors
         rows = [list(row) + [orders[i] if i == k else 0 for k in range(len(orders))]
                 for i, row in enumerate(self.matrix)]
@@ -399,61 +388,44 @@ class Orbit(Record):
 # kernels, cokernels, image membership
 # ---------------------------------------------------------------------------
 
-def _diagonal_quotient(diag) -> tuple[FinGenAbGroup, list[int]]:
-    """Z^len(diag) modulo a nonsingular diagonal in canonical form, with the
-    indices of its generators: factors 1 dropped."""
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    return FinGenAbGroup(tuple(diag[i] for i in keep)), keep
+def dual(f: GroupHom) -> GroupHom:
+    """The dual H -> G of f: G -> H, each finite group taken as its character
+    group, e_j as the character sending e_j to 1/d_j in Q/Z and the others to 0.
+
+    H's i-th character, of order p_i, pulled back along f sends e_j to M[i][j]/p_i:
+    the matrix is f's transposed, with entry (j, i) = M[i][j] * d_j // p_i, exact
+    as f is a homomorphism.  dual(dual(f)) == f, as ``GroupHom`` reduces its matrix.
+    """
+    return GroupHom(f.codomain, f.domain,
+                    [[row[j] * d // p for row, p in zip(f.matrix, f.codomain.invariant_factors)]
+                     for j, d in enumerate(f.domain.invariant_factors)])
 
 
 def kernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Kernel subgroup in canonical form with its inclusion into the domain.
 
-    A = [matrix | codomain relations] has full row rank m, as every codomain
-    generator has finite order, so the null columns of the shared transform
-    ``right`` are its last n, one per domain generator.  Cut to the domain
-    rows, they are a basis B of the lattice L of integer vectors that f
-    sends to the codomain relations: projecting ker A onto the domain is
-    injective, as the relation columns are nonzero on distinct rows.  The
-    kernel is L modulo the domain relations; their coordinates in B are
-    read off ``right_inv``, and one Smith form of that square, nonsingular
-    relation matrix puts the quotient in canonical form (Cohen, GTM 138,
-    section 2.4).  A trivial domain is its own kernel and needs no form.
+    By Pontryagin duality (Serre, *A Course in Arithmetic*, ch. VI section 1)
+    the characters of C = coker(dual f) are the x in G with chi(f(x)) = 0 for
+    every character chi of H, that is ker f.  So C, taken as its own character
+    group, is the kernel, and the dual of the projection onto C is its
+    inclusion.  This is one Smith form, of the dual map, for every domain.
     """
-    g = f.domain
-    n = g.ngens
-    if not n:
-        return g, GroupHom.identity(g)
-    _, diag, right, right_inv = f._smith
-    m = len(diag)
-    basis = [row[m:] for row in right[:n]]
-    # the relation o*e_j lifts to (o*e_j, -o*M[i][j]/p_i) in ker A; the
-    # division is exact because f is a homomorphism
-    cod_orders = f.codomain.invariant_factors
-    rel = []
-    for j, o in enumerate(g.invariant_factors):
-        lift = [0] * n + [-o * row[j] // p for row, p in zip(f.matrix, cod_orders)]
-        lift[j] = o
-        rel.append([sum(map(mul, row, lift)) for row in right_inv[m:]])
-    # rel is (domain relations) x (basis B); with L' rel R' = D', the rows of
-    # R'^-1 give the canonical generators in B
-    _, diag2, _, gens = _snf(rel, n, n)
-    k, keep = _diagonal_quotient(diag2)
-    incl = [[sum(map(mul, row, gens[c])) for c in keep] for row in basis]
-    return k, GroupHom(k, g, incl)
+    c, proj = cokernel(dual(f))
+    return c, dual(proj)
 
 
 def cokernel(f: GroupHom) -> tuple[FinGenAbGroup, GroupHom]:
     """Cokernel in canonical form with the projection from the codomain."""
-    left, diag, _, _ = f._smith
-    c, keep = _diagonal_quotient(diag)
-    return c, GroupHom(f.codomain, c, [left[i] for i in keep])
+    left, diag, _ = f._smith
+    # a chain with no zeros, as the codomain is finite: its factors 1 come first
+    c = FinGenAbGroup(tuple(d for d in diag if d > 1))
+    return c, GroupHom(f.codomain, c, left[len(diag) - c.ngens:])
 
 
 def contains_in_image(f: GroupHom, y) -> bool:
     """Exact image-membership test via Smith normal form (no enumeration)."""
     y = f.codomain.validate_element(y)
-    left, diag, _, _ = f._smith
+    left, diag, _ = f._smith
     c = [sum(map(mul, row, y)) for row in left]
     return all(ci % d == 0 for ci, d in zip(c, diag))
 

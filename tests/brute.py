@@ -22,7 +22,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product as cartesian
 
-from sl2cohom.abelian import FinGenAbGroup, factorize, smith_normal_form
+from sl2cohom.abelian import FinGenAbGroup, GroupHom, factorize, smith_normal_form
 from sl2cohom.arithdata import compose, principal_form, reduce_form, reduced_forms
 from sl2cohom.essential import GradedElement
 
@@ -250,6 +250,11 @@ def all_hom_matrices(domain: FinGenAbGroup, codomain: FinGenAbGroup):
     m, n = codomain.ngens, domain.ngens
     for flat in cartesian(*choices_per_entry):
         yield [list(flat[i * n:(i + 1) * n]) for i in range(m)]
+
+
+def identity_hom(g: FinGenAbGroup) -> GroupHom:
+    """The identity map of g, from the identity matrix."""
+    return GroupHom(g, g, [[int(i == j) for j in range(g.ngens)] for i in range(g.ngens)])
 
 
 def group_elements(g: FinGenAbGroup):

@@ -1,10 +1,11 @@
 import random
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2cohom.abelian import (
+    ENUMERATION_BOUND,
     EnumerationBoundExceeded,
     FinGenAbGroup,
     GroupHom,
@@ -13,6 +14,7 @@ from sl2cohom.abelian import (
     TRIAL_DIVISION_BOUND,
     cokernel,
     contains_in_image,
+    dual,
     factorize,
     fixed_point_count,
     involution_orbits,
@@ -26,10 +28,11 @@ from brute import (
     apply_matrix,
     group_add,
     group_by_diagonal_smith_form,
+    identity_hom,
     permanent_style_det,
     structure_from_element_set,
 )
-from sl2cohom.oracles import random_hom
+from sl2cohom.oracles import bareiss_determinant, random_hom
 
 
 def matmul(a, b):
@@ -138,7 +141,7 @@ def test_matmul_by_columns_matches_the_entrywise_product():
     assert _matmul([[1], [2]], [[]]) == [[], []]
 
 
-def test_snf_right_inverse_and_diagonal_form():
+def test_snf_unimodular_transforms_and_diagonal_form():
     from sl2cohom.abelian import _snf
 
     rng = random.Random(1729)
@@ -154,13 +157,11 @@ def test_snf_right_inverse_and_diagonal_form():
         b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
         cases.append((matmul(a, b), rows, cols))
     for m, rows, cols in cases:
-        left, diag, right, right_inv = _snf(m, rows, cols)
+        left, diag, right = _snf(m, rows, cols)
         assert len(diag) == min(rows, cols)
-        assert len(left) == rows and len(right) == len(right_inv) == cols
-        assert all(len(r) == cols for r in right + right_inv)
-        for i in range(cols):
-            for j in range(cols):
-                assert sum(right[i][k] * right_inv[k][j] for k in range(cols)) == (i == j)
+        assert len(left) == rows and len(right) == cols
+        assert all(len(r) == rows for r in left) and all(len(r) == cols for r in right)
+        assert abs(bareiss_determinant(left)) == abs(bareiss_determinant(right)) == 1
         for i in range(rows):
             for j in range(cols):
                 entry = sum(left[i][a] * m[a][b] * right[b][j]
@@ -251,7 +252,7 @@ def test_kernel_of_sum_map():
 
 def test_kernel_of_identity_is_trivial():
     g = FinGenAbGroup((5,))
-    k, _ = kernel(GroupHom.identity(g))
+    k, _ = kernel(identity_hom(g))
     assert k.is_trivial
 
 
@@ -286,7 +287,7 @@ def test_contains_in_image():
 
 def test_contains_in_image_validates_input():
     g = FinGenAbGroup((3,))
-    f = GroupHom.identity(g)
+    f = identity_hom(g)
     with pytest.raises(ValueError):
         contains_in_image(f, (5,))  # not reduced
     with pytest.raises(ValueError):
@@ -440,7 +441,7 @@ def test_apply_and_reduce_match_coordinatewise_arithmetic():
 
 def test_wrong_length_elements_are_refused():
     g = FinGenAbGroup((2, 6, 12))
-    f = GroupHom.identity(g)
+    f = identity_hom(g)
     with pytest.raises(ValueError, match="element needs 3 coordinates, got 2"):
         g.validate_element((1, 1))
     with pytest.raises(ValueError, match="element has wrong length for the domain"):
@@ -489,7 +490,7 @@ def test_shared_smith_form_matches_a_fresh_map():
         assert [contains_in_image(fresh, y) for y in targets] == first[0]
 
 
-def test_kernel_adds_one_smith_form_beyond_the_shared_one(monkeypatch):
+def test_kernel_takes_one_smith_form_for_every_domain(monkeypatch):
     from sl2cohom import abelian
 
     calls = []
@@ -504,10 +505,74 @@ def test_kernel_adds_one_smith_form_beyond_the_shared_one(monkeypatch):
     seen = set()
     for _ in range(100):
         f = random_finite_hom(rng)
-        f._smith
         before = len(calls)
         kernel(f)
-        trivial = f.domain.is_trivial
-        assert len(calls) - before == (0 if trivial else 1)
-        seen.add(trivial)
+        assert len(calls) - before == 1
+        assert "_smith" not in f.__dict__  # the form is the dual map's, not f's
+        seen.add(f.domain.is_trivial)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# kernels beyond enumeration, and the dual map
+# ---------------------------------------------------------------------------
+
+MERSENNE_61 = 2**61 - 1
+
+
+def unit_vector(i, n):
+    return tuple(int(j == i) for j in range(n))
+
+
+def maps_beyond_enumeration():
+    """Seeded maps on (Z/(2^61 - 1))^k, k <= 8, some through a thinner group
+    so that their kernels are large, and between sums of mixed prime powers
+    such as Z/4 + Z/2 + Z/9 + Z/27."""
+    rng = random.Random(6101)
+    maps = []
+    for _ in range(16):
+        dom, mid, cod = (FinGenAbGroup((MERSENNE_61,) * rng.randint(0, 8)) for _ in range(3))
+        first, then = random_hom(rng, dom, mid), random_hom(rng, mid, cod)
+        maps.append(GroupHom(dom, cod, matmul(then.matrix, first.matrix) if mid.ngens
+                             else [[0] * dom.ngens for _ in range(cod.ngens)]))
+    powers = (2, 4, 8, 2**20, 3, 9, 27, 3**15, 5**8)
+    for _ in range(24):
+        dom, cod = (FinGenAbGroup.from_cyclic_orders(
+            rng.sample((4, 2, 9, 27), 4) + [rng.choice(powers) for _ in range(rng.randint(0, 4))])
+            for _ in range(2))
+        maps.append(random_hom(rng, dom, cod))
+    return maps
+
+
+def test_kernel_identities_beyond_enumeration():
+    kinds = set()
+    for f in maps_beyond_enumeration():
+        g, h = f.domain, f.codomain
+        k, incl = kernel(f)
+        assert (incl.domain, incl.codomain) == (k, g)
+        for c in range(k.ngens):  # f o incl = 0, checked on the generators
+            assert f.apply(incl.apply(unit_vector(c, k.ngens))) == h.zero()
+        assert k.order * h.order == g.order * cokernel(f)[0].order
+        assert cokernel(incl)[0].order * k.order == g.order  # incl is injective
+        kinds.add((k.is_trivial, g.order > ENUMERATION_BOUND))
+    assert {(True, True), (False, True)} <= kinds  # both kinds of kernel past the bound
+
+
+def test_dual_is_an_involution_and_pulls_back_characters():
+    rng = random.Random(6102)
+    maps = maps_beyond_enumeration() + [random_finite_hom(rng) for _ in range(200)]
+    for f in maps:
+        d = dual(f)
+        assert (d.domain, d.codomain) == (f.codomain, f.domain)
+        assert dual(d) == f
+        g_orders, h_orders = f.domain.invariant_factors, f.codomain.invariant_factors
+        # chi_i(y) = y_i / p_i in Q/Z; an element c of G is the character
+        # x -> sum c_j x_j / d_j.  Everything is scaled by n to stay in Z.
+        n = lcm(*g_orders, *h_orders)
+        for _ in range(5):
+            x = tuple(rng.randrange(o) for o in g_orders)
+            y = f.apply(x)
+            for i, p in enumerate(h_orders):
+                pulled_back = d.apply(unit_vector(i, len(h_orders)))
+                paired = sum(c * v * (n // o) for c, v, o in zip(pulled_back, x, g_orders))
+                assert (y[i] * (n // p) - paired) % n == 0

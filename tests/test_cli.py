@@ -600,7 +600,7 @@ def test_negative_or_zero_orders_keep_their_errors(capsys):
     # Smith form
     (("analyze-nf", "--split-class-group", "2,4", "--unit-rank", "3", "--ell", "5"), 2),
     (("analyze-nf", "--datum", "q_zeta23.datum"), 3),  # no orders
-    (("verify",), 362),  # the oracle suites and two datum loads
+    (("verify",), 364),  # the oracle suites and two datum loads
 ])
 def test_smith_forms_per_report(monkeypatch, capsys, argv, count):
     from sl2cohom import abelian

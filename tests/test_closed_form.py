@@ -49,6 +49,7 @@ from brute import (
     apply_matrix,
     basis_degrees_by_enumeration,
     group_elements,
+    identity_hom,
     orbits_on_pairs,
     shape_dimension_by_enumeration,
 )
@@ -228,7 +229,7 @@ def random_non_split_datum(rng, sigma_mode):
     if sigma_mode == "negation":
         sigma = Involution(GroupHom.negation(ker))
     elif sigma_mode == "identity":
-        sigma = Involution(GroupHom.identity(ker))
+        sigma = Involution(identity_hom(ker))
     else:
         off_diagonal, found = involutions(ker)
         sigma = rng.choice(off_diagonal or found)

@@ -31,6 +31,7 @@ from sl2cohom.curve import EllipticMinusPoint, FiniteFieldSpec, P1Minus
 from brute import (
     antiinvariant_dimension_by_enumeration,
     basis_degrees_by_enumeration,
+    identity_hom,
     shape_dimension_by_enumeration,
 )
 from grammar import bad_lines, report_lines
@@ -246,7 +247,7 @@ def test_subgroup_classes_fixed_first_with_sigma_identity_and_coker():
     cl_A = FinGenAbGroup((3,))
     datum = synthetic_datum(cl_A=cl_A, nm0=zero_hom(cl_A, FinGenAbGroup()),
                             coker=FinGenAbGroup((4,)), ker_rank=1,
-                            sigma=Involution(GroupHom.identity(cl_A)))
+                            sigma=Involution(identity_hom(cl_A)))
     shapes = subgroup_classes(datum, conjugacy_classes(datum))
     assert shape_counts(shapes) == [("Invariant", 1, 6), ("NonInvariant", 1, 3)]
 
