@@ -1,16 +1,18 @@
 """Function-field arithmetic: small finite fields and punctured curves.
 
 Finite fields GF(q) with q <= 2^16 are realized through exp/log tables
-over an irreducible modulus, walked by lookups, and GF(p^e) adds through
-Zech logarithms; elements are encoded as integers 0..q-1 in base-p
-digits.  A field offers only ``add``, ``mul``, ``pow``, ``from_int`` and
-``elements``: -a is (p - 1) a, and 1/a is a^(q-2).  Curves are either
+over an irreducible modulus, walked by lookups built by linearity from
+e general products, and GF(p^e) adds through Zech logarithms; elements
+are encoded as integers 0..q-1 in base-p digits.  A field offers only
+``add``, ``mul``, ``pow``, ``from_int`` and ``elements``: -a is
+(p - 1) a, and 1/a is a^(q-2).  Curves are either
 the projective line minus a set of closed points or a short-Weierstrass
 elliptic curve minus its point at infinity.  Picard groups come from
 divisor-class bookkeeping in the first case; in the second a report
 needs only |Pic| = #E(F_q) and |Pic[2]| = #E[2].  Over a prime field
-above ``MESTRE_BOUND`` they come from the Shanks-Mestre method, about
-4 sqrt(p) point additions in integers mod p with no field built, and
+above ``MESTRE_BOUND`` they come from the Shanks-Mestre method, a
+baby-step giant-step search of the Hasse window, about 4 p^(1/4) point
+additions in integers mod p with no field built, and
 the roots of the cubic from x^p mod the cubic; over GF(p^e) and smaller
 primes, from one quadratic-character pass over the field's tables,
 which stays the oracle for the first.  The full group structure is kept
@@ -133,7 +135,8 @@ def _resultant(f, g, p):
 
 
 def _find_modulus(p, e):
-    """Smallest monic irreducible polynomial of degree e over GF(p)."""
+    """Smallest monic irreducible polynomial of degree e >= 2 over GF(p); a
+    candidate with a root in GF(p) is reducible and skips the Rabin test."""
     for code in range(p ** e):
         coeffs = []
         c = code
@@ -141,7 +144,8 @@ def _find_modulus(p, e):
             coeffs.append(c % p)
             c //= p
         modulus = coeffs + [1]
-        if _is_irreducible(modulus, p):
+        if (all(sum(c * r ** i for i, c in enumerate(modulus)) % p for r in range(p))
+                and _is_irreducible(modulus, p)):
             return modulus
     raise ArithmeticError("no irreducible modulus found")  # unreachable
 
@@ -228,9 +232,10 @@ class FiniteField:
 
         Multiplication by gen is linear on digit vectors.  A code splits at
         digit h = ceil(e/2) as v = lo + p^h hi, and g v = g lo + (g x^h) hi.
-        Two tables of general products give both terms, their digits spread
-        in base 2p - 1 so that one integer addition sums them digitwise.  A
-        table indexed by a spread half of that sum reduces its digits mod p.
+        Two tables give both terms, their digits spread in base 2p - 1 so
+        that one integer addition sums them digitwise.  A table indexed by
+        a spread half of that sum reduces its digits mod p.  By the same
+        linearity the two tables take only the e general products g x^i.
         """
         p, e = self.p, self.e
         h = (e + 1) // 2
@@ -238,14 +243,21 @@ class FiniteField:
         base = 2 * p - 1
         spread_half = base ** h
 
-        def spread(code):
-            return sum(d * base ** i for i, d in enumerate(self._decode(code)))
-
-        low = [spread(self._raw_mul(gen, lo)) for lo in range(half)]
-        high = [spread(self._raw_mul(gen, hi * half)) for hi in range(p ** (e - h))]
-        reduced = [0]
+        reduced, respread = [0], [0]
         for i in range(h):
             reduced = [r + d % p * p ** i for d in range(base) for r in reduced]
+            respread = [r + d % p * base ** i for d in range(base) for r in respread]
+        # low and high: sums of the multiples of the products g x^i, one
+        # digit at a time, each sum reduced back to digits mod p
+        tables = [[0], [0]]
+        for i in range(e):
+            digits = self._decode(self._raw_mul(gen, p ** i))
+            multiples = [sum(d * c % p * base ** j for j, c in enumerate(digits))
+                         for d in range(p)]
+            tables[i >= h] = [respread[(s := t + m) % spread_half]
+                              + spread_half * respread[s // spread_half]
+                              for m in multiples for t in tables[i >= h]]
+        low, high = tables
         reduced_high = [half * r for r in reduced]
         exp, v = [1], 1
         for _ in range(self.q - 2):
@@ -457,21 +469,43 @@ def _cubic_root_count(a: int, b: int, p: int) -> int:
     return 1 if _resultant(f, frobenius, p) == 0 else 0
 
 
+def _window_zeros(point, a: int, p: int, low: int, high: int) -> list[int]:
+    """Every n in [low, high] with nP = O, increasing, by baby-step giant-step
+    (Cohen, GTM 138, 5.4.1): n = start + j for a giant step start = low + km
+    exactly when -(start P) = jP, 0 <= j < m.  If some jP, 0 < j <= m, is O,
+    the first such j is the order of P and the zeros are its multiples;
+    otherwise the jP differ, so a giant step finds at most one n."""
+    steps = isqrt(high - low) + 1
+    baby, multiple = {}, None
+    for j in range(steps):
+        baby[multiple] = j
+        multiple = _affine_add(multiple, point, a, p)
+        if multiple is None:
+            return list(range(low + -low % (j + 1), high + 1, j + 1))
+    zeros, giant = [], _affine_multiple(low, point, a, p)
+    for start in range(low, high + 1, steps):
+        j = baby.get(giant and (giant[0], -giant[1] % p))
+        if j is not None and start + j <= high:
+            zeros.append(start + j)
+        giant = _affine_add(giant, multiple, a, p)
+    return zeros
+
+
 def _shanks_mestre_tally(curve: EllipticMinusPoint,
                          spec: FiniteFieldSpec) -> tuple[int, int]:
     """(#E, number of roots of the cubic) over GF(p), p > ``MESTRE_BOUND``,
-    from about 4 sqrt(p) point additions and no field tables.
+    from about 4 p^(1/4) point additions and no field tables.
 
     #E = p + 1 - t with |t| <= isqrt(4p) (Hasse), and the quadratic twist
     has p + 1 + t points.  For d = x^3 + ax + b != 0, (xd, d^2) lies on
     y^2 = X^3 + ad^2 X + bd^3, which is E if d is a square (Euler's
     criterion) and the twist if not; so with chi = chi(d) the point is
-    killed by p + 1 - chi t.  The first such point walks that multiple
-    across the window, one addition a step, and keeps each t that gives
-    the identity; later points test the survivors by scalar
-    multiplication until one is left.  Since the true t always survives
-    and, for p > 229, some point of E or of its twist leaves it alone
-    (Mestre; Cohen, GTM 138, 7.4.3), running out of x is a bug.
+    killed by p + 1 - chi t.  The first such point keeps each t that gives
+    the identity, found across the window by ``_window_zeros`` in about
+    2 sqrt(2 isqrt(4p)) additions; later points test the survivors by
+    scalar multiplication until one is left.  Since the true t always
+    survives and, for p > 229, some point of E or of its twist leaves it
+    alone (Mestre; Cohen, GTM 138, 7.4.3), running out of x is a bug.
     """
     _check_elliptic(curve, spec)
     a, b, p = curve.a, curve.b, spec.p
@@ -484,11 +518,8 @@ def _shanks_mestre_tally(curve: EllipticMinusPoint,
         chi = 1 if pow(d, half, p) == 1 else -1
         point, a_d = (x * d % p, d * d % p), a * d * d % p
         if traces is None:
-            multiple, traces = _affine_multiple(p + 1 - width, point, a_d, p), []
-            for n in range(p + 1 - width, p + 2 + width):
-                if multiple is None:
-                    traces.append(chi * (p + 1 - n))
-                multiple = _affine_add(multiple, point, a_d, p)
+            traces = [chi * (p + 1 - n)
+                      for n in _window_zeros(point, a_d, p, p + 1 - width, p + 1 + width)]
         else:
             traces = [t for t in traces
                       if _affine_multiple(p + 1 - chi * t, point, a_d, p) is None]

@@ -12,8 +12,9 @@ essential product from multiplying out all its linear factors on
 exponent tuples, restriction by substituting linear forms into them,
 GF(p^e) arithmetic from the base-p digits of the element encodings,
 elliptic point counts from Euler's criterion on those digits, the
-field tables from one general product per power, and linear congruences
-by the extended Euclidean algorithm.
+field tables from one general product per power, the multiples of a
+point that vanish in a window from one addition per multiple, and linear
+congruences by the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import combinations, permutations, product as cartesian
 
 from sl2cohom.abelian import FinGenAbGroup, GroupHom, factorize, smith_normal_form
 from sl2cohom.arithdata import compose, principal_form, reduce_form, reduced_forms
+from sl2cohom.curve import _affine_add, _affine_multiple
 from sl2cohom.essential import GradedElement
 
 
@@ -544,6 +546,17 @@ def general_product_tables(field):
         return exp, log, None
     one_more = (v - v % p + (v + 1) % p for v in exp)
     return exp, log, [log[w] if w else -1 for w in one_more]
+
+
+def window_zeros_by_walk(point, a: int, p: int, low: int, high: int) -> list[int]:
+    """Every n in [low, high] with n point = O on y^2 = x^3 + ax + b over
+    GF(p): low * point, then one addition per n across the window."""
+    multiple, zeros = _affine_multiple(low, point, a, p), []
+    for n in range(low, high + 1):
+        if multiple is None:
+            zeros.append(n)
+        multiple = _affine_add(multiple, point, a, p)
+    return zeros
 
 
 def is_reduced(form) -> bool:

@@ -1,5 +1,6 @@
 import random
 from itertools import product as cartesian
+from math import isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from brute import (
     general_product_tables,
     group_add,
     structure_from_element_set,
+    window_zeros_by_walk,
 )
 from sl2cohom.abelian import (
     FinGenAbGroup,
@@ -111,23 +113,45 @@ def test_resultant_is_the_norm_to_the_prime_field():
             [field._raw_pow(a, exponent) for a in range(1, q)], q
 
 
+def reducible_codes(p, e):
+    """The codes sum f_i p^i, i < e, of the monic products of degree e of
+    two monics of lower degrees over GF(p).  A polynomial is packed as an
+    integer in a base too large for any coefficient of a product to carry,
+    so one integer product multiplies two of them."""
+    shift = (e * (p - 1) ** 2).bit_length()
+    mask = (1 << shift) - 1
+
+    def monic(d):
+        return [sum(c << shift * i for i, c in enumerate(cs)) + (1 << shift * d)
+                for cs in cartesian(range(p), repeat=d)]
+
+    def code(n):
+        out = 0
+        for i in range(e):
+            out += (n >> shift * i & mask) % p * p ** i
+        return out
+
+    return {code(a * b) for d in range(1, e // 2 + 1) for a in monic(d) for b in monic(e - d)}
+
+
 @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
 def test_irreducibility_matches_the_products_of_lower_degrees(p, top):
-    def monic(d):
-        return [list(c) + [1] for c in cartesian(range(p), repeat=d)]
-
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            for j, v in enumerate(b):
-                out[i + j] = (out[i + j] + u * v) % p
-        return tuple(out)
-
     for e in range(2, top + 1):
-        reducible = {times(a, b) for d in range(1, e // 2 + 1) for a in monic(d)
-                     for b in monic(e - d)}
-        for f in monic(e):
-            assert curve._is_irreducible(f, p) == (tuple(f) not in reducible), f
+        reducible = reducible_codes(p, e)
+        for code in range(p ** e):
+            f = [code // p ** i % p for i in range(e)] + [1]
+            assert curve._is_irreducible(f, p) == (code not in reducible), f
+
+
+def test_modulus_is_the_first_monic_that_is_not_a_product():
+    # the search gives the Rabin test only candidates with no root in GF(p)
+    fields = [(p, e) for p in range(2, 32) if is_prime(p) for e in range(2, 11)
+              if p ** e <= 2 ** 10] + [(3, 10), (37, 3)]
+    assert len(fields) == 28
+    for p, e in fields:
+        reducible = reducible_codes(p, e)
+        code = next(c for c in range(p ** e) if c not in reducible)
+        assert curve._find_modulus(p, e) == [code // p ** i % p for i in range(e)] + [1], (p, e)
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (5, 2)])
@@ -155,8 +179,9 @@ def test_lookup_walk_matches_the_general_product_walk_on_large_fields(p, e):
 
 
 def test_field_build_makes_few_general_products(monkeypatch):
-    # the modulus, the generator and the walk's tables; one product per
-    # power would be 59 047 more
+    # the modulus, the generator and the e products g x^i: 229 and 136
+    # today; one product per power would be q - 2 more, and one per entry
+    # of the walk's tables p^ceil(e/2) + p^floor(e/2) more
     calls = []
     poly_mul_mod = curve._poly_mul_mod
 
@@ -165,8 +190,10 @@ def test_field_build_makes_few_general_products(monkeypatch):
         return poly_mul_mod(*args)
 
     monkeypatch.setattr(curve, "_poly_mul_mod", counting)
-    get_field(FiniteFieldSpec(3, 10))
-    assert len(calls) < 2000
+    for p, e, bound in [(3, 10, 300), (37, 3, 200)]:
+        calls.clear()
+        get_field(FiniteFieldSpec(p, e))
+        assert len(calls) < bound, (p, e)
 
 
 def test_field_spec_from_order():
@@ -371,6 +398,34 @@ def shanks_mestre_cases():
                   EllipticMinusPoint(*cubic_with_roots(p, r, square)),
                   EllipticMinusPoint(*cubic_with_roots(p, r, nonsquare))]
     yield 65521, [EllipticMinusPoint(1, 1), EllipticMinusPoint(0, 7), EllipticMinusPoint(5, 0)]
+
+
+def test_window_zeros_match_the_linear_walk():
+    # the first point of seeded curves, as the Shanks-Mestre count takes
+    # it, and its multiples (n/k) P of order dividing k for a zero n and a
+    # small k, so that some orders are at most the number of baby steps
+    rng = random.Random(241)
+    small = 0
+    for p in (233, 239, 241, 65521):
+        width = isqrt(4 * p)
+        low, high = p + 1 - width, p + 1 + width
+        steps = isqrt(high - low) + 1
+        for _ in range(12 if p < 65521 else 3):
+            a, b = rng.randrange(p), rng.randrange(p)
+            if not (4 * a ** 3 + 27 * b * b) % p:
+                continue
+            x = next(x for x in range(p) if (x * x * x + a * x + b) % p)
+            d = (x * x * x + a * x + b) % p
+            point, a_d = (x * d % p, d * d % p), a * d * d % p
+            n = window_zeros_by_walk(point, a_d, p, low, high)[0]
+            for multiple in [point] + [curve._affine_multiple(n // k, point, a_d, p)
+                                       for k in range(1, 2 * steps) if n % k == 0]:
+                zeros = window_zeros_by_walk(multiple, a_d, p, low, high)
+                assert curve._window_zeros(multiple, a_d, p, low, high) == zeros, (p, a, b)
+                # the walk lists each zero once; the distance between two is the order
+                assert zeros == sorted(set(zeros)) and zeros
+                small += len(zeros) > 1 and 1 < zeros[1] - zeros[0] <= steps
+    assert small > 20
 
 
 def test_shanks_mestre_counts_match_the_tally_and_euler_characters():

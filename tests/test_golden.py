@@ -73,6 +73,24 @@ CASES = {
                             "--q", "50653", "--ell", "3"],
     "elliptic_1_1_q59049": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                             "--q", "59049", "--ell", "11"],
+    # the Shanks-Mestre count just above its bound and at the largest primes
+    "elliptic_1_1_q233": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                          "--q", "233", "--ell", "29"],
+    "elliptic_3_5_q239": ["analyze-ff", "--curve", "elliptic", "--a", "3", "--b", "5",
+                          "--q", "239", "--ell", "7"],
+    "elliptic_2_7_q241": ["analyze-ff", "--curve", "elliptic", "--a", "2", "--b", "7",
+                          "--q", "241", "--ell", "5"],
+    "elliptic_1_1_q65519": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                            "--q", "65519", "--ell", "17"],
+    "elliptic_1_1_q65521": ["analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
+                            "--q", "65521", "--ell", "13"],
+    # codes >= p, whose meaning depends on the field's modulus
+    "elliptic_100_200_q243": ["analyze-ff", "--curve", "elliptic", "--a", "100", "--b", "200",
+                              "--q", "243", "--ell", "11"],
+    "elliptic_50_300_q343": ["analyze-ff", "--curve", "elliptic", "--a", "50", "--b", "300",
+                             "--q", "343", "--ell", "3"],
+    "elliptic_30_500_q529": ["analyze-ff", "--curve", "elliptic", "--a", "30", "--b", "500",
+                             "--q", "529", "--ell", "11"],
     # the largest P1 unit rank admitted, 2000, at the largest degree bound
     "p1_2001_punctures_q65521": ["analyze-ff", "--curve", "p1", "--punctures",
                                  ",".join(["1"] * 2001), "--q", "65521", "--ell", "3",
