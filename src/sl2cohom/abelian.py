@@ -47,8 +47,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        # attrgetter runs in C, and GradedElement compares specs on every product;
-        # of one name it returns the bare value, not a 1-tuple
+        # attrgetter runs in C; of one name it returns the bare value, not a 1-tuple
         get = attrgetter(*cls._fields)
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
 

@@ -10,9 +10,11 @@ is deterministic: identical inputs give byte-identical reports.
 Exit codes: 0 success, 1 input refused by an ``InputError`` (single ERROR
 line), 2 oracle or fixture verification failure (or an argparse usage
 error, on stderr), 3 a failed self-check or any other ``ValueError``, a
-bug (single ERROR line), 141 stdout closed before the whole report was
-written (nothing on stderr).  Every check that can refuse or fail runs
-before the first byte; the report is then written as it is produced.
+bug (single ERROR line), 74 any other I/O error, such as stdout on a
+full disk (single ERROR line on stderr), 141 stdout closed before the
+whole report was written (nothing on stderr).  Every check that can
+refuse or fail runs before the first byte; the report is then written as
+it is produced.
 """
 
 from __future__ import annotations
@@ -272,13 +274,17 @@ def main(argv=None) -> int:
             code = 3
         sys.stdout.flush()  # a reader that closes early is caught here too
         return code
-    except BrokenPipeError:
+    except OSError as exc:
         # send what is still buffered to devnull, so that the flush at
-        # shutdown does not fail again; 141 = 128 + SIGPIPE
+        # shutdown does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE
+        # any other I/O error, such as a full disk: EX_IOERR of sysexits.h
+        print(f"ERROR\t{exc}", file=sys.stderr)
+        return 74
 
 
 if __name__ == "__main__":

@@ -10,13 +10,13 @@ the projective line minus a set of closed points or a short-Weierstrass
 elliptic curve minus its point at infinity.  Picard groups come from
 divisor-class bookkeeping in the first case; in the second a report
 needs only |Pic| = #E(F_q) and |Pic[2]| = #E[2].  Over a prime field
-above ``MESTRE_BOUND`` they come from the Shanks-Mestre method, a
+above ``MESTRE_BOUND``, #E comes from the Shanks-Mestre method, a
 baby-step giant-step search of the Hasse window, about 4 p^(1/4) point
-additions in integers mod p with no field built, and
-the roots of the cubic from x^p mod the cubic; over GF(p^e) and smaller
-primes, from one quadratic-character pass over the field's tables,
-which stays the oracle for the first.  The full group structure is kept
-as a slow oracle, read from the orders of the points.
+additions in integers mod p with no field built; over GF(p^e) and
+smaller primes, from one quadratic-character pass over the field's
+tables, which stays the oracle for the first.  #E[2] follows from #E
+and the character of the cubic's discriminant.  The full group structure
+is kept as a slow oracle, read from the orders of the points.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def _resultant(f, g, p):
 
 
 def _find_modulus(p, e):
-    """Smallest monic irreducible polynomial of degree e >= 2 over GF(p); a
-    candidate with a root in GF(p) is reducible and skips the Rabin test."""
+    """Smallest monic irreducible polynomial of degree e >= 2 over GF(p).  A
+    candidate with a root in GF(p) is reducible; one with none is irreducible
+    if e <= 3, where a factor would be linear, and takes the Rabin test if not."""
     for code in range(p ** e):
         coeffs = []
         c = code
@@ -145,7 +146,7 @@ def _find_modulus(p, e):
             c //= p
         modulus = coeffs + [1]
         if (all(sum(c * r ** i for i, c in enumerate(modulus)) % p for r in range(p))
-                and _is_irreducible(modulus, p)):
+                and (e <= 3 or _is_irreducible(modulus, p))):
             return modulus
     raise ArithmeticError("no irreducible modulus found")  # unreachable
 
@@ -350,20 +351,21 @@ def _check_coefficients(curve: EllipticMinusPoint, q: int) -> None:
         raise InputError("coefficients must be encoded field elements")
 
 
-def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField | FiniteFieldSpec) -> None:
-    """Refuse a singular or wrongly encoded curve; a prime field needs only
-    its spec, since 4a^3 + 27b^2 is then taken by integers mod p."""
+def _check_elliptic(curve: EllipticMinusPoint, field: FiniteField | FiniteFieldSpec) -> int:
+    """Refuse a singular or wrongly encoded curve, else return 4a^3 + 27b^2;
+    a prime field needs only its spec, since that is taken by integers mod p."""
     _check_odd_characteristic(field.p)
     _check_coefficients(curve, field.q)
     a, b = curve.a, curve.b
     if field.e == 1:
-        vanishes = (4 * a ** 3 + 27 * b * b) % field.p == 0
+        disc = (4 * a ** 3 + 27 * b * b) % field.p
     else:
         four_a3 = field.mul(field.from_int(4), field.pow(a, 3)) if a else 0
         t27b2 = field.mul(field.from_int(27), field.mul(b, b)) if b else 0
-        vanishes = field.add(four_a3, t27b2) == 0
-    if vanishes:
+        disc = field.add(four_a3, t27b2)
+    if not disc:
         raise InputError("discriminant 4a^3 + 27b^2 vanishes")
+    return disc
 
 
 def _cubic_values(curve: EllipticMinusPoint, field: FiniteField) -> list[int]:
@@ -406,23 +408,16 @@ def elliptic_points(curve: EllipticMinusPoint, field: FiniteField):
                      for y in roots[add(mul(add(mul(x, x), a), x), b)]]
 
 
-def _point_tally(curve: EllipticMinusPoint, field: FiniteField) -> tuple[int, int]:
-    """(#E, number of roots of the cubic) from one pass over the field.
+def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:
+    """#E from one pass over the field's cubic values.
 
     A root gives one point and a nonzero square two, so #E = 1 + roots +
     2 * squares, which is q + 1 + sum chi(x^3 + ax + b) over the quadratic
     character chi.  A nonzero value is a square exactly when its log is even.
     """
     values = _cubic_values(curve, field)
-    roots = values.count(0)
     log = field.log
-    squares = sum(1 for v in values if v and not log[v] & 1)
-    return 1 + roots + 2 * squares, roots
-
-
-def count_points_elliptic(curve: EllipticMinusPoint, field: FiniteField) -> int:
-    """Point count via the quadratic character, q + 1 + sum chi(x^3+ax+b)."""
-    return _point_tally(curve, field)[0]
+    return 1 + values.count(0) + 2 * sum(1 for v in values if v and not log[v] & 1)
 
 
 def _affine_add(p1, p2, a: int, p: int):
@@ -456,19 +451,6 @@ def _affine_multiple(n: int, point, a: int, p: int):
     return result
 
 
-def _cubic_root_count(a: int, b: int, p: int) -> int:
-    """The roots of a squarefree f = x^3 + ax + b in GF(p): gcd(f, x^p - x)
-    has one factor per root, and f cannot have exactly two, since the
-    roots sum to 0.  So 3 if x^p = x mod f, and otherwise 1 or 0 as
-    x^p - x mod f does or does not share a factor with f."""
-    f = [b, a, 0, 1]
-    frobenius = _poly_pow_mod([0, 1, 0], p, f, p)
-    frobenius[1] = (frobenius[1] - 1) % p
-    if not any(frobenius):
-        return 3
-    return 1 if _resultant(f, frobenius, p) == 0 else 0
-
-
 def _window_zeros(point, a: int, p: int, low: int, high: int) -> list[int]:
     """Every n in [low, high] with nP = O, increasing, by baby-step giant-step
     (Cohen, GTM 138, 5.4.1): n = start + j for a giant step start = low + km
@@ -491,10 +473,9 @@ def _window_zeros(point, a: int, p: int, low: int, high: int) -> list[int]:
     return zeros
 
 
-def _shanks_mestre_tally(curve: EllipticMinusPoint,
-                         spec: FiniteFieldSpec) -> tuple[int, int]:
-    """(#E, number of roots of the cubic) over GF(p), p > ``MESTRE_BOUND``,
-    from about 4 p^(1/4) point additions and no field tables.
+def _shanks_mestre_tally(curve: EllipticMinusPoint, spec: FiniteFieldSpec) -> int:
+    """#E over GF(p), p > ``MESTRE_BOUND``, from about 4 p^(1/4) point
+    additions and no field tables.
 
     #E = p + 1 - t with |t| <= isqrt(4p) (Hasse), and the quadratic twist
     has p + 1 + t points.  For d = x^3 + ax + b != 0, (xd, d^2) lies on
@@ -527,32 +508,39 @@ def _shanks_mestre_tally(curve: EllipticMinusPoint,
             break
     if traces is None or len(traces) != 1:
         raise ArithmeticError(f"the points of E and its twist left traces {traces}")
-    return p + 1 - traces[0], _cubic_root_count(a, b, p)
+    return p + 1 - traces[0]
 
 
 def elliptic_order_and_two_torsion(curve: EllipticMinusPoint,
                                    spec: FiniteFieldSpec) -> tuple[int, int]:
     """#E(F_q) and #E[2], the only numbers an elliptic report needs.
 
-    #E[2] is the point at infinity plus one point (x, 0) per root of the
-    cubic.  A prime field above ``MESTRE_BOUND`` counts by
-    ``_shanks_mestre_tally`` in integers mod p and builds no field; GF(p^e)
-    and p <= ``MESTRE_BOUND`` take the one-pass ``_point_tally`` over the
-    field's tables.  Characteristic 2 and coefficients that are not codes
-    0..q-1 are refused first, then a vanishing discriminant, before any
-    count.  Both counts are checked: the Hasse bound
-    |#E - (q+1)| <= 2 sqrt(q), and #E[2] in {1, 2, 4} dividing #E.
+    A prime field above ``MESTRE_BOUND`` counts by ``_shanks_mestre_tally``
+    in integers mod p and builds no field; GF(p^e) and p <= ``MESTRE_BOUND``
+    take ``count_points_elliptic`` over the field's tables.  Characteristic
+    2 and coefficients that are not codes 0..q-1 are refused first, then a
+    vanishing discriminant, before any count.  #E[2] is 1 plus the roots of
+    the squarefree cubic: exactly one if its discriminant -(4a^3 + 27b^2) is
+    not a square (Stickelberger, 1897), else none or three as #E is odd or
+    even.  The square is read by Euler's criterion mod p, or from a log's
+    parity with -1 = g^((q-1)/2).  Both counts are checked: the Hasse bound
+    |#E - (q+1)| <= 2 sqrt(q), and #E[2] dividing #E, which refuses an odd
+    #E with one root and #E not 0 mod 4 with three.
     """
     _check_odd_characteristic(spec.p)
     _check_coefficients(curve, spec.q)
-    if spec.e == 1 and spec.p > MESTRE_BOUND:
-        order, roots = _shanks_mestre_tally(curve, spec)
+    q = spec.q
+    if spec.e == 1 and q > MESTRE_BOUND:
+        order = _shanks_mestre_tally(curve, spec)
+        square = pow(-_check_elliptic(curve, spec), (q - 1) // 2, q) == 1
     else:
-        order, roots = _point_tally(curve, get_field(spec))
-    if (order - spec.q - 1) ** 2 > 4 * spec.q:
+        field = get_field(spec)
+        order = count_points_elliptic(curve, field)
+        square = not (field.log[_check_elliptic(curve, field)] + (q - 1) // 2) & 1
+    if (order - q - 1) ** 2 > 4 * q:
         raise ArithmeticError("point count violates the Hasse bound")
-    fixed = 1 + roots
-    if fixed not in (1, 2, 4) or order % fixed:
+    fixed = 2 if not square else 1 if order & 1 else 4
+    if order % fixed:
         raise ArithmeticError(f"2-torsion count {fixed} is not 1, 2 or 4 dividing "
                               f"the point count {order}")
     return order, fixed

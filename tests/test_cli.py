@@ -395,7 +395,7 @@ def test_forged_point_count_exits_three(monkeypatch, capsys, forged, message):
     from sl2cohom import curve
 
     # y^2 = x^3 + x + 1 over the 13-element field: 18 points, one root of the cubic
-    monkeypatch.setattr(curve, "_point_tally", lambda c, field: (forged, 1))
+    monkeypatch.setattr(curve, "count_points_elliptic", lambda c, field: forged)
     code, out = run(capsys, "analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1",
                     "--q", "13", "--ell", "3")
     assert code == 3
@@ -429,6 +429,22 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert stderr == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze-nf", "--split-class-group", "1000", "--unit-rank", "3", "--ell", "5"),
+    ("analyze-ff", "--curve", "elliptic", "--a", "1", "--b", "1", "--q", "13", "--ell", "3"),
+    ("essential", "--ell", "3", "--rank", "2"),
+    ("verify",),
+])
+def test_full_stdout_exits_74_with_one_stderr_line(argv):
+    # a write error other than a closed pipe is neither a refusal (1) nor a bug (3)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "sl2cohom.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+    assert proc.returncode == 74
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b"ERROR\t[Errno 28] No space left on device\n"
 
 
 # run in a helper process: it pipes the report of one CLI process, its only
